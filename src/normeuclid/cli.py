@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -44,21 +43,15 @@ def _fmt(x: float) -> str:
 class RunConfig:
     """Global knobs shared by the subcommands."""
 
-    tol: float = 1e-10
     prime_limit: int = 10 ** 6
     theta: float = 0.1
     output_format: str = "csv"
-    jobs: int = 1
 
     def validate(self) -> None:
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
         if self.prime_limit < 10 ** 3:
             raise DomainError(f"prime-limit must be >= 1000, got {self.prime_limit}")
         if not (0.0 < self.theta < 1.0 / 3.0):
             raise DomainError(f"theta must lie in (0, 1/3), got {self.theta}")
-        if self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1, got {self.jobs}")
 
 
 # ------------------------------------------------------------ subcommands
@@ -121,19 +114,6 @@ def _cmd_cyclo_zeta(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"err   = {z.err_estimate:.6e}")
     print(f"terms = {z.terms_used}")
     return 0
-
-
-def _scan_worker(job: tuple[int, float, str, int]) -> cyclozeta.ScanRow:
-    m, epsilon, method, prime_limit = job
-    return cyclozeta.scan_row(m, epsilon, method=method, prime_limit=prime_limit)
-
-
-def _scan_rows(m_max: int, epsilon: float, cfg: RunConfig) -> list[cyclozeta.ScanRow]:
-    if cfg.jobs == 1:
-        return cyclozeta.scan(m_max, epsilon, prime_limit=cfg.prime_limit)
-    jobs = [(m, epsilon, "hurwitz", cfg.prime_limit) for m in range(1, m_max + 1)]
-    with Pool(cfg.jobs) as pool:
-        return pool.map(_scan_worker, jobs)
 
 
 def _rows_csv(rows: list[cyclozeta.ScanRow]) -> str:
@@ -204,7 +184,7 @@ def _rows_svg(rows: list[cyclozeta.ScanRow]) -> str:
 
 
 def _cmd_cyclo_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rows = _scan_rows(args.m_max, args.epsilon, cfg)
+    rows = cyclozeta.scan(args.m_max, args.epsilon, prime_limit=cfg.prime_limit)
     text = _rows_json(rows) if cfg.output_format == "json" else _rows_csv(rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -309,7 +289,8 @@ def _crit_3_delta_comparison(fast: bool) -> tuple[bool, str]:
     )
     # delta1 is minimized over admissible s at s = 0 since ln(4/pi) > 0,
     # so the s = 0 comparison covers every signature
-    assert math.log(4.0 / math.pi) > 0.0
+    if not math.log(4.0 / math.pi) > 0.0:
+        raise ArithmeticError("ln(4/pi) must be positive for the s = 0 reduction")
     worst = math.inf
     for n in range(56, 2001):
         d2 = lenstra.delta2_star_log(n, mode="upper").value
@@ -484,10 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Explicit bounds for the sphere-packing criterion for "
         "norm-Euclidean fields and Dedekind zeta scans for cyclotomic fields.",
     )
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance")
     p.add_argument("--prime-limit", type=int, default=10 ** 6,
                    help="prime cutoff for Euler products")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="scan output format")
     sub = p.add_subparsers(dest="command", required=True)
@@ -549,13 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     theta = getattr(args, "theta", 0.1)
-    cfg = RunConfig(
-        tol=args.tol,
-        prime_limit=args.prime_limit,
-        theta=theta,
-        output_format=args.format,
-        jobs=args.jobs,
-    )
+    cfg = RunConfig(prime_limit=args.prime_limit, theta=theta, output_format=args.format)
     try:
         cfg.validate()
     except DomainError as exc:

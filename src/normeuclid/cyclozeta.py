@@ -1,12 +1,18 @@
 """Dedekind zeta functions of cyclotomic fields, two ways.
 
 The field of m-th roots of unity has degree phi(m), and its zeta function
-factors as the product of Dirichlet L-functions over all characters mod m,
-each reduced to the primitive character that induces it (the reduction is
-what makes the product correct at ramified primes).  L-values are computed
-through the Hurwitz-zeta identity
+is the product of the Dirichlet L-functions L_m(s, chi) over all phi(m)
+characters chi mod m, each taken mod m itself, completed at the ramified
+primes p | m by the exact Euler factors (1 - p^{-f s})^{-g}.  Through the
+Hurwitz-zeta identity
 
-    L(s, chi) = d^{-s} sum_{a=1}^{d} chi(a) zeta(s, a/d),   d = conductor.
+    L_m(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m)
+
+all phi(m) L-values are one discrete Fourier transform over (Z/mZ)*: on
+the discrete-log grid of the unit group the character sum is
+``np.fft.fftn`` of h[v] = m^{-s} zeta(s, a/m) (Washington, Introduction to
+Cyclotomic Fields, Ch. 4).  The log-derivative transforms m^{-s} times
+d/ds zeta(s, a/m) the same way.
 
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
@@ -15,10 +21,10 @@ tail is estimated from the prime-counting integral and reported in the
 error estimate (it dominates for s near 1, where the truncated product is
 far from converged).
 
-Character values are exact rational rotations k/L (L = exponent of the
-unit group), mapped to cos/sin only at evaluation time.  Conjugate pairs
-are multiplied first so assembled products are real by construction; the
-residual imaginary part is asserted tiny and discarded.
+Single characters keep their own route: ``dirichlet_l`` evaluates the
+primitive character that induces chi from exact rational rotation values
+k/L (L = exponent of the unit group) and its conductor, which also serves
+as a check on the transform.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
+from typing import Callable
 
 import numpy as np
 
@@ -271,12 +278,10 @@ def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(chi.modulus, exps, chi.conductor)
 
 
-@lru_cache(maxsize=None)
 def _value_table(chi: DirichletCharacter) -> tuple[complex, ...]:
     return tuple(char_value(chi, a) for a in range(1, chi.modulus + 1))
 
 
-@lru_cache(maxsize=None)
 def _primitive_table(chi: DirichletCharacter) -> tuple[complex, ...]:
     """Values of the primitive character inducing chi, indexed a = 1..conductor.
 
@@ -308,17 +313,7 @@ class ComplexEvaluation:
     terms_used: int
 
 
-@lru_cache(maxsize=None)
-def _hurwitz_vector(s: float, d: int) -> tuple[Evaluation, ...]:
-    return tuple(hurwitz_zeta(s, a / d) for a in range(1, d + 1))
-
-
-@lru_cache(maxsize=None)
-def _hurwitz_ds_vector(s: float, d: int) -> tuple[Evaluation, ...]:
-    return tuple(hurwitz_zeta_ds(s, a / d) for a in range(1, d + 1))
-
-
-def _char_sum(table: tuple[complex, ...], vec: tuple[Evaluation, ...]) -> tuple[complex, float]:
+def _char_sum(table: tuple[complex, ...], vec: list[Evaluation]) -> tuple[complex, float]:
     re = math.fsum(t.real * h.value for t, h in zip(table, vec))
     im = math.fsum(t.imag * h.value for t, h in zip(table, vec))
     err = math.fsum(h.err_estimate for t, h in zip(table, vec) if t != 0j)
@@ -339,77 +334,62 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Co
         z = riemann_zeta(s)
         return ComplexEvaluation(complex(z.value), z.err_estimate, z.terms_used)
     table = _primitive_table(chi) if primitive else _value_table(chi)
-    vec = _hurwitz_vector(s, d)
+    vec = [hurwitz_zeta(s, a / d) for a in range(1, d + 1)]
     total, err = _char_sum(table, vec)
     scale = d ** (-s)
     terms = sum(h.terms_used for h in vec)
     return ComplexEvaluation(scale * total, scale * err, terms)
 
 
-def _l_with_derivative(
-    s: float, chi: DirichletCharacter
-) -> tuple[complex, complex, float, float, int]:
-    """(L, L', errL, errL', terms) for the primitive inducing character."""
-    d = chi.conductor
-    if d == 1:
-        z = riemann_zeta(s)
-        zd = hurwitz_zeta_ds(s, 1.0)
-        return complex(z.value), complex(zd.value), z.err_estimate, zd.err_estimate, z.terms_used
-    table = _primitive_table(chi)
-    vec = _hurwitz_vector(s, d)
-    dvec = _hurwitz_ds_vector(s, d)
-    total, err = _char_sum(table, vec)
-    dtotal, derr = _char_sum(table, dvec)
-    scale = d ** (-s)
-    log_d = math.log(d)
-    l_val = scale * total
-    l_deriv = -log_d * l_val + scale * dtotal
-    terms = sum(h.terms_used for h in vec)
-    return l_val, l_deriv, scale * err, log_d * scale * err + scale * derr, terms
-
-
 # --------------------------------------------------------- zeta assembly
 
-def _is_real_character(chi: DirichletCharacter) -> bool:
-    return conjugate_character(chi).exponents == chi.exponents
-
-
 def _assert_real(z: complex, what: str) -> float:
-    assert abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)), (
-        f"{what}: residual imaginary part {z.imag} too large"
-    )
+    if abs(z.imag) > 1e-10 * max(1.0, abs(z.real)):
+        raise ArithmeticError(f"{what}: residual imaginary part {z.imag} too large")
     return z.real
 
 
+def _group_dft(
+    m: int, s: float, kernel: Callable[[float, float], Evaluation]
+) -> tuple[np.ndarray, float]:
+    """The phi(m) character sums sum_a conj(chi(a)) h(a) of
+    h(a) = m^{-s} kernel(s, a/m), as ``np.fft.fftn`` over the discrete-log
+    grid of (Z/mZ)* (m = 1 and 2 give one cell, a = 1), with the error
+    bound shared by every entry: the kernel errors plus the FFT rounding
+    2.2e-16 (1 + log2 phi) ||h||_1."""
+    group = unit_group(m)
+    h = np.empty(tuple(order for _, order in group.generators) or (1,))
+    scale = float(m) ** -s
+    err = 0.0
+    for r, vec in group.dlog_table.items():
+        z = kernel(s, (r or m) / m)
+        h[vec or (0,)] = scale * z.value
+        err += scale * z.err_estimate
+    err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
+    return np.fft.fftn(h).ravel(), err
+
+
+def _ramified(m: int, s: float) -> tuple[float, float]:
+    """ln of the exact Euler factors prod_{p | m} (1 - p^{-f s})^{-g} at the
+    ramified primes, and its derivative in s."""
+    log_f = 0.0
+    dlog_f = 0.0
+    for p, k in _factorize(m).items():
+        rest = m // p ** k
+        f = _mult_order(p, rest)
+        g = euler_phi(rest) // f
+        x = float(p) ** (-f * s)
+        log_f += -g * math.log1p(-x)
+        dlog_f += -g * f * math.log(p) * x / (1.0 - x)
+    return log_f, dlog_f
+
+
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
-    chars = characters(m)
-    by_exps = {c.exponents: c for c in chars}
-    done: set[tuple[int, ...]] = set()
-    value = 1.0
-    rel_err = 0.0
-    terms = 0
-    for chi in chars:
-        if chi.exponents in done:
-            continue
-        done.add(chi.exponents)
-        if _is_real_character(chi):
-            lv = dirichlet_l(s, chi)
-            real = _assert_real(lv.value, f"L(s, chi) for real chi mod {m}")
-            value *= real
-            rel_err += lv.err_estimate / abs(real)
-            terms += lv.terms_used
-        else:
-            conj = conjugate_character(chi)
-            done.add(conj.exponents)
-            l1 = dirichlet_l(s, chi)
-            l2 = dirichlet_l(s, by_exps[conj.exponents])
-            pair = l1.value * l2.value
-            real = _assert_real(pair, f"conjugate L-pair mod {m}")
-            value *= real
-            rel_err += l1.err_estimate / abs(l1.value) + l2.err_estimate / abs(l2.value)
-            terms += l1.terms_used + l2.terms_used
-    err = abs(value) * (rel_err + 2e-16 * len(chars))
-    return Evaluation(value, err, terms)
+    l_vals, err = _group_dft(m, s, hurwitz_zeta)
+    log_l = _assert_real(complex(np.sum(np.log(l_vals))), f"sum of ln L_m(s, chi) for m={m}")
+    value = math.exp(log_l + _ramified(m, s)[0])
+    rel_err = float(np.sum(err / np.abs(l_vals)))
+    return Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
 
 
 # prime sieve, grown on demand and shared across calls
@@ -473,18 +453,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evalua
     if prime_limit < 10:
         raise DomainError(f"prime_limit too small: {prime_limit}")
     phi = euler_phi(m)
-    # ramified primes (p | m), handled exactly
-    ram_log = 0.0
-    ram_count = 0
-    for p in _factorize(m):
-        f = _residue_degree(p, m)
-        mm = m
-        while mm % p == 0:
-            mm //= p
-        g = euler_phi(mm) // f
-        ram_log += -g * math.log1p(-float(p) ** (-f * s))
-        ram_count += 1
-    # everything else via the order lookup table
+    # unramified primes via the order lookup table
     primes = _primes_up_to(prime_limit)
     lut = _order_lut(m)
     rs = primes % m
@@ -494,7 +463,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evalua
     p_arr = primes[mask].astype(np.float64)
     g_arr = (phi // fv[mask]).astype(np.float64)
     x = np.exp(-f_arr * s * np.log(p_arr))
-    log_total = ram_log + float(np.sum(-g_arr * np.log1p(-x)))
+    log_total = _ramified(m, s)[0] + float(np.sum(-g_arr * np.log1p(-x)))
     value = math.exp(log_total)
 
     tail1 = 1.3 * _prime_tail_integral(s, prime_limit)
@@ -505,7 +474,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evalua
         raise ConvergenceError(
             f"euler tail bound {err:.3e} exceeds tol {tol} at prime_limit {prime_limit}"
         )
-    return Evaluation(value, err, int(mask.sum()) + ram_count)
+    return Evaluation(value, err, int(mask.sum()) + len(_factorize(m)))
 
 
 def zeta_cyclotomic(
@@ -517,11 +486,13 @@ def zeta_cyclotomic(
 ) -> Evaluation:
     """Dedekind zeta of the m-th cyclotomic field at real s > 1.
 
-    method="hurwitz": product of primitive L-values over all characters
-    mod m (accurate to roughly 1e-12 relative).  method="euler": truncated
-    Euler product over rational primes up to prime_limit; its error
-    estimate carries the omitted-tail bound, which is large for s near 1.
-    Both deliver a real value > 1.
+    method="hurwitz": exp of the summed ln L_m(s, chi), all phi(m) values
+    from one group DFT, plus the ramified Euler factors (accurate to
+    roughly 1e-12 relative); ``terms_used`` is the number of Hurwitz-zeta
+    evaluations, phi(m).  method="euler": truncated Euler product over
+    rational primes up to prime_limit; its error estimate carries the
+    omitted-tail bound, which is large for s near 1, and ``terms_used``
+    counts the primes multiplied in.  Both deliver a real value > 1.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
@@ -535,23 +506,24 @@ def zeta_cyclotomic(
 
 
 def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
-    """zeta'/zeta of the m-th cyclotomic field at real s > 1, as the sum
-    of L'/L over the primitive characters."""
+    """zeta'/zeta of the m-th cyclotomic field at real s > 1.
+
+    With F and F' the group DFTs of m^{-s} zeta(s, a/m) and of m^{-s} times
+    its s-derivative, L_m'/L_m = F'/F - ln m for every character, so the
+    value is sum F'/F - phi(m) ln m plus the ramified Euler factors'
+    log-derivative.  ``terms_used`` is the number of Hurwitz-zeta
+    evaluations, 2 phi(m)."""
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     if s <= 1.0:
         raise DomainError(f"need s > 1, got {s}")
-    total = 0j
-    err = 0.0
-    terms = 0
-    for chi in characters(m):
-        l_val, l_deriv, err_l, err_ld, t = _l_with_derivative(s, chi)
-        ratio = l_deriv / l_val
-        total += ratio
-        err += (err_ld + abs(ratio) * err_l) / abs(l_val)
-        terms += t
-    value = _assert_real(total, f"zeta log-derivative for m={m}")
-    return Evaluation(value, err + 1e-14, terms)
+    l_vals, err = _group_dft(m, s, hurwitz_zeta)
+    d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds)
+    ratio = d_vals / l_vals
+    total = _assert_real(complex(np.sum(ratio)), f"zeta log-derivative for m={m}")
+    value = total - l_vals.size * math.log(m) + _ramified(m, s)[1]
+    err_sum = float(np.sum((derr + np.abs(ratio) * err) / np.abs(l_vals)))
+    return Evaluation(value, err_sum + 1e-14, 2 * l_vals.size)
 
 
 # ----------------------------------------------- field-level invariants

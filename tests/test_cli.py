@@ -3,8 +3,10 @@ scan emission."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,15 +126,6 @@ def test_scan_stdout(capsys):
     assert out.startswith("m,phi,epsilon,s,zeta_value,err_estimate\n")
 
 
-def test_scan_parallel_matches_serial(tmp_path, capsys):
-    p1 = tmp_path / "serial.csv"
-    p2 = tmp_path / "par.csv"
-    _run(["cyclo-scan", "--m-max", "10", "--epsilon", "0.75", "--out", str(p1)], capsys)
-    _run(["--jobs", "2", "cyclo-scan", "--m-max", "10", "--epsilon", "0.75",
-          "--out", str(p2)], capsys)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_zimmert_output(capsys):
     code, out, _ = _run(["zimmert", "--a", "1", "--b", "0", "--beta", "0.0001"], capsys)
     assert code == 0
@@ -164,18 +157,30 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_bad_global_flag_exits_two(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--prime-limit", "10", "cyclo-zeta", "--m", "4", "--s", "2"],
+        ["--tol", "1e-8", "cyclo-zeta", "--m", "4", "--s", "2"],  # flag removed
+    ],
+    ids=["prime-limit", "tol"],
+)
+def test_bad_global_flag_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--prime-limit", "10", "cyclo-zeta", "--m", "4", "--s", "2"])
+        cli.main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_console_entry_point():
+    # the child imports the same normeuclid as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "normeuclid.cli", "constants"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "1.43879" in proc.stdout

@@ -1,18 +1,22 @@
 """Character machinery and the two zeta evaluation routes.
 
 Independent oracles: brute-force gcd counting for the totient, enumeration
-for unit groups, alternating/direct Dirichlet series for L-values, and the
-finite Euler-factor identity tying imprimitive to primitive L-functions.
+for unit groups, alternating/direct Dirichlet series for L-values, the
+finite Euler-factor identity tying imprimitive to primitive L-functions,
+the conductor route against the group transform, and an mpmath group
+determinant for the zeta values and their log-derivative.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from normeuclid.cyclozeta import (
     ScanRow,
+    _assert_real,
     char_rotation,
     char_value,
     characters,
@@ -252,6 +256,66 @@ def test_zeta_domain():
         zeta_cyclotomic(4, 2.0, method="mystery")
     with pytest.raises(DomainError):
         zeta_cyclotomic(0, 2.0)
+
+
+def test_assert_real_raises_arithmetic_error():
+    with pytest.raises(ArithmeticError):
+        _assert_real(complex(1.0, 1e-3), "x")
+
+
+def test_terms_used_counts_hurwitz_evaluations():
+    assert zeta_cyclotomic(1009, 1.2).terms_used == 1008
+    assert zeta_cyclotomic_logderiv(12, 1.5).terms_used == 8
+
+
+def _zeta_oracle(m, s, dps=30):
+    """m^{-s phi} det[zeta(s, (a b^-1 mod m)/m)]_{a,b} over the units a, b
+    mod m, completed by (1 - p^{-f s})^{-g} at each prime p | m."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(s)
+        units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+        z = {a: mpmath.zeta(s, mpmath.mpf(a) / m) for a in units}
+        rows = [[z[a * pow(b, -1, m) % m or m] for b in units] for a in units]
+        value = mpmath.det(mpmath.matrix(rows)) * mpmath.power(m, -s * len(units))
+        for p in (p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))):
+            rest = m
+            while rest % p == 0:
+                rest //= p
+            f = next(f for f in range(1, m + 1) if pow(p, f, rest) == 1 % rest)
+            value /= (1 - mpmath.power(p, -f * s)) ** (euler_phi(rest) // f)
+        return +value
+
+
+_ORACLE_GRID = [(m, s) for m in (1, 4, 5, 12, 15, 16, 21, 35) for s in (1.02, 1.5, 3.5)]
+
+
+@pytest.mark.parametrize("m,s", _ORACLE_GRID)
+def test_zeta_within_error_of_oracle(m, s):
+    z = zeta_cyclotomic(m, s)
+    assert abs(z.value - float(_zeta_oracle(m, s))) <= z.err_estimate
+
+
+@pytest.mark.parametrize("m,s", _ORACLE_GRID)
+def test_logderiv_within_error_of_oracle(m, s):
+    with mpmath.workdps(80):
+        h, s_mp = mpmath.mpf("1e-25"), mpmath.mpf(s)
+        hi = mpmath.log(_zeta_oracle(m, s_mp + h, 80))
+        lo = mpmath.log(_zeta_oracle(m, s_mp - h, 80))
+        oracle = float((hi - lo) / (2 * h))
+    d = zeta_cyclotomic_logderiv(m, s)
+    assert abs(d.value - oracle) <= d.err_estimate
+
+
+@pytest.mark.parametrize("m", list(range(1, 61)))
+def test_conductor_route_matches_group_transform(m):
+    for s in (1.1, 2.0):
+        product, rel_err = 1.0 + 0j, 0.0
+        for chi in characters(m):
+            lv = dirichlet_l(s, chi)
+            product *= lv.value
+            rel_err += lv.err_estimate / abs(lv.value)
+        z = zeta_cyclotomic(m, s)
+        assert abs(product - z.value) <= abs(product) * rel_err + z.err_estimate
 
 
 # ------------------------------------------------------------- logderiv
