@@ -97,18 +97,30 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def _mult_order(a: int, mod: int) -> int:
-    """Multiplicative order of a modulo mod (gcd(a, mod) must be 1)."""
+def _carmichael(m: int) -> int:
+    """Carmichael function lambda(m): the exponent of (Z/mZ)*."""
+    lam = 1
+    for p, k in _factorize(m).items():
+        e = p ** (k - 1) * (p - 1) if p > 2 or k < 3 else 2 ** (k - 2)
+        lam = lam * e // math.gcd(lam, e)
+    return lam
+
+
+def _mult_order(a: int, mod: int, lam: int | None = None) -> int:
+    """Multiplicative order of a modulo mod (gcd(a, mod) must be 1).
+
+    Descends from the group exponent: o = lambda(mod), then each prime q of
+    o is divided out while a^(o/q) = 1.  ``lam`` may pass lambda(mod) in.
+    """
     if mod == 1:
         return 1
     a %= mod
     if math.gcd(a, mod) != 1:
         raise DomainError(f"{a} not invertible mod {mod}")
-    order = 1
-    x = a
-    while x != 1:
-        x = x * a % mod
-        order += 1
+    order = _carmichael(mod) if lam is None else lam
+    for q in _factorize(order):
+        while order % q == 0 and pow(a, order // q, mod) == 1:
+            order //= q
     return order
 
 
@@ -419,9 +431,10 @@ def _order_lut(m: int) -> np.ndarray:
     if m == 1:
         return np.ones(1, dtype=np.int64)
     lut = np.zeros(m, dtype=np.int64)
+    lam = _carmichael(m)
     for r in range(1, m):
         if math.gcd(r, m) == 1:
-            lut[r] = _mult_order(r, m)
+            lut[r] = _mult_order(r, m, lam)
     return lut
 
 
@@ -563,11 +576,15 @@ def min_proper_ideal_norm(m: int) -> int:
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     best = 2 ** _residue_degree(2, m)
-    p = 3
-    while p <= best:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+    checked = 2  # every prime <= checked has been tried
+    while checked < best:
+        limit = min(best, max(1024, 2 * checked))
+        primes = _primes_up_to(limit)
+        for p in primes[np.searchsorted(primes, checked, side="right") :].tolist():
+            if p > best:
+                break
             best = min(best, p ** _residue_degree(p, m))
-        p += 2
+        checked = limit
     return best
 
 

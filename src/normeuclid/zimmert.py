@@ -13,6 +13,10 @@ each contains a 1/beta pole (the l = 1 term of F1 against psi(-beta/2) in
 f1) that cancels in the sum.  Below beta = 1e-4 the cancellation costs too
 many digits in binary64, so that is the domain cutoff; use the limit
 constants directly instead of tiny beta.
+
+The series terms fall off like 1/l^3.  Each series is summed directly over
+its first 64 terms; the rest is an Euler-Maclaurin tail whose integral is
+a ln Gamma ratio and whose corrections are polygammas (DLMF 2.10, 5.11).
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import polygamma
 
 from .specfun import (
     CONSTANTS,
     ConvergenceError,
     DomainError,
+    _BERNOULLI_2J,
     _PSI_TAIL,
     digamma,
 )
@@ -52,11 +58,19 @@ __all__ = [
 BETA_MIN = 1e-4
 BETA_MAX = 0.25
 
-_SERIES_LENGTH = 100_000
-_TAIL_WINDOW = 100
+# directly summed terms of each series; the rest is an Euler-Maclaurin tail
+_HEAD_TERMS = 64
 # below this index the digamma arguments can drop under the asymptotic
 # threshold, so terms go through the scalar (shifted) digamma
 _SCALAR_HEAD = 12
+# Bernoulli corrections in the tail; orders 2k-1 and coefficients B_2k/(2k)!
+# run to k = _EM_PAIRS + 1, the first omitted one, which prices the truncation
+_EM_PAIRS = 4
+_EM_ORDERS = np.arange(1, 2 * _EM_PAIRS + 2, 2)
+_EM_FACTORIALS = np.array([math.factorial(j) for j in _EM_ORDERS], dtype=np.float64)
+_EM_COEFFS = np.array(_BERNOULLI_2J[: _EM_PAIRS + 1]) / (_EM_FACTORIALS * (_EM_ORDERS + 1))
+# binary64 rounding per unit of sum |t_l| in the compensated head
+_ROUNDING = 4e-16
 _TARGET_ACCURACY = 1e-8
 
 
@@ -100,44 +114,77 @@ def _psi_half_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(beta: float, shift: int, length: int = _SERIES_LENGTH) -> tuple[float, float, int]:
+def _log_gamma_half_step_excess(x: float) -> float:
+    """ln Gamma(x + 1/2) - ln Gamma(x) - (1/2) ln x for x >= 8, in Stirling
+    form.
+
+    Subtracting two lgamma values would lose ~1e-10 at x ~ 2e5; here the
+    large parts cancel analytically.
+    """
+    out = x * math.log1p(0.5 / x) - 0.5
+    for k in range(1, 6):
+        c = _BERNOULLI_2J[k - 1] / (2 * k * (2 * k - 1))
+        out += c * ((x + 0.5) ** (1 - 2 * k) - x ** (1 - 2 * k))
+    return out
+
+
+def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, float, int]:
     """Sum of the digamma series with harmonic subtraction.
 
-    shift=0 gives the F1 series (arguments (2l-1+beta)/(2+4beta), harmonic
-    terms 1/(2l-2-beta) + 1/(2l-1+beta)); shift=1 gives F2 (everything
-    moved one step up).  Terms fall off like 1/l^2 or faster; the sum runs
-    to a fixed length and adds the tail correction c/L estimated from the
-    last computed terms.
+    shift=0 gives the F1 series, terms
+        t(l) = w [psi(x_l + 1/2) - psi(x_l)] - 1/(2l-2-beta) - 1/(2l-1+beta)
+    with x_l = (2l-1+beta)/d, d = 2+4beta, w = 4/d; shift=1 gives F2
+    (every 2l moved to 2l+1).  Terms fall off like 1/l^3.  The first
+    ``length`` (>= _SCALAR_HEAD) terms are summed directly (compensated);
+    the rest is the Euler-Maclaurin tail at N = length + 1: the
+    closed-form integral (ln Gamma for the digamma part), t(N)/2 and
+    _EM_PAIRS Bernoulli corrections from polygammas.  Returns (value, err, length): ``err`` is
+    the first omitted Bernoulli correction plus the rounding of the head
+    (4e-16 per unit of sum |t_l|; the l = 1 term is ~1/beta) and its
+    digamma error estimates; the count is the number of directly summed
+    terms.
     """
     d = 2.0 + 4.0 * beta
-    w = 2.0 / (1.0 + 2.0 * beta)
-    ell = np.arange(1, length + 1, dtype=np.float64)
-    if shift == 0:
-        x2 = (2.0 * ell - 1.0 + beta) / d
-        harm = 1.0 / (2.0 * ell - 2.0 - beta) + 1.0 / (2.0 * ell - 1.0 + beta)
-    else:
-        x2 = (2.0 * ell + beta) / d
-        harm = 1.0 / (2.0 * ell - 1.0 - beta) + 1.0 / (2.0 * ell + beta)
+    w = 4.0 / d
+    ell = np.arange(1, length + 2, dtype=np.float64)  # l = 1 .. N
+    x = (2.0 * ell - 1.0 + shift + beta) / d
+    harm = 1.0 / (2.0 * ell - 2.0 + shift - beta) + 1.0 / (2.0 * ell - 1.0 + shift + beta)
 
-    terms = np.empty(length, dtype=np.float64)
+    terms = np.empty(length + 1, dtype=np.float64)
+    psi_err = 0.0
     for i in range(_SCALAR_HEAD):
-        terms[i] = w * (digamma(x2[i] + 0.5).value - digamma(x2[i]).value) - harm[i]
-    terms[_SCALAR_HEAD:] = w * _psi_half_step(x2[_SCALAR_HEAD:]) - harm[_SCALAR_HEAD:]
+        hi, lo = digamma(x[i] + 0.5), digamma(x[i])
+        terms[i] = w * (hi.value - lo.value) - harm[i]
+        psi_err += w * (hi.err_estimate + lo.err_estimate)
+    terms[_SCALAR_HEAD:] = w * _psi_half_step(x[_SCALAR_HEAD:]) - harm[_SCALAR_HEAD:]
+    terms[-1] *= 0.5  # the tail's t(N)/2
 
-    partial = math.fsum(terms.tolist())
-    window = terms[-_TAIL_WINDOW:] * ell[-_TAIL_WINDOW:] ** 2
-    c_hat = float(np.mean(window))
-    tail = c_hat / length
-    err = abs(tail) + 2.0 * abs(float(terms[-1])) + 5e-13
-    return partial + tail, err, length
+    # In x = x_l the terms are t = g(x)/d with dx/dl = 2/d and
+    # g(x) = 4 [psi(x + 1/2) - psi(x)] - 1/(x - 1/2) - 1/x, so
+    # integral_N^inf t dl = -(1/2) [4 lnG(x+1/2) - 4 lnG(x) - ln x - ln(x - 1/2)]
+    # and t^(j)(N) = (2/d)^j g^(j)(x_N) / d.
+    xn = float(x[-1])
+    integral = -0.5 * (4.0 * _log_gamma_half_step_excess(xn) - math.log1p(-0.5 / xn))
+    j = _EM_ORDERS
+    g_der = 4.0 * (polygamma(j, xn + 0.5) - polygamma(j, xn)) + _EM_FACTORIALS * (
+        (xn - 0.5) ** (-j - 1.0) + xn ** (-j - 1.0)
+    )
+    corrections = -_EM_COEFFS * g_der * (2.0 / d) ** j / d
+
+    value = math.fsum(terms.tolist() + [integral] + corrections[:-1].tolist())
+    # the 4.0 prices the O(1) parts that cancel inside the integral
+    err = abs(float(corrections[-1])) + _ROUNDING * (float(np.abs(terms).sum()) + 4.0) + psi_err
+    return value, err, length
 
 
 @lru_cache(maxsize=64)
 def f_terms(beta: float) -> ZimmertTerms:
     """All five F-function pieces at beta in [1e-4, 1/4).
 
-    Series are summed to absolute accuracy ~1e-8 (raises ConvergenceError
-    if the tail estimate cannot certify that).
+    Each series is a 64-term head plus an Euler-Maclaurin tail, accurate to
+    ~1e-12 absolute; ``err_estimate`` is the larger of the two series
+    estimates and ``terms_used`` counts both heads.  Raises
+    ConvergenceError if the estimate exceeds 1e-8.
     """
     if not (BETA_MIN <= beta < BETA_MAX):
         raise DomainError(f"need beta in [{BETA_MIN}, {BETA_MAX}), got {beta}")
@@ -159,7 +206,7 @@ def f_terms(beta: float) -> ZimmertTerms:
     err = max(err1, err2)
     if err > _TARGET_ACCURACY:
         raise ConvergenceError(
-            f"series tail estimate {err:.3e} cannot certify {_TARGET_ACCURACY}"
+            f"series error estimate {err:.3e} cannot certify {_TARGET_ACCURACY}"
         )
     return ZimmertTerms(beta, f1_series, f1_point, f2_series, f2_point, f3, err, n1 + n2)
 

@@ -17,6 +17,8 @@ import pytest
 from normeuclid.cyclozeta import (
     ScanRow,
     _assert_real,
+    _mult_order,
+    _order_lut,
     char_rotation,
     char_value,
     characters,
@@ -400,6 +402,46 @@ def test_min_norm_brute_force_small():
         got = min_proper_ideal_norm(m)
         assert got <= oracle(m)
         assert got <= 2 ** euler_phi(m)
+
+
+def _naive_order(a, m):
+    """Order of a mod m > 1 by stepping a, a^2, ... one product at a time."""
+    order, x = 1, a % m
+    while x != 1:
+        x = x * a % m
+        order += 1
+    return order
+
+
+def test_mult_order_matches_naive_stepping():
+    for m in range(2, 400):
+        lut = _order_lut.__wrapped__(m)  # uncached: keep the shared table small
+        for a in range(1, m):
+            if math.gcd(a, m) == 1:
+                want = _naive_order(a, m)
+                assert _mult_order(a, m) == want, (a, m)
+                assert lut[a] == want, (a, m)
+            else:
+                assert lut[a] == 0
+
+
+def test_min_norm_matches_naive_prime_walk():
+    # oracle: every prime p <= best by trial division, each with its
+    # residue degree by naive stepping
+    def oracle(m):
+        best, p = None, 2
+        while best is None or p <= best:
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                mm = m
+                while mm % p == 0:
+                    mm //= p
+                cand = p ** (_naive_order(p, mm) if mm > 1 else 1)
+                best = cand if best is None else min(best, cand)
+            p += 1
+        return best
+
+    for m in range(1, 501):
+        assert min_proper_ideal_norm(m) == oracle(m), m
 
 
 # ----------------------------------------------------------------- scans

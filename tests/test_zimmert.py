@@ -1,11 +1,13 @@
 """Digamma series values, their beta -> 0 limits, truncation stability,
-and the two inequality theorems."""
+an mpmath oracle for the series, and the two inequality theorems."""
 
 import math
 
+import mpmath as mp
 import pytest
 
-from normeuclid.specfun import CONSTANTS, DomainError, digamma
+from normeuclid import zimmert
+from normeuclid.specfun import CONSTANTS, ConvergenceError, DomainError, digamma
 from normeuclid.zimmert import (
     _series,
     f_ab,
@@ -80,6 +82,56 @@ def test_series_truncation_stability():
             v1, err1, _ = _series(beta, shift)
             v2, _, _ = _series(beta, shift, length=200_000)
             assert abs(v1 - v2) <= err1
+
+
+def _series_oracle(beta, shift, head=400, pairs=8):
+    """The series at 40 digits: a direct sum for l < head, then the
+    Euler-Maclaurin tail at l = head with the integral from loggamma and
+    `pairs` Bernoulli corrections from polygammas.  (mpmath.nsum is off by
+    ~1e-7 on these series, so it is not used.)"""
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        d = 2 + 4 * b
+        w = 2 / (1 + 2 * b)
+        half = mp.mpf(1) / 2
+        offsets = (-2 + shift - b, -1 + shift + b)  # harmonic terms 1/(2l + c)
+
+        def x(l):
+            return (2 * l - 1 + shift + b) / d
+
+        def term(l):
+            return w * (mp.digamma(x(l) + half) - mp.digamma(x(l))) - sum(
+                1 / (2 * l + c) for c in offsets
+            )
+
+        n = head
+        xn = x(n)
+        integral = -mp.log(d) - (
+            2 * (mp.loggamma(xn + half) - mp.loggamma(xn))
+            - mp.log((2 * n + offsets[0]) * (2 * n + offsets[1])) / 2
+        )
+        total = mp.fsum(term(l) for l in range(1, n)) + integral + term(n) / 2
+        for k in range(1, pairs + 1):
+            j = 2 * k - 1
+            deriv = w * (2 / d) ** j * (mp.polygamma(j, xn + half) - mp.polygamma(j, xn))
+            deriv += mp.factorial(j) * sum(2 ** j / (2 * n + c) ** (j + 1) for c in offsets)
+            total -= mp.bernoulli(2 * k) / mp.factorial(2 * k) * deriv
+        return total
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("beta", [1e-4, 1e-2, 0.1, 0.245])
+def test_series_within_error_of_oracle(beta, shift):
+    value, err, terms = _series(beta, shift)
+    assert err <= 1e-10
+    assert abs(value - _series_oracle(beta, shift)) <= err
+    assert terms == zimmert._HEAD_TERMS
+
+
+def test_f_terms_raises_when_error_exceeds_target(monkeypatch):
+    monkeypatch.setattr(zimmert, "_series", lambda beta, shift: (0.0, 1e-7, 1))
+    with pytest.raises(ConvergenceError):
+        f_terms.__wrapped__(0.1)
 
 
 # ------------------------------------------------------------------ f_ab
