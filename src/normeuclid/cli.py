@@ -44,14 +44,19 @@ class RunConfig:
     """Global knobs shared by the subcommands."""
 
     prime_limit: int = 10 ** 6
-    theta: float = 0.1
     output_format: str = "csv"
 
     def validate(self) -> None:
         if self.prime_limit < 10 ** 3:
             raise DomainError(f"prime-limit must be >= 1000, got {self.prime_limit}")
-        if not (0.0 < self.theta < 1.0 / 3.0):
-            raise DomainError(f"theta must lie in (0, 1/3), got {self.theta}")
+
+
+def _theta(text: str) -> float:
+    """argparse type for --theta: a float in (0, 1/3)."""
+    theta = float(text)
+    if not (0.0 < theta < 1.0 / 3.0):
+        raise argparse.ArgumentTypeError(f"theta must lie in (0, 1/3), got {theta}")
+    return theta
 
 
 # ------------------------------------------------------------ subcommands
@@ -98,7 +103,7 @@ def _cmd_lenstra_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     if (n - r) % 2 != 0:
         raise DomainError(f"n - r must be even, got n={n}, r={r}")
     sig = lenstra.FieldSignature(n, r, (n - r) // 2, args.log_disc)
-    verdict = lenstra.criterion_check(lenstra.CriterionInput(sig, args.log_m), cfg.theta)
+    verdict = lenstra.criterion_check(lenstra.CriterionInput(sig, args.log_m))
     print(f"delta1 criterion holds: {verdict.delta1_holds}")
     print(f"delta2 criterion holds: {verdict.delta2_holds} (mode {verdict.delta2_mode})")
     print(f"max log|disc| for delta2 = {_fmt(verdict.max_log_disc_delta2)}")
@@ -184,7 +189,7 @@ def _rows_svg(rows: list[cyclozeta.ScanRow]) -> str:
 
 
 def _cmd_cyclo_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rows = cyclozeta.scan(args.m_max, args.epsilon, prime_limit=cfg.prime_limit)
+    rows = cyclozeta.scan(args.m_max, args.epsilon)
     text = _rows_json(rows) if cfg.output_format == "json" else _rows_csv(rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -466,19 +471,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "norm-Euclidean fields and Dedekind zeta scans for cyclotomic fields.",
     )
     p.add_argument("--prime-limit", type=int, default=10 ** 6,
-                   help="prime cutoff for Euler products")
+                   help="prime cutoff for the Euler product (cyclo-zeta --method euler)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="scan output format")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("rogers", help="packing-constant bounds at one dimension")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--theta", type=float, default=0.1)
+    q.add_argument("--theta", type=_theta, default=0.1)
     q.set_defaults(fn=_cmd_rogers)
 
     q = sub.add_parser("lenstra-crossing", help="first degree where the criterion "
                        "becomes incompatible with the GRH discriminant bound")
-    q.add_argument("--theta", type=float, default=0.1)
+    q.add_argument("--theta", type=_theta, default=0.1)
     q.add_argument("--n-min", type=int, default=55000)
     q.add_argument("--n-max", type=int, default=70000)
     q.set_defaults(fn=_cmd_lenstra_crossing)
@@ -527,8 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    theta = getattr(args, "theta", 0.1)
-    cfg = RunConfig(prime_limit=args.prime_limit, theta=theta, output_format=args.format)
+    cfg = RunConfig(prime_limit=args.prime_limit, output_format=args.format)
     try:
         cfg.validate()
     except DomainError as exc:

@@ -22,9 +22,13 @@ error estimate (it dominates for s near 1, where the truncated product is
 far from converged).
 
 Single characters keep their own route: ``dirichlet_l`` evaluates the
-primitive character that induces chi from exact rational rotation values
-k/L (L = exponent of the unit group) and its conductor, which also serves
-as a check on the transform.
+primitive character that induces chi at its conductor, with values taken
+from integer rotation indices k mod L (L = exponent of the unit group);
+this also serves as a check on the transform.
+
+Multiplicative orders, and with them every residue degree f, come from the
+same discrete logs: a unit with exponent vector v over generators of
+orders o_i has order lcm_i o_i/gcd(v_i, o_i).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from itertools import product as _iproduct
 from typing import Callable
 
 import numpy as np
+from scipy.special import exp1
 
 from .specfun import (
     ConvergenceError,
@@ -69,6 +74,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# entries kept by each per-modulus cache: callers reuse a modulus's tables
+# over consecutive calls (one scan row, one sweep point), so a short window
+# holds all the reuse there is, and memory stays flat over long sweeps
+_CACHE_SIZE = 16
 
 
 # ------------------------------------------------------- basic arithmetic
@@ -97,33 +106,6 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def _carmichael(m: int) -> int:
-    """Carmichael function lambda(m): the exponent of (Z/mZ)*."""
-    lam = 1
-    for p, k in _factorize(m).items():
-        e = p ** (k - 1) * (p - 1) if p > 2 or k < 3 else 2 ** (k - 2)
-        lam = lam * e // math.gcd(lam, e)
-    return lam
-
-
-def _mult_order(a: int, mod: int, lam: int | None = None) -> int:
-    """Multiplicative order of a modulo mod (gcd(a, mod) must be 1).
-
-    Descends from the group exponent: o = lambda(mod), then each prime q of
-    o is divided out while a^(o/q) = 1.  ``lam`` may pass lambda(mod) in.
-    """
-    if mod == 1:
-        return 1
-    a %= mod
-    if math.gcd(a, mod) != 1:
-        raise DomainError(f"{a} not invertible mod {mod}")
-    order = _carmichael(mod) if lam is None else lam
-    for q in _factorize(order):
-        while order % q == 0 and pow(a, order // q, mod) == 1:
-            order //= q
-    return order
-
-
 def _smallest_primitive_root(p: int) -> int:
     """Smallest primitive root of an odd prime p."""
     qs = list(_factorize(p - 1))
@@ -150,7 +132,7 @@ class UnitGroupStructure:
     dlog_table: dict[int, tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def unit_group(m: int) -> UnitGroupStructure:
     """Decompose (Z/mZ)* into cyclic factors with explicit generators.
 
@@ -202,6 +184,46 @@ def unit_group(m: int) -> UnitGroupStructure:
     return UnitGroupStructure(m, tuple(generators), table)
 
 
+def _dlog_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, logs, orders): the coprime residues mod m, their exponent
+    vectors as the rows of ``logs``, and the generator orders."""
+    group = unit_group(m)
+    units = np.fromiter(group.dlog_table, dtype=np.int64, count=len(group.dlog_table))
+    logs = np.array(list(group.dlog_table.values()), dtype=np.int64)
+    orders = np.array([o for _, o in group.generators], dtype=np.int64)
+    return units, logs, orders
+
+
+def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Multiplicative orders lcm_i o_i/gcd(v_i, o_i) of the units with
+    exponent vectors v (one vector, or one per row of ``logs``)."""
+    return np.lcm.reduce(orders // np.gcd(logs, orders), axis=-1, initial=1)
+
+
+def _order_table(m: int) -> np.ndarray:
+    """table[r] = multiplicative order of r mod m for r coprime to m, else 0."""
+    units, logs, orders = _dlog_grid(m)
+    table = np.zeros(m, dtype=np.int64)
+    table[units] = _unit_orders(logs, orders)
+    return table
+
+
+def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
+    """(p, f, g) for each prime p | m = p^k q: f is the order of p mod q,
+    read as the order mod m of the unit u = p mod q, u = 1 mod p^k; and
+    g = phi(q)/f."""
+    group = unit_group(m)
+    orders = np.array([o for _, o in group.generators], dtype=np.int64)
+    out = []
+    for p, k in _factorize(m).items():
+        pk = p ** k
+        q = m // pk
+        u = (1 + pk * ((p - 1) * pow(pk, -1, q) % q)) % m
+        f = int(_unit_orders(np.array(group.dlog_table[u], dtype=np.int64), orders))
+        out.append((p, f, euler_phi(q) // f))
+    return out
+
+
 # ------------------------------------------------------------- characters
 
 @dataclass(frozen=True)
@@ -225,7 +247,7 @@ def _divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _group_exponent_data(m: int) -> tuple[int, tuple[int, ...]]:
     """(L, weights): L = lcm of generator orders, weights[i] = L // order_i."""
     g = unit_group(m)
@@ -239,7 +261,7 @@ def _rotation_index(m: int, exponents: tuple[int, ...], vec: tuple[int, ...]) ->
     return sum(e * v * w for e, v, w in zip(exponents, vec, weights)) % big_l
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def characters(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, trivial character first.
 
@@ -263,23 +285,27 @@ def characters(m: int) -> tuple[DirichletCharacter, ...]:
     return tuple(out)
 
 
-def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
-    """Exact rotation index of chi(a) as a fraction of a full turn, or
-    None when chi(a) = 0 (a not coprime to the modulus)."""
+def _char_index(chi: DirichletCharacter, a: int) -> int | None:
+    """The integer k with chi(a) = exp(2 pi i k/L), or None off the units."""
     m = chi.modulus
     if math.gcd(a, m) != 1:
         return None
-    vec = unit_group(m).dlog_table[a % m]
-    big_l, _ = _group_exponent_data(m)
-    return Fraction(_rotation_index(m, chi.exponents, vec), big_l)
+    return _rotation_index(m, chi.exponents, unit_group(m).dlog_table[a % m])
+
+
+def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
+    """Exact rotation index of chi(a) as a fraction of a full turn, or
+    None when chi(a) = 0 (a not coprime to the modulus)."""
+    k = _char_index(chi, a)
+    return None if k is None else Fraction(k, _group_exponent_data(chi.modulus)[0])
 
 
 def char_value(chi: DirichletCharacter, a: int) -> complex:
     """chi(a) as a complex number (exactly 0 off the coprime residues)."""
-    rot = char_rotation(chi, a)
-    if rot is None:
+    k = _char_index(chi, a)
+    if k is None:
         return 0j
-    angle = _TWO_PI * (rot.numerator / rot.denominator)
+    angle = _TWO_PI * (k / _group_exponent_data(chi.modulus)[0])
     return complex(math.cos(angle), math.sin(angle))
 
 
@@ -290,27 +316,21 @@ def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(chi.modulus, exps, chi.conductor)
 
 
-def _value_table(chi: DirichletCharacter) -> tuple[complex, ...]:
-    return tuple(char_value(chi, a) for a in range(1, chi.modulus + 1))
+def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
+    """table[a mod d] = chi(a) over the units a mod m, 0 elsewhere.
 
-
-def _primitive_table(chi: DirichletCharacter) -> tuple[complex, ...]:
-    """Values of the primitive character inducing chi, indexed a = 1..conductor.
-
-    For a coprime to the conductor d, the primitive value is chi(b) for
-    any b = a + t d coprime to the full modulus.
+    With d the modulus this is chi itself; with d the conductor it is the
+    primitive character inducing chi, which takes the value chi(a) on the
+    class of every unit a mod m.
     """
-    m, d = chi.modulus, chi.conductor
-    out = []
-    for a in range(1, d + 1):
-        if math.gcd(a, d) != 1:
-            out.append(0j)
-            continue
-        b = a
-        while math.gcd(b, m) != 1:
-            b += d
-        out.append(char_value(chi, b))
-    return tuple(out)
+    m = chi.modulus
+    units, logs, _ = _dlog_grid(m)
+    big_l, weights = _group_exponent_data(m)
+    index = logs @ (np.array(chi.exponents, dtype=np.int64) * weights) % big_l
+    angle = _TWO_PI * (index / big_l)
+    table = np.zeros(d, dtype=complex)
+    table[units % d] = np.cos(angle) + 1j * np.sin(angle)
+    return table
 
 
 # ------------------------------------------------------------ L-functions
@@ -325,7 +345,7 @@ class ComplexEvaluation:
     terms_used: int
 
 
-def _char_sum(table: tuple[complex, ...], vec: list[Evaluation]) -> tuple[complex, float]:
+def _char_sum(table: np.ndarray, vec: list[Evaluation]) -> tuple[complex, float]:
     re = math.fsum(t.real * h.value for t, h in zip(table, vec))
     im = math.fsum(t.imag * h.value for t, h in zip(table, vec))
     err = math.fsum(h.err_estimate for t, h in zip(table, vec) if t != 0j)
@@ -345,8 +365,8 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Co
     if d == 1:
         z = riemann_zeta(s)
         return ComplexEvaluation(complex(z.value), z.err_estimate, z.terms_used)
-    table = _primitive_table(chi) if primitive else _value_table(chi)
-    vec = [hurwitz_zeta(s, a / d) for a in range(1, d + 1)]
+    table = _char_table(chi, d)
+    vec = [hurwitz_zeta(s, (a or d) / d) for a in range(d)]
     total, err = _char_sum(table, vec)
     scale = d ** (-s)
     terms = sum(h.terms_used for h in vec)
@@ -386,10 +406,7 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
     ramified primes, and its derivative in s."""
     log_f = 0.0
     dlog_f = 0.0
-    for p, k in _factorize(m).items():
-        rest = m // p ** k
-        f = _mult_order(p, rest)
-        g = euler_phi(rest) // f
+    for p, f, g in _ramified_degrees(m):
         x = float(p) ** (-f * s)
         log_f += -g * math.log1p(-x)
         dlog_f += -g * f * math.log(p) * x / (1.0 - x)
@@ -425,52 +442,19 @@ def _primes_up_to(limit: int) -> np.ndarray:
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-@lru_cache(maxsize=None)
-def _order_lut(m: int) -> np.ndarray:
-    """order_lut[r] = multiplicative order of r mod m for coprime r, else 0."""
-    if m == 1:
-        return np.ones(1, dtype=np.int64)
-    lut = np.zeros(m, dtype=np.int64)
-    lam = _carmichael(m)
-    for r in range(1, m):
-        if math.gcd(r, m) == 1:
-            lut[r] = _mult_order(r, m, lam)
-    return lut
-
-
-def _residue_degree(p: int, m: int) -> int:
-    """Residue degree of p in the m-th cyclotomic field: the order of p
-    modulo the prime-to-p part of m."""
-    mm = m
-    while mm % p == 0:
-        mm //= p
-    return 1 if mm == 1 else _mult_order(p, mm)
-
-
 def _prime_tail_integral(s: float, limit: int) -> float:
-    """Estimate of sum_{p > limit} p^{-s} from the prime-counting integral."""
-    lo = math.log(limit)
-    hi = lo + min(80.0 / (s - 1.0), 1e6)
-    # integral of x^{-s}/ln x dx  ==  integral of e^{(1-s)u}/u du, u = ln x
-    n_steps = 2000
-    h = (hi - lo) / n_steps
-    acc = 0.0
-    for i in range(n_steps + 1):
-        u = lo + i * h
-        w = 0.5 if i in (0, n_steps) else 1.0
-        acc += w * math.exp((1.0 - s) * u) / u
-    return acc * h
+    """Estimate of sum_{p > limit} p^{-s} from the prime-counting integral:
+    int_limit^oo x^{-s}/ln x dx = E1((s - 1) ln limit)."""
+    return float(exp1((s - 1.0) * math.log(limit)))
 
 
 def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evaluation:
     if prime_limit < 10:
         raise DomainError(f"prime_limit too small: {prime_limit}")
     phi = euler_phi(m)
-    # unramified primes via the order lookup table
+    # unramified primes read their residue degree from the order table
     primes = _primes_up_to(prime_limit)
-    lut = _order_lut(m)
-    rs = primes % m
-    fv = lut[rs]
+    fv = _order_table(m)[primes % m]
     mask = fv > 0
     f_arr = fv[mask].astype(np.float64)
     p_arr = primes[mask].astype(np.float64)
@@ -575,15 +559,22 @@ def min_proper_ideal_norm(m: int) -> int:
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    best = 2 ** _residue_degree(2, m)
-    checked = 2  # every prime <= checked has been tried
+    table = _order_table(m)
+    # m = 1 (the integers) has no ramified prime, and 2 is prime there
+    best = min((p ** f for p, f, _ in _ramified_degrees(m)), default=2)
+    checked = 1  # every unramified prime <= checked has been tried
     while checked < best:
         limit = min(best, max(1024, 2 * checked))
         primes = _primes_up_to(limit)
-        for p in primes[np.searchsorted(primes, checked, side="right") :].tolist():
-            if p > best:
-                break
-            best = min(best, p ** _residue_degree(p, m))
+        primes = primes[np.searchsorted(primes, checked, side="right") :]
+        f = table[primes % m]
+        primes, f = primes[f > 0], f[f > 0]
+        if primes.size:
+            # the p^f are distinct integers: logs pick the few that can be
+            # least, and exact powers decide among them
+            logs = f * np.log(primes)
+            near = logs <= logs.min() * (1.0 + 1e-12)
+            best = min(best, *(int(p) ** int(e) for p, e in zip(primes[near], f[near])))
         checked = limit
     return best
 
@@ -609,30 +600,20 @@ class ScanRow:
             )
 
 
-def scan_row(
-    m: int,
-    epsilon: float,
-    method: str = "hurwitz",
-    prime_limit: int = 10 ** 6,
-) -> ScanRow:
-    """A single scan point.  m = 2 mod 4 is evaluated through m/2 (same
-    field, same degree), making duplicate rows bit-identical."""
+def scan_row(m: int, epsilon: float) -> ScanRow:
+    """A single scan point, on the group-DFT route.  m = 2 mod 4 is
+    evaluated through m/2 (same field, same degree), making duplicate rows
+    bit-identical."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"need epsilon in (0, 1), got {epsilon}")
     phi = euler_phi(m)
     s = 1.0 + float(phi) ** -epsilon
     mc = m // 2 if (m % 4 == 2) else m
-    z = zeta_cyclotomic(mc, s, method=method, prime_limit=prime_limit)
+    z = zeta_cyclotomic(mc, s)
     return ScanRow(m, phi, epsilon, s, z.value, z.err_estimate)
 
 
-def scan(
-    m_max: int,
-    epsilon: float,
-    keep_even_duplicates: bool = True,
-    method: str = "hurwitz",
-    prime_limit: int = 10 ** 6,
-) -> list[ScanRow]:
+def scan(m_max: int, epsilon: float, keep_even_duplicates: bool = True) -> list[ScanRow]:
     """Scan rows for m = 1..m_max at s = 1 + phi(m)^{-epsilon}.
 
     Moduli congruent to 2 mod 4 name the same field as their half; they
@@ -644,7 +625,7 @@ def scan(
     for m in range(1, m_max + 1):
         if not keep_even_duplicates and m > 2 and m % 4 == 2:
             continue
-        rows.append(scan_row(m, epsilon, method=method, prime_limit=prime_limit))
+        rows.append(scan_row(m, epsilon))
     return rows
 
 

@@ -133,7 +133,7 @@ def delta2_star_log(n: int, theta: float = 0.1, mode: str = "upper") -> Evaluati
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def criterion_check(inp: CriterionInput, theta: float = 0.1) -> CriterionVerdict:
+def criterion_check(inp: CriterionInput) -> CriterionVerdict:
     """Evaluate both criterion forms for one field.
 
     Both use upper bounds on the packing thresholds, so a True verdict is
@@ -144,7 +144,7 @@ def criterion_check(inp: CriterionInput, theta: float = 0.1) -> CriterionVerdict
         raise DomainError("criterion check needs ln|Delta|")
     half_disc = 0.5 * sig.log_abs_disc
     d1 = delta1_star_log(sig.n, sig.s)
-    d2 = delta2_star_log(sig.n, theta, "upper").value
+    d2 = delta2_star_log(sig.n, mode="upper").value
     return CriterionVerdict(
         delta1_holds=inp.log_M > d1 + half_disc,
         delta2_holds=inp.log_M > d2 + half_disc,

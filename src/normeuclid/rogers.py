@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .specfun import (
     BracketError,
@@ -86,7 +85,6 @@ class RogersErrorConstants:
     c42: float
 
 
-@lru_cache(maxsize=512)
 def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     """C1, C2, C3, C41, C42 at (kappa, theta), exactly as printed.
 
@@ -116,7 +114,10 @@ def error_constants(ctx: RogersContext) -> RogersErrorConstants:
 
 def c_poly(ctx: RogersContext, u: float) -> float:
     """The cubic error majorant C(u) = C1 + C41 |u| + C42 |u|^3 (even in u)."""
-    c = error_constants(ctx)
+    return _majorant(error_constants(ctx), u)
+
+
+def _majorant(c: RogersErrorConstants, u: float) -> float:
     au = abs(u)
     return c.c1 + c.c41 * au + c.c42 * au ** 3
 
@@ -130,9 +131,10 @@ def u_threshold(ctx: RogersContext) -> float:
     """
     k = ctx.kappa
     hi = k ** ctx.theta
+    c = error_constants(ctx)
 
     def g(u: float) -> float:
-        return c_poly(ctx, u) - 0.5 * k * u * u
+        return _majorant(c, u) - 0.5 * k * u * u
 
     if g(0.0) <= 0.0 or g(hi) >= 0.0:
         raise BracketError(
@@ -181,8 +183,9 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     hi = k ** ctx.theta
     central = central_integral(ctx)
     u_star = u_threshold(ctx)
-    c_edge = c_poly(ctx, hi)
-    c_star = c_poly(ctx, u_star)
+    c = error_constants(ctx)
+    c_edge = _majorant(c, hi)
+    c_star = _majorant(c, u_star)
     value = (
         central.value
         - 2.0 * _SQRT_PI * c_edge / k

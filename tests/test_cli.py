@@ -172,6 +172,22 @@ def test_bad_global_flag_exits_two(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rogers", "--n", "62238", "--theta", "0.5"],
+        ["lenstra-crossing", "--theta", "0"],
+        ["lenstra-crossing", "--theta", "nan"],
+    ],
+    ids=["rogers", "lenstra-crossing", "nan"],
+)
+def test_bad_theta_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "theta must lie in (0, 1/3)" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     # the child imports the same normeuclid as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])

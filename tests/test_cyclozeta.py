@@ -17,8 +17,8 @@ import pytest
 from normeuclid.cyclozeta import (
     ScanRow,
     _assert_real,
-    _mult_order,
-    _order_lut,
+    _order_table,
+    _ramified_degrees,
     char_rotation,
     char_value,
     characters,
@@ -415,14 +415,41 @@ def _naive_order(a, m):
 
 def test_mult_order_matches_naive_stepping():
     for m in range(2, 400):
-        lut = _order_lut.__wrapped__(m)  # uncached: keep the shared table small
-        for a in range(1, m):
+        table = _order_table(m)
+        assert table.shape == (m,)
+        for a in range(m):
             if math.gcd(a, m) == 1:
-                want = _naive_order(a, m)
-                assert _mult_order(a, m) == want, (a, m)
-                assert lut[a] == want, (a, m)
+                assert table[a] == _naive_order(a, m), (a, m)
             else:
-                assert lut[a] == 0
+                assert table[a] == 0, (a, m)
+
+
+def test_ramified_degrees_match_naive_stepping():
+    assert _ramified_degrees(1) == []
+    for m in range(2, 401):
+        want = []
+        for p in range(2, m + 1):
+            if m % p or any(p % q == 0 for q in range(2, p)):
+                continue
+            rest = m
+            while rest % p == 0:
+                rest //= p
+            f = _naive_order(p, rest) if rest > 1 else 1
+            phi_rest = sum(1 for a in range(1, rest + 1) if math.gcd(a, rest) == 1)
+            want.append((p, f, phi_rest // f))
+        assert sorted(_ramified_degrees(m)) == want, m
+
+
+def test_cyclozeta_caches_are_bounded():
+    from normeuclid import cyclozeta
+
+    cached = {
+        name: obj.cache_parameters()["maxsize"]
+        for name, obj in vars(cyclozeta).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert {"unit_group", "characters", "_group_exponent_data"} <= set(cached)
+    assert all(size is not None for size in cached.values()), cached
 
 
 def test_min_norm_matches_naive_prime_walk():
