@@ -11,8 +11,10 @@ Hurwitz-zeta identity
 all phi(m) L-values are one discrete Fourier transform over (Z/mZ)*: on
 the discrete-log grid of the unit group the character sum is
 ``np.fft.fftn`` of h[v] = m^{-s} zeta(s, a/m) (Washington, Introduction to
-Cyclotomic Fields, Ch. 4).  The log-derivative transforms m^{-s} times
-d/ds zeta(s, a/m) the same way.
+Cyclotomic Fields, Ch. 4).  ``unit_group`` lists the units in the grid's C
+order as int64 arrays, so h is one array-kernel call over a = units/m,
+reshaped.  The log-derivative transforms m^{-s} times d/ds zeta(s, a/m)
+the same way.
 
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
@@ -24,7 +26,8 @@ far from converged).
 Single characters keep their own route: ``dirichlet_l`` evaluates the
 primitive character that induces chi at its conductor, with values taken
 from integer rotation indices k mod L (L = exponent of the unit group);
-this also serves as a check on the transform.
+this also serves as a check on the transform.  Conductors are closed-form
+products of local conductors (Washington, Ch. 3; see ``characters``).
 
 Multiplicative orders, and with them every residue degree f, come from the
 same discrete logs: a unit with exponent vector v over generators of
@@ -37,7 +40,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
 from typing import Callable
 
 import numpy as np
@@ -47,9 +49,8 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     Evaluation,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
-    riemann_zeta,
+    hurwitz_zeta_array,
+    hurwitz_zeta_ds_array,
 )
 
 __all__ = [
@@ -118,18 +119,30 @@ def _smallest_primitive_root(p: int) -> int:
 
 # ------------------------------------------------------------- unit group
 
-@dataclass
+@dataclass(frozen=True)
 class UnitGroupStructure:
-    """CRT generator data for (Z/mZ)*.
+    """CRT generator data for (Z/mZ)*, with the discrete-log grid as
+    read-only int64 arrays.
 
     ``generators`` holds (residue mod m, order) with one entry per cyclic
-    factor; ``dlog_table`` maps every coprime residue to its exponent
-    vector over the generators.
+    factor.  Row i of ``logs`` (shape (phi, #generators)) is the exponent
+    vector of the unit ``units[i]``, and the rows run through the grid of
+    exponent vectors in C order, so an array of phi values over ``units``
+    reshapes directly onto the grid.
     """
 
     modulus: int
     generators: tuple[tuple[int, int], ...]
-    dlog_table: dict[int, tuple[int, ...]]
+    units: np.ndarray
+    logs: np.ndarray
+
+    @property
+    def orders(self) -> np.ndarray:
+        return np.array([o for _, o in self.generators], dtype=np.int64)
+
+    def dlog(self, r: int) -> np.ndarray:
+        """Exponent vector of r mod m, which must be a unit."""
+        return self.logs[np.flatnonzero(self.units == r % self.modulus)[0]]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -139,59 +152,34 @@ def unit_group(m: int) -> UnitGroupStructure:
     Odd prime powers p^k get the smallest primitive root of p, lifted to
     p^k when needed; 2 contributes nothing, 4 gives <3>, and 2^k (k >= 3)
     gives <-1> x <5> with orders (2, 2^{k-2}).  Generators are lifted to
-    residues mod m by CRT and the discrete-log table is enumerated.
+    residues mod m by CRT, and the units are the products of their powers
+    over the whole exponent grid.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    comps: list[tuple[int, int, int]] = []  # (p^k, local generator, order)
+    generators: list[tuple[int, int]] = []
+    units = np.array([1 % m], dtype=np.int64)
     for p, k in sorted(_factorize(m).items()):
         q = p ** k
-        if p == 2:
-            if k == 1:
-                continue
-            if k == 2:
-                comps.append((4, 3, 2))
-            else:
-                comps.append((q, q - 1, 2))
-                comps.append((q, 5, 2 ** (k - 2)))
-        else:
+        if p > 2:
             g = _smallest_primitive_root(p)
             if k >= 2 and pow(g, p - 1, p * p) == 1:
                 g += p
-            comps.append((q, g, p ** (k - 1) * (p - 1)))
-
-    generators: list[tuple[int, int]] = []
-    for q, g, order in comps:
-        rest = m // q
-        if rest == 1:
-            lifted = g % m
+            local = [(g, q // p * (p - 1))]
         else:
-            t = (g - 1) * pow(rest, -1, q) % q
-            lifted = (1 + rest * t) % m
-        generators.append((lifted, order))
-
-    table: dict[int, tuple[int, ...]] = {1 % m: ()}
-    for g, order in generators:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for r, vec in table.items():
-            x = r
-            for e in range(order):
-                nxt[x] = vec + (e,)
-                x = x * g % m
-        table = nxt
-    if len(table) != euler_phi(m):
+            local = {1: [], 2: [(3, 2)]}.get(k, [(q - 1, 2), (5, q // 4)])
+        rest = m // q
+        for g, order in local:
+            lifted = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % m  # g mod q, 1 mod rest
+            generators.append((lifted, order))
+            powers = np.array([pow(lifted, e, m) for e in range(order)], dtype=np.int64)
+            units = (units[:, None] * powers % m).ravel()
+    orders = [o for _, o in generators]
+    logs = np.indices(orders, dtype=np.int64).reshape(len(orders), units.size).T.copy()
+    if np.unique(units).size != euler_phi(m):
         raise RuntimeError(f"unit group enumeration failed for m={m}")
-    return UnitGroupStructure(m, tuple(generators), table)
-
-
-def _dlog_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(units, logs, orders): the coprime residues mod m, their exponent
-    vectors as the rows of ``logs``, and the generator orders."""
-    group = unit_group(m)
-    units = np.fromiter(group.dlog_table, dtype=np.int64, count=len(group.dlog_table))
-    logs = np.array(list(group.dlog_table.values()), dtype=np.int64)
-    orders = np.array([o for _, o in group.generators], dtype=np.int64)
-    return units, logs, orders
+    units.flags.writeable = logs.flags.writeable = False
+    return UnitGroupStructure(m, tuple(generators), units, logs)
 
 
 def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -202,9 +190,9 @@ def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 def _order_table(m: int) -> np.ndarray:
     """table[r] = multiplicative order of r mod m for r coprime to m, else 0."""
-    units, logs, orders = _dlog_grid(m)
+    group = unit_group(m)
     table = np.zeros(m, dtype=np.int64)
-    table[units] = _unit_orders(logs, orders)
+    table[group.units] = _unit_orders(group.logs, group.orders)
     return table
 
 
@@ -213,13 +201,12 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
     read as the order mod m of the unit u = p mod q, u = 1 mod p^k; and
     g = phi(q)/f."""
     group = unit_group(m)
-    orders = np.array([o for _, o in group.generators], dtype=np.int64)
     out = []
     for p, k in _factorize(m).items():
         pk = p ** k
         q = m // pk
         u = (1 + pk * ((p - 1) * pow(pk, -1, q) % q)) % m
-        f = int(_unit_orders(np.array(group.dlog_table[u], dtype=np.int64), orders))
+        f = int(_unit_orders(group.dlog(u), group.orders))
         out.append((p, f, euler_phi(q) // f))
     return out
 
@@ -240,49 +227,47 @@ class DirichletCharacter:
     conductor: int
 
 
-def _divisors(m: int) -> list[int]:
-    divs = [1]
-    for p, k in _factorize(m).items():
-        divs = [d * p ** e for d in divs for e in range(k + 1)]
-    return sorted(divs)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _group_exponent_data(m: int) -> tuple[int, tuple[int, ...]]:
     """(L, weights): L = lcm of generator orders, weights[i] = L // order_i."""
-    g = unit_group(m)
-    orders = [o for _, o in g.generators]
+    orders = [o for _, o in unit_group(m).generators]
     big_l = math.lcm(*orders) if orders else 1
     return big_l, tuple(big_l // o for o in orders)
 
 
-def _rotation_index(m: int, exponents: tuple[int, ...], vec: tuple[int, ...]) -> int:
-    big_l, weights = _group_exponent_data(m)
-    return sum(e * v * w for e, v, w in zip(exponents, vec, weights)) % big_l
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def characters(m: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(m) Dirichlet characters mod m, trivial character first.
+    """All phi(m) Dirichlet characters mod m, trivial character first,
+    with exponent vectors in the C order of the discrete-log grid.
 
-    Conductors are found by scanning divisors d of m in increasing order
-    for triviality on the kernel of reduction mod d.
+    The conductor is the product of local conductors over the prime
+    powers p^k || m (Washington, Introduction to Cyclotomic Fields, Ch. 3):
+    on a cyclic factor (p odd, or 4) a component of order n has conductor
+    p^{1 + v_p(n)}, or 1 when trivial; on <-1> x <5> mod 2^k (k >= 3) it
+    is 4 n_5 with n_5 the order on <5>, or 1 when trivial.
     """
-    g = unit_group(m)
-    orders = [o for _, o in g.generators]
-    divs = _divisors(m)
-    kernels = {
-        d: tuple(vec for r, vec in g.dlog_table.items() if r % d == 1 % d)
-        for d in divs
-    }
-    out = []
-    for exps in _iproduct(*(range(o) for o in orders)):
-        conductor = next(
-            d for d in divs
-            if all(_rotation_index(m, exps, v) == 0 for v in kernels[d])
-        )
-        out.append(DirichletCharacter(m, exps, conductor))
-    return tuple(out)
+    group = unit_group(m)
+    exps, orders = group.logs, group.orders
+    conductor = np.ones(len(exps), dtype=np.int64)
+    col = 0
+    for p, k in sorted(_factorize(m).items()):
+        if p == 2 and k >= 3:
+            o = orders[col + 1]
+            local = 4 * (o // np.gcd(exps[:, col + 1], o))
+            trivial = ~exps[:, col : col + 2].any(axis=1)
+            col += 2
+        elif p > 2 or k == 2:
+            o = orders[col]  # p^{v_p(n)} = gcd(n, p^{k-1}), as n | p^{k-1}(p-1)
+            local = p * np.gcd(o // np.gcd(exps[:, col], o), p ** (k - 1))
+            trivial = exps[:, col] == 0
+            col += 1
+        else:
+            continue
+        conductor *= np.where(trivial, 1, local)
+    return tuple(
+        DirichletCharacter(m, tuple(e), c)
+        for e, c in zip(exps.tolist(), conductor.tolist())
+    )
 
 
 def _char_index(chi: DirichletCharacter, a: int) -> int | None:
@@ -290,7 +275,9 @@ def _char_index(chi: DirichletCharacter, a: int) -> int | None:
     m = chi.modulus
     if math.gcd(a, m) != 1:
         return None
-    return _rotation_index(m, chi.exponents, unit_group(m).dlog_table[a % m])
+    big_l, weights = _group_exponent_data(m)
+    vec = unit_group(m).dlog(a).tolist()
+    return sum(e * v * w for e, v, w in zip(chi.exponents, vec, weights)) % big_l
 
 
 def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
@@ -311,8 +298,7 @@ def char_value(chi: DirichletCharacter, a: int) -> complex:
 
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex-conjugate character (negated exponent vector)."""
-    orders = [o for _, o in unit_group(chi.modulus).generators]
-    exps = tuple((-e) % o for e, o in zip(chi.exponents, orders))
+    exps = tuple((-e) % o for e, (_, o) in zip(chi.exponents, unit_group(chi.modulus).generators))
     return DirichletCharacter(chi.modulus, exps, chi.conductor)
 
 
@@ -323,13 +309,12 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
     primitive character inducing chi, which takes the value chi(a) on the
     class of every unit a mod m.
     """
-    m = chi.modulus
-    units, logs, _ = _dlog_grid(m)
-    big_l, weights = _group_exponent_data(m)
-    index = logs @ (np.array(chi.exponents, dtype=np.int64) * weights) % big_l
+    group = unit_group(chi.modulus)
+    big_l, weights = _group_exponent_data(chi.modulus)
+    index = group.logs @ (np.array(chi.exponents, dtype=np.int64) * weights) % big_l
     angle = _TWO_PI * (index / big_l)
     table = np.zeros(d, dtype=complex)
-    table[units % d] = np.cos(angle) + 1j * np.sin(angle)
+    table[group.units % d] = np.cos(angle) + 1j * np.sin(angle)
     return table
 
 
@@ -345,32 +330,25 @@ class ComplexEvaluation:
     terms_used: int
 
 
-def _char_sum(table: np.ndarray, vec: list[Evaluation]) -> tuple[complex, float]:
-    re = math.fsum(t.real * h.value for t, h in zip(table, vec))
-    im = math.fsum(t.imag * h.value for t, h in zip(table, vec))
-    err = math.fsum(h.err_estimate for t, h in zip(table, vec) if t != 0j)
-    return complex(re, im), err
-
-
 def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> ComplexEvaluation:
-    """L(s, chi) for s > 1 via the Hurwitz-zeta identity.
+    """L(s, chi) for s > 1 via the Hurwitz-zeta identity
+    L(s, chi) = d^{-s} sum_{a mod d} chi(a) zeta(s, a/d): one array-kernel
+    call over a = 1/d, ..., d/d and a dot product with the character table.
 
     With primitive=True (the default) the L-value of the inducing
-    primitive character is returned; this is the factor that enters the
-    cyclotomic zeta product.
+    primitive character is returned (d the conductor); this is the factor
+    that enters the cyclotomic zeta product.
     """
     if s <= 1.0:
         raise DomainError(f"dirichlet_l requires s > 1, got {s}")
     d = chi.conductor if primitive else chi.modulus
-    if d == 1:
-        z = riemann_zeta(s)
-        return ComplexEvaluation(complex(z.value), z.err_estimate, z.terms_used)
     table = _char_table(chi, d)
-    vec = [hurwitz_zeta(s, (a or d) / d) for a in range(d)]
-    total, err = _char_sum(table, vec)
+    # entry a of the table meets zeta(s, (a or d)/d)
+    vals, errs, terms = hurwitz_zeta_array(s, np.roll(np.arange(1, d + 1), 1) / d)
     scale = d ** (-s)
-    terms = sum(h.terms_used for h in vec)
-    return ComplexEvaluation(scale * total, scale * err, terms)
+    return ComplexEvaluation(
+        complex(scale * (table @ vals)), scale * float(errs[table != 0].sum()), d * terms
+    )
 
 
 # --------------------------------------------------------- zeta assembly
@@ -382,21 +360,19 @@ def _assert_real(z: complex, what: str) -> float:
 
 
 def _group_dft(
-    m: int, s: float, kernel: Callable[[float, float], Evaluation]
+    m: int, s: float, kernel: Callable[..., tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[np.ndarray, float]:
     """The phi(m) character sums sum_a conj(chi(a)) h(a) of
     h(a) = m^{-s} kernel(s, a/m), as ``np.fft.fftn`` over the discrete-log
     grid of (Z/mZ)* (m = 1 and 2 give one cell, a = 1), with the error
     bound shared by every entry: the kernel errors plus the FFT rounding
-    2.2e-16 (1 + log2 phi) ||h||_1."""
+    2.2e-16 (1 + log2 phi) ||h||_1.  One kernel call covers every unit, and
+    the units already run through the grid in C order."""
     group = unit_group(m)
-    h = np.empty(tuple(order for _, order in group.generators) or (1,))
     scale = float(m) ** -s
-    err = 0.0
-    for r, vec in group.dlog_table.items():
-        z = kernel(s, (r or m) / m)
-        h[vec or (0,)] = scale * z.value
-        err += scale * z.err_estimate
+    values, errs, _ = kernel(s, np.where(group.units == 0, m, group.units) / m)
+    h = (scale * values).reshape(tuple(group.orders) or (1,))
+    err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
     return np.fft.fftn(h).ravel(), err
 
@@ -414,7 +390,7 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
 
 
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
-    l_vals, err = _group_dft(m, s, hurwitz_zeta)
+    l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     log_l = _assert_real(complex(np.sum(np.log(l_vals))), f"sum of ln L_m(s, chi) for m={m}")
     value = math.exp(log_l + _ramified(m, s)[0])
     rel_err = float(np.sum(err / np.abs(l_vals)))
@@ -514,8 +490,8 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
         raise DomainError(f"need m >= 1, got {m}")
     if s <= 1.0:
         raise DomainError(f"need s > 1, got {s}")
-    l_vals, err = _group_dft(m, s, hurwitz_zeta)
-    d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds)
+    l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
+    d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
     total = _assert_real(complex(np.sum(ratio)), f"zeta log-derivative for m={m}")
     value = total - l_vals.size * math.log(m) + _ramified(m, s)[1]

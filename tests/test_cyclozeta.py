@@ -7,6 +7,7 @@ the conductor route against the group transform, and an mpmath group
 determinant for the zeta values and their log-derivative.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ def test_unit_group_anchors():
     g5 = unit_group(5)
     assert [(r, o) for r, o in g5.generators] == [(2, 4)]
     g1 = unit_group(1)
-    assert g1.generators == () and g1.dlog_table == {0: ()}
+    assert g1.generators == () and g1.units.tolist() == [0] and g1.logs.shape == (1, 0)
 
 
 @pytest.mark.parametrize("m", list(range(1, 61)))
@@ -72,13 +73,24 @@ def test_unit_group_invariants(m):
         prod *= o
     assert prod == euler_phi(m)
     coprime = {r % m for r in range(m) if math.gcd(r, m) == 1} or {0}
-    assert set(g.dlog_table) == coprime
-    # re-exponentiating each vector reproduces the residue
-    for r, vec in g.dlog_table.items():
+    assert set(g.units.tolist()) == coprime and len(g.units) == len(coprime)
+    # re-exponentiating each vector reproduces the residue, and dlog inverts units
+    for r, vec in zip(g.units.tolist(), g.logs.tolist()):
         x = 1 % m
         for (gen, _), e in zip(g.generators, vec):
             x = x * pow(gen, e, m) % m
-        assert x == r
+        assert x == r and g.dlog(r + m).tolist() == vec
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 12, 35, 1009, 3000])
+def test_unit_group_arrays_are_int64_grid(m):
+    g = unit_group(m)
+    phi, orders = euler_phi(m), [o for _, o in g.generators]
+    assert g.units.dtype == g.logs.dtype == np.int64
+    assert g.units.shape == (phi,) and g.logs.shape == (phi, len(orders))
+    # the rows run through the exponent grid in C order
+    assert g.logs.tolist() == [list(v) for v in np.ndindex(*orders)]
+    assert not (g.units.flags.writeable or g.logs.flags.writeable)
 
 
 # ------------------------------------------------------------ characters
@@ -103,6 +115,59 @@ def test_characters_m4():
 def test_characters_mod8_conductors():
     conductors = sorted(c.conductor for c in characters(8))
     assert conductors == [1, 4, 8, 8]
+
+
+def _conductors_by_kernel_scan(m):
+    """Conductors of the characters mod m in exponent-grid order, by the
+    definition: the least divisor d of m such that chi is trivial on the
+    units = 1 mod d (the rotation index of every such unit is 0 mod L)."""
+    g = unit_group(m)
+    orders = [o for _, o in g.generators]
+    big_l = math.lcm(*orders) if orders else 1
+    weights = [big_l // o for o in orders]
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    kernels = {
+        d: [v for r, v in zip(g.units.tolist(), g.logs.tolist()) if r % d == 1 % d]
+        for d in divisors
+    }
+    return [
+        next(
+            d for d in divisors
+            if all(sum(map(math.prod, zip(exps, v, weights))) % big_l == 0 for v in kernels[d])
+        )
+        for exps in itertools.product(*(range(o) for o in orders))
+    ]
+
+
+def test_closed_form_conductors_match_kernel_scan():
+    for m in range(1, 401):
+        chars = characters(m)
+        orders = [o for _, o in unit_group(m).generators]
+        assert [c.exponents for c in chars] == list(itertools.product(*(range(o) for o in orders)))
+        assert [c.conductor for c in chars] == _conductors_by_kernel_scan(m), m
+
+
+def _primitive_count(d):
+    """Number of primitive characters mod d: prod over p^k || d of
+    phi(p^k) - phi(p^{k-1})."""
+    out, p = 1, 2
+    while d > 1:
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        if k:
+            out *= p ** (k - 1) * (p - 1) - (p ** (k - 2) * (p - 1) if k >= 2 else 1)
+        p += 1
+    return out
+
+
+def test_conductor_sum_matches_multiplicative_formula():
+    # each character mod m is induced by exactly one primitive character
+    # mod a divisor d of m, whose conductor is d
+    for m in range(1, 2001):
+        want = sum(d * _primitive_count(d) for d in range(1, m + 1) if m % d == 0)
+        assert sum(c.conductor for c in characters(m)) == want, m
 
 
 def test_character_count_and_orthogonality_over_a():

@@ -1,12 +1,14 @@
 """Foundation numerics against independent oracles: compensated sums,
-long direct series with integral tails, Simpson-Richardson quadrature,
-and grid sign scans."""
+long direct series with integral tails, 30-digit mpmath Hurwitz zeta,
+Simpson-Richardson quadrature, and grid sign scans."""
 
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normeuclid.specfun import (
     BracketError,
@@ -18,7 +20,9 @@ from normeuclid.specfun import (
     digamma,
     find_root,
     hurwitz_zeta,
+    hurwitz_zeta_array,
     hurwitz_zeta_ds,
+    hurwitz_zeta_ds_array,
     integrate,
     log_gamma,
     riemann_zeta,
@@ -171,6 +175,66 @@ def test_hurwitz_cutoff_doubling(s, a):
     base = hurwitz_zeta(s, a)
     fine = hurwitz_zeta(s, a, n_direct=2 * max(20, math.ceil(10 + s)), bernoulli_pairs=12)
     assert abs(base.value - fine.value) <= base.err_estimate
+
+
+# ---------------------------------------------- kernel against mpmath
+
+# s in (1, 4]; a in (0, 1] down to 1e-60, below which a^{-s} can leave
+# binary64 (a^{-4} overflows for a < 1e-77)
+_S = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+_A = st.floats(min_value=1e-60, max_value=1.0)
+
+
+def _oracle_gap(value, s, a, derivative):
+    """|value - zeta(s, a)| (or its s-derivative) in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        exact = mpmath.zeta(s, a, 1) if derivative else mpmath.zeta(s, a)
+        return abs(mpmath.mpf(float(value)) - exact)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(s=_S, a=_A)
+def test_hurwitz_within_error_of_oracle(s, a):
+    z = hurwitz_zeta(s, a)
+    assert _oracle_gap(z.value, s, a, False) <= z.err_estimate
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(s=_S, a=_A)
+def test_hurwitz_ds_within_error_of_oracle(s, a):
+    z = hurwitz_zeta_ds(s, a)
+    assert _oracle_gap(z.value, s, a, True) <= z.err_estimate
+
+
+@pytest.mark.parametrize(
+    "kernel,derivative", [(hurwitz_zeta_array, False), (hurwitz_zeta_ds_array, True)]
+)
+def test_array_kernel_within_error_of_oracle(kernel, derivative):
+    # one call over a = k/1009, the phi(m) arguments of a cyclo-large prime
+    s, a = 1.05, np.arange(1, 1010) / 1009
+    values, errs, terms = kernel(s, a)
+    assert values.shape == errs.shape == a.shape and terms == 30
+    gaps = [_oracle_gap(v, s, x, derivative) for v, x in zip(values, a)]
+    assert all(g <= e for g, e in zip(gaps, errs))
+
+
+def test_scalar_kernel_is_a_one_element_array_call():
+    for s, a in ((1.01, 0.3), (2.5, 1.0), (3.9, 1e-3)):
+        for scalar, array in (
+            (hurwitz_zeta, hurwitz_zeta_array),
+            (hurwitz_zeta_ds, hurwitz_zeta_ds_array),
+        ):
+            z = scalar(s, a)
+            v, e, n = array(s, np.array([0.7, a]))
+            assert (z.value, z.err_estimate, z.terms_used) == (v[1], e[1], n)
+
+
+def test_array_kernel_domain():
+    with pytest.raises(PoleError):
+        hurwitz_zeta_array(1.0, np.array([0.5]))
+    for bad in ([0.5, 0.0], [1.5], [math.nan], [[0.5]]):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_ds_array(2.0, np.array(bad))
 
 
 # ----------------------------------------------------------- zeta prime
