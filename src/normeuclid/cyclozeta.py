@@ -119,7 +119,7 @@ def _smallest_primitive_root(p: int) -> int:
 
 # ------------------------------------------------------------- unit group
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy arrays have no dataclass equality
 class UnitGroupStructure:
     """CRT generator data for (Z/mZ)*, with the discrete-log grid as
     read-only int64 arrays.
@@ -176,7 +176,7 @@ def unit_group(m: int) -> UnitGroupStructure:
             units = (units[:, None] * powers % m).ravel()
     orders = [o for _, o in generators]
     logs = np.indices(orders, dtype=np.int64).reshape(len(orders), units.size).T.copy()
-    if np.unique(units).size != euler_phi(m):
+    if len(set(units.tolist())) != euler_phi(m):
         raise RuntimeError(f"unit group enumeration failed for m={m}")
     units.flags.writeable = logs.flags.writeable = False
     return UnitGroupStructure(m, tuple(generators), units, logs)
@@ -230,8 +230,8 @@ class DirichletCharacter:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _group_exponent_data(m: int) -> tuple[int, tuple[int, ...]]:
     """(L, weights): L = lcm of generator orders, weights[i] = L // order_i."""
-    orders = [o for _, o in unit_group(m).generators]
-    big_l = math.lcm(*orders) if orders else 1
+    orders = unit_group(m).orders.tolist()
+    big_l = math.lcm(*orders)  # 1 for the trivial group
     return big_l, tuple(big_l // o for o in orders)
 
 

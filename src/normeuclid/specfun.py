@@ -126,6 +126,11 @@ _BERNOULLI_2J = (
     8553103.0 / 6.0,
 )
 
+# the Euler-Maclaurin coefficients B_2j/(2j)!
+_BERNOULLI_OVER_FACTORIAL = np.array(
+    [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_2J, 1)]
+)
+
 _EM_DIRECT_MIN = 20      # minimum direct terms in Euler-Maclaurin sums
 _EM_BERNOULLI_PAIRS = 10
 
@@ -200,15 +205,13 @@ _U = 2.0 ** -53          # unit roundoff of binary64
 
 
 def _em_block(name: str, s: float, a, n_direct: int | None, bernoulli_pairs: int | None):
-    """The shared Euler-Maclaurin set-up of the array kernels.
-
-    Returns (N, J, base, x, coef, harm, xp): the (N x len(a)) block
-    base[i] = k + a with k = N-1-i (descending, so a sum along axis 0 adds
-    the smallest terms first), x = N + a, and for i = 1..J+1 (the last one
-    is the first omitted) coef[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2),
-    harm[i-1] = sum of 1/(s+t) over the same 2i-1 factors, and
-    xp[i-1] = x^{-s-2i+1}.
-    """
+    """(N, J, base, x, bern, harm) for the array kernels: the (N x len(a))
+    block base[i] = k + a with k = N-1-i descending (a sum along axis 0
+    adds the smallest terms first), x = N + a, and for i = 1..J+1 (the
+    last is the first omitted) the Bernoulli corrections of zeta
+    bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1} and the sums
+    harm[i-1] of 1/(s+t) over the same factors; those of d/ds are
+    bern[i-1] (harm[i-1] - ln x)."""
     if s <= 1.0:
         raise PoleError(f"{name} requires s > 1, got {s}")
     a = np.asarray(a, dtype=np.float64)
@@ -222,16 +225,10 @@ def _em_block(name: str, s: float, a, n_direct: int | None, bernoulli_pairs: int
         raise DomainError("cutoffs must be positive")
     base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
     x = n + a
-    coef, harm = [], []
-    poch, hsum, fact = s, 1.0 / s, 2.0
-    for j in range(1, j_max + 2):
-        coef.append(_BERNOULLI_2J[j - 1] / fact * poch)
-        harm.append(hsum)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        hsum += 1.0 / (s + 2 * j - 1) + 1.0 / (s + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
+    t = s + np.arange(2.0 * j_max + 1.0)  # s, s+1, ..., s+2J
+    coef = _BERNOULLI_OVER_FACTORIAL[: j_max + 1] * np.cumprod(t)[::2]
     xp = x ** (-s - 1.0) * (x * x) ** -np.arange(j_max + 1.0)[:, None]
-    return n, j_max, base, x, np.array(coef), np.array(harm), xp
+    return n, j_max, base, x, coef[:, None] * xp, np.cumsum(1.0 / t)[::2]
 
 
 def _em_result(direct, rest, abs_sum, omitted, n: int, j: int):
@@ -257,12 +254,12 @@ def hurwitz_zeta_array(
     error estimate is the first omitted Bernoulli term plus the rounding
     of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
     """
-    n, j, base, x, coef, _, xp = _em_block("hurwitz_zeta", s, a, n_direct, bernoulli_pairs)
+    n, j, base, x, bern, _ = _em_block("hurwitz_zeta", s, a, n_direct, bernoulli_pairs)
     direct = (base ** -s).sum(axis=0)
     xt = x ** (1.0 - s)
-    rest = xt / (s - 1.0) + 0.5 * xt / x + coef[:j] @ xp[:j]
+    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:j].sum(axis=0)
     # the direct terms are positive, so sum|terms| is the direct sum itself
-    return _em_result(direct, rest, direct, abs(coef[j]) * xp[j], n, j)
+    return _em_result(direct, rest, direct, np.abs(bern[j]), n, j)
 
 
 def hurwitz_zeta_ds_array(
@@ -271,14 +268,14 @@ def hurwitz_zeta_ds_array(
     """d/ds of hurwitz_zeta_array(s, a), by term-wise differentiation of
     the same Euler-Maclaurin scheme.  The direct terms -ln(k+a) (k+a)^{-s}
     change sign at k + a = 1, so the rounding term uses sum|terms|."""
-    n, j, base, x, coef, harm, xp = _em_block("hurwitz_zeta_ds", s, a, n_direct, bernoulli_pairs)
+    n, j, base, x, bern, harm = _em_block("hurwitz_zeta_ds", s, a, n_direct, bernoulli_pairs)
     terms = -np.log(base) * base ** -s
     lx = np.log(x)
     xt = x ** (1.0 - s)
     tail = -xt * (lx / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
     mid = -0.5 * lx * xt / x
-    corr = (coef[:j] * harm[:j]) @ xp[:j] - lx * (coef[:j] @ xp[:j])
-    omitted = abs(coef[j]) * xp[j] * (abs(harm[j]) + lx)
+    corr = (bern[:j] * (harm[:j, None] - lx)).sum(axis=0)
+    omitted = np.abs(bern[j]) * (abs(harm[j]) + lx)
     abs_sum = np.abs(terms).sum(axis=0)
     return _em_result(terms.sum(axis=0), tail + mid + corr, abs_sum, omitted, n, j)
 
@@ -307,9 +304,7 @@ def riemann_zeta(
     n_direct: int | None = None,
     bernoulli_pairs: int | None = None,
 ) -> Evaluation:
-    """Riemann zeta(s) for s > 1, via hurwitz_zeta(s, 1)."""
-    if s <= 1.0:
-        raise PoleError(f"riemann_zeta requires s > 1, got {s}")
+    """Riemann zeta(s) for s > 1, via hurwitz_zeta(s, 1) (PoleError at s <= 1)."""
     return hurwitz_zeta(s, 1.0, n_direct, bernoulli_pairs)
 
 
