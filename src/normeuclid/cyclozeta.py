@@ -172,11 +172,13 @@ def unit_group(m: int) -> UnitGroupStructure:
         for g, order in local:
             lifted = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % m  # g mod q, 1 mod rest
             generators.append((lifted, order))
-            powers = np.array([pow(lifted, e, m) for e in range(order)], dtype=np.int64)
-            units = (units[:, None] * powers % m).ravel()
+            powers = [1]  # lifted^e mod m for e < order
+            for _ in range(order - 1):
+                powers.append(powers[-1] * lifted % m)
+            units = (units[:, None] * np.array(powers) % m).ravel()
     orders = [o for _, o in generators]
     logs = np.indices(orders, dtype=np.int64).reshape(len(orders), units.size).T.copy()
-    if len(set(units.tolist())) != euler_phi(m):
+    if units.size != euler_phi(m) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
     units.flags.writeable = logs.flags.writeable = False
     return UnitGroupStructure(m, tuple(generators), units, logs)
