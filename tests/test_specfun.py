@@ -210,7 +210,7 @@ def test_hurwitz_ds_within_error_of_oracle(s, a):
     "kernel,derivative", [(hurwitz_zeta_array, False), (hurwitz_zeta_ds_array, True)]
 )
 def test_array_kernel_within_error_of_oracle(kernel, derivative):
-    # one call over a = k/1009, the phi(m) arguments of a cyclo-large prime
+    # one call over a = k/1009, k = 1..1009: the arguments of a cyclo-large prime
     s, a = 1.05, np.arange(1, 1010) / 1009
     values, errs, terms = kernel(s, a)
     assert values.shape == errs.shape == a.shape and terms == 30
@@ -225,8 +225,8 @@ def test_scalar_kernel_is_a_one_element_array_call():
             (hurwitz_zeta_ds, hurwitz_zeta_ds_array),
         ):
             z = scalar(s, a)
-            v, e, n = array(s, np.array([0.7, a]))
-            assert (z.value, z.err_estimate, z.terms_used) == (v[1], e[1], n)
+            v, e, n = array(s, np.array([a]))
+            assert (z.value, z.err_estimate, z.terms_used) == (v[0], e[0], n)
 
 
 def test_array_kernel_domain():
