@@ -39,16 +39,12 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global knobs shared by the subcommands."""
-
-    prime_limit: int = 10 ** 6
-    output_format: str = "csv"
-
-    def validate(self) -> None:
-        if self.prime_limit < 10 ** 3:
-            raise DomainError(f"prime-limit must be >= 1000, got {self.prime_limit}")
+def _prime_limit(text: str) -> int:
+    """argparse type for --prime-limit: an integer >= 1000."""
+    limit = int(text)
+    if limit < 10 ** 3:
+        raise argparse.ArgumentTypeError(f"prime-limit must be >= 1000, got {limit}")
+    return limit
 
 
 def _theta(text: str) -> float:
@@ -61,7 +57,7 @@ def _theta(text: str) -> float:
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_rogers(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_rogers(args: argparse.Namespace) -> int:
     ctx = rogers.RogersContext(float(args.n), args.theta)
     print(f"n       = {args.n}")
     print(f"kappa   = {_fmt(ctx.kappa)}")
@@ -90,7 +86,7 @@ def _cmd_rogers(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_lenstra_crossing(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_lenstra_crossing(args: argparse.Namespace) -> int:
     n = lenstra.find_crossing(args.theta, args.n_min, args.n_max)
     gap = lenstra.main_gap(n, 0, args.theta)
     print(f"crossing = {n}")
@@ -98,21 +94,21 @@ def _cmd_lenstra_crossing(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_lenstra_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_lenstra_check(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     if (n - r) % 2 != 0:
         raise DomainError(f"n - r must be even, got n={n}, r={r}")
     sig = lenstra.FieldSignature(n, r, (n - r) // 2, args.log_disc)
     verdict = lenstra.criterion_check(lenstra.CriterionInput(sig, args.log_m))
     print(f"delta1 criterion holds: {verdict.delta1_holds}")
-    print(f"delta2 criterion holds: {verdict.delta2_holds} (mode {verdict.delta2_mode})")
+    print(f"delta2 criterion holds: {verdict.delta2_holds}")
     print(f"max log|disc| for delta2 = {_fmt(verdict.max_log_disc_delta2)}")
     return 0
 
 
-def _cmd_cyclo_zeta(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
     z = cyclozeta.zeta_cyclotomic(
-        args.m, args.s, method=args.method, prime_limit=cfg.prime_limit
+        args.m, args.s, method=args.method, prime_limit=args.prime_limit
     )
     print(f"zeta_K({args.m}) at s = {_fmt(args.s)} [{args.method}]")
     print(f"value = {_fmt(z.value)}")
@@ -188,9 +184,9 @@ def _rows_svg(rows: list[cyclozeta.ScanRow]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_cyclo_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cyclo_scan(args: argparse.Namespace) -> int:
     rows = cyclozeta.scan(args.m_max, args.epsilon)
-    text = _rows_json(rows) if cfg.output_format == "json" else _rows_csv(rows)
+    text = _rows_json(rows) if args.format == "json" else _rows_csv(rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -204,7 +200,7 @@ def _cmd_cyclo_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_zimmert(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_zimmert(args: argparse.Namespace) -> int:
     t = zimmert.f_terms(args.beta)
     print(f"beta = {_fmt(args.beta)}")
     print(f"F1 = {_fmt(t.f1_series)}")
@@ -216,7 +212,7 @@ def _cmd_zimmert(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_zimmert_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_zimmert_verify(args: argparse.Namespace) -> int:
     l1, r1, h1 = zimmert.satz4_check(args.m, args.beta)
     l2, r2, h2 = zimmert.min_norm_check(args.m, args.beta)
     print(f"m = {args.m}, beta = {_fmt(args.beta)}")
@@ -225,7 +221,7 @@ def _cmd_zimmert_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if (h1 and h2) else 1
 
 
-def _cmd_constants(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_constants(args: argparse.Namespace) -> int:
     print(f"euler_gamma        = {_fmt(CONSTANTS.euler_gamma)}")
     print(f"lambda(3)          = {_fmt(CONSTANTS.lambda3)}   (= 7/8 zeta(3))")
     print(f"beta(3)            = {_fmt(CONSTANTS.beta3)}   (= pi^3/32)")
@@ -236,7 +232,7 @@ def _cmd_constants(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_reproduce(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> int:
     results = run_acceptance(fast=args.fast)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -298,7 +294,7 @@ def _crit_3_delta_comparison(fast: bool) -> tuple[bool, str]:
         raise ArithmeticError("ln(4/pi) must be positive for the s = 0 reduction")
     worst = math.inf
     for n in range(56, 2001):
-        d2 = lenstra.delta2_star_log(n, mode="upper").value
+        d2 = lenstra.delta2_star_log(n).value
         d1 = lenstra.delta1_star_log(n, 0)
         worst = min(worst, d1 - d2)
     ok = aux_first == 56 and worst >= 0.0
@@ -470,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Explicit bounds for the sphere-packing criterion for "
         "norm-Euclidean fields and Dedekind zeta scans for cyclotomic fields.",
     )
-    p.add_argument("--prime-limit", type=int, default=10 ** 6,
+    p.add_argument("--prime-limit", type=_prime_limit, default=10 ** 6,
                    help="prime cutoff for the Euler product (cyclo-zeta --method euler)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="scan output format")
@@ -532,13 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(prime_limit=args.prime_limit, output_format=args.format)
     try:
-        cfg.validate()
-    except DomainError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -125,20 +125,23 @@ class UnitGroupStructure:
     read-only int64 arrays.
 
     ``generators`` holds (residue mod m, order) with one entry per cyclic
-    factor.  Row i of ``logs`` (shape (phi, #generators)) is the exponent
-    vector of the unit ``units[i]``, and the rows run through the grid of
-    exponent vectors in C order, so an array of phi values over ``units``
-    reshapes directly onto the grid.
+    factor, and ``orders`` the orders alone.  Row i of ``logs`` (shape
+    (phi, #generators)) is the exponent vector of the unit ``units[i]``,
+    and the rows run through the grid of exponent vectors in C order, so
+    an array of phi values over ``units`` reshapes directly onto the grid.
+    ``exponent`` is the group exponent L = lcm of the orders (1 for the
+    trivial group) and ``weights[i]`` = L // orders[i]: the character with
+    exponent vector e takes exp(2 pi i k/L) at the unit with exponent
+    vector v, where k = v . (e weights) mod L.
     """
 
     modulus: int
     generators: tuple[tuple[int, int], ...]
     units: np.ndarray
     logs: np.ndarray
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.array([o for _, o in self.generators], dtype=np.int64)
+    orders: np.ndarray
+    exponent: int
+    weights: np.ndarray
 
     def dlog(self, r: int) -> np.ndarray:
         """Exponent vector of r mod m, which must be a unit."""
@@ -180,8 +183,12 @@ def unit_group(m: int) -> UnitGroupStructure:
     logs = np.indices(orders, dtype=np.int64).reshape(len(orders), units.size).T.copy()
     if units.size != euler_phi(m) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
-    units.flags.writeable = logs.flags.writeable = False
-    return UnitGroupStructure(m, tuple(generators), units, logs)
+    exponent = math.lcm(*orders)
+    order_array = np.array(orders, dtype=np.int64)
+    weights = np.array([exponent // o for o in orders], dtype=np.int64)
+    for a in (units, logs, order_array, weights):
+        a.flags.writeable = False
+    return UnitGroupStructure(m, tuple(generators), units, logs, order_array, exponent, weights)
 
 
 def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -230,14 +237,6 @@ class DirichletCharacter:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _group_exponent_data(m: int) -> tuple[int, tuple[int, ...]]:
-    """(L, weights): L = lcm of generator orders, weights[i] = L // order_i."""
-    orders = unit_group(m).orders.tolist()
-    big_l = math.lcm(*orders)  # 1 for the trivial group
-    return big_l, tuple(big_l // o for o in orders)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def characters(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, trivial character first,
     with exponent vectors in the C order of the discrete-log grid.
@@ -272,21 +271,26 @@ def characters(m: int) -> tuple[DirichletCharacter, ...]:
     )
 
 
+def _rotation_indices(chi: DirichletCharacter, logs: np.ndarray) -> np.ndarray:
+    """The integers k with chi = exp(2 pi i k/L) at the units whose
+    exponent vectors are ``logs`` (one vector, or one per row)."""
+    group = unit_group(chi.modulus)
+    return logs @ (np.array(chi.exponents, dtype=np.int64) * group.weights) % group.exponent
+
+
 def _char_index(chi: DirichletCharacter, a: int) -> int | None:
     """The integer k with chi(a) = exp(2 pi i k/L), or None off the units."""
     m = chi.modulus
     if math.gcd(a, m) != 1:
         return None
-    big_l, weights = _group_exponent_data(m)
-    vec = unit_group(m).dlog(a).tolist()
-    return sum(e * v * w for e, v, w in zip(chi.exponents, vec, weights)) % big_l
+    return int(_rotation_indices(chi, unit_group(m).dlog(a)))
 
 
 def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
     """Exact rotation index of chi(a) as a fraction of a full turn, or
     None when chi(a) = 0 (a not coprime to the modulus)."""
     k = _char_index(chi, a)
-    return None if k is None else Fraction(k, _group_exponent_data(chi.modulus)[0])
+    return None if k is None else Fraction(k, unit_group(chi.modulus).exponent)
 
 
 def char_value(chi: DirichletCharacter, a: int) -> complex:
@@ -294,7 +298,7 @@ def char_value(chi: DirichletCharacter, a: int) -> complex:
     k = _char_index(chi, a)
     if k is None:
         return 0j
-    angle = _TWO_PI * (k / _group_exponent_data(chi.modulus)[0])
+    angle = _TWO_PI * (k / unit_group(chi.modulus).exponent)
     return complex(math.cos(angle), math.sin(angle))
 
 
@@ -312,9 +316,7 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
     class of every unit a mod m.
     """
     group = unit_group(chi.modulus)
-    big_l, weights = _group_exponent_data(chi.modulus)
-    index = group.logs @ (np.array(chi.exponents, dtype=np.int64) * weights) % big_l
-    angle = _TWO_PI * (index / big_l)
+    angle = _TWO_PI * (_rotation_indices(chi, group.logs) / group.exponent)
     table = np.zeros(d, dtype=complex)
     table[group.units % d] = np.cos(angle) + 1j * np.sin(angle)
     return table
@@ -591,20 +593,13 @@ def scan_row(m: int, epsilon: float) -> ScanRow:
     return ScanRow(m, phi, epsilon, s, z.value, z.err_estimate)
 
 
-def scan(m_max: int, epsilon: float, keep_even_duplicates: bool = True) -> list[ScanRow]:
-    """Scan rows for m = 1..m_max at s = 1 + phi(m)^{-epsilon}.
-
-    Moduli congruent to 2 mod 4 name the same field as their half; they
-    are kept by default (one row per m) and can be skipped instead.
-    """
+def scan(m_max: int, epsilon: float) -> list[ScanRow]:
+    """Scan rows for m = 1..m_max at s = 1 + phi(m)^{-epsilon}, one row per
+    m; moduli congruent to 2 mod 4 name the same field as their half and
+    repeat its row."""
     if m_max < 1:
         raise DomainError(f"need m_max >= 1, got {m_max}")
-    rows = []
-    for m in range(1, m_max + 1):
-        if not keep_even_duplicates and m > 2 and m % 4 == 2:
-            continue
-        rows.append(scan_row(m, epsilon))
-    return rows
+    return [scan_row(m, epsilon) for m in range(1, m_max + 1)]
 
 
 def threshold_check(row: ScanRow, bound: float) -> bool:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import CONSTANTS, DomainError, Evaluation
-from .rogers import RogersContext, f_lower, sigma_upper_log, sigma_lower_log
+from .rogers import RogersContext, f_lower, sigma_upper_log
 
 __all__ = [
     "FieldSignature",
@@ -98,7 +98,6 @@ class CriterionVerdict:
 
     delta1_holds: bool
     delta2_holds: bool
-    delta2_mode: str
     max_log_disc_delta2: float
 
 
@@ -111,26 +110,16 @@ def delta1_star_log(n: int, s: int) -> float:
     return math.lgamma(n + 1.0) - n * math.log(n) + s * math.log(4.0 / math.pi)
 
 
-def delta2_star_log(n: int, theta: float = 0.1, mode: str = "upper") -> Evaluation | None:
-    """ln delta*_2(n) = ln sigma-bound + (n/2) ln(4/(pi n)) + ln Gamma(1+n/2).
-
-    mode="upper" uses the closed-form sigma_n upper bound (this is the
-    sound direction for certifying norm-Euclideanity); the Gamma factors
-    cancel down to (n/2)(1 - ln pi) - n ln n + ln (n+1)!.  mode="lower"
-    uses the explicit sigma_n lower bound and returns None when that bound
-    is vacuous; it exists for failure analysis only.
+def delta2_star_log(n: int) -> Evaluation:
+    """ln delta*_2(n) = ln sigma-bound + (n/2) ln(4/(pi n)) + ln Gamma(1+n/2)
+    with the closed-form sigma_n upper bound, the sound direction for
+    certifying norm-Euclideanity; the Gamma factors cancel down to
+    (n/2)(1 - ln pi) - n ln n + ln (n+1)!.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     shift = 0.5 * n * math.log(4.0 / (math.pi * n)) + math.lgamma(1.0 + 0.5 * n)
-    if mode == "upper":
-        return Evaluation(sigma_upper_log(n) + shift, 4e-16 * (1.0 + abs(shift)), 1)
-    if mode == "lower":
-        low = sigma_lower_log(n, theta)
-        if low is None:
-            return None
-        return Evaluation(low.value + shift, low.err_estimate, low.terms_used)
-    raise DomainError(f"unknown mode {mode!r}")
+    return Evaluation(sigma_upper_log(n) + shift, 4e-16 * (1.0 + abs(shift)), 1)
 
 
 def criterion_check(inp: CriterionInput) -> CriterionVerdict:
@@ -144,11 +133,10 @@ def criterion_check(inp: CriterionInput) -> CriterionVerdict:
         raise DomainError("criterion check needs ln|Delta|")
     half_disc = 0.5 * sig.log_abs_disc
     d1 = delta1_star_log(sig.n, sig.s)
-    d2 = delta2_star_log(sig.n, mode="upper").value
+    d2 = delta2_star_log(sig.n).value
     return CriterionVerdict(
         delta1_holds=inp.log_M > d1 + half_disc,
         delta2_holds=inp.log_M > d2 + half_disc,
-        delta2_mode="upper",
         max_log_disc_delta2=2.0 * (inp.log_M - d2),
     )
 
@@ -201,7 +189,7 @@ def lenstra_disc_cap(n: int) -> float:
     below as n grows."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return 2.0 * _LN2 - (2.0 / n) * delta2_star_log(n, mode="upper").value
+    return 2.0 * _LN2 - (2.0 / n) * delta2_star_log(n).value
 
 
 # ------------------------------------------------------- the main gap

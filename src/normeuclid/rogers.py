@@ -144,12 +144,13 @@ def u_threshold(ctx: RogersContext) -> float:
     return find_root(g, 0.0, hi, tol=1e-12)
 
 
-def central_integral(ctx: RogersContext, tol: float = 1e-12) -> Evaluation:
+def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
     Evaluated as twice the half-range integral by symmetry, with the
     integrand written exp(-u^2 + n log1p(-u^2/(2 kappa^2))) so large n does
-    not lose accuracy.  The value lies in (0, sqrt(pi)).
+    not lose accuracy, to absolute accuracy 1e-12.  The value lies in
+    (0, sqrt(pi)).
     """
     k = ctx.kappa
     n = ctx.n
@@ -161,7 +162,7 @@ def central_integral(ctx: RogersContext, tol: float = 1e-12) -> Evaluation:
     def f(u: float) -> float:
         return math.exp(-u * u + n * math.log1p(-u * u / two_k2))
 
-    half = integrate(f, 0.0, hi, tol=0.5 * tol)
+    half = integrate(f, 0.0, hi, tol=0.5e-12)
     return Evaluation(2.0 * half.value, 2.0 * half.err_estimate, half.terms_used)
 
 

@@ -7,9 +7,12 @@ produced it.  Everything is binary64.  Hurwitz zeta and its s-derivative
 have one array kernel over a, which the scalar functions call with one
 element: an (N x len(a)) block whose direct terms are summed smallest
 first, with that sum's rounding, about N u sum|terms|, in the error
-estimate.  The Euler-Maclaurin cutoffs are fixed so the first omitted
-Bernoulli correction sits far below every tolerance used downstream (the
-tightest acceptance margin in the package is about 5e-5).
+estimate.  The Euler-Maclaurin cutoffs are fixed, N = max(20, ceil(10+|s|))
+direct terms and 10 Bernoulli pairs, so the first omitted Bernoulli
+correction sits far below every tolerance used downstream (the tightest
+acceptance margin in the package is about 5e-5).  The Bernoulli part of
+the asymptotic digamma series has one evaluator, for floats and arrays,
+shared by ``digamma`` and the Zimmert series' psi(x + 1/2) - psi(x).
 
 Quadrature and root finding wrap scipy's QUADPACK (adaptive Gauss-Kronrod)
 and Brent routines behind the error contracts used by the rest of the
@@ -109,7 +112,8 @@ class Constants:
 
 CONSTANTS = Constants()
 
-# Bernoulli numbers B_2 .. B_26 as exact rationals rendered to binary64.
+# Bernoulli numbers B_2 .. B_22 as exact rationals rendered to binary64:
+# the Hurwitz kernel's 10 pairs and its first omitted term.
 _BERNOULLI_2J = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -122,8 +126,6 @@ _BERNOULLI_2J = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
     854513.0 / 138.0,
-    -236364091.0 / 2730.0,
-    8553103.0 / 6.0,
 )
 
 # the Euler-Maclaurin coefficients B_2j/(2j)!
@@ -166,13 +168,15 @@ _PSI_SHIFT = 8.0
 _PSI_ASYMP_ERR = 2e-14
 
 
-def _psi_asymptotic(x: float) -> float:
-    """Asymptotic digamma, valid for x >= _PSI_SHIFT."""
+def _psi_tail(x):
+    """The Bernoulli part -sum_{k=1}^{6} B_2k/(2k) x^{-2k} of the asymptotic
+    digamma series (DLMF 5.11.2), by Horner's rule in 1/x^2, for a float
+    or an array x."""
     r = 1.0 / (x * x)
     t = _PSI_TAIL[5]
     for c in (_PSI_TAIL[4], _PSI_TAIL[3], _PSI_TAIL[2], _PSI_TAIL[1], _PSI_TAIL[0]):
         t = c + r * t
-    return math.log(x) - 0.5 / x + r * t
+    return r * t
 
 
 def digamma(x: float) -> Evaluation:
@@ -194,7 +198,7 @@ def digamma(x: float) -> Evaluation:
         shift_err += abs(1.0 / xs) * 1.2e-16
         xs += 1.0
         shifts += 1
-    v = acc + _psi_asymptotic(xs)
+    v = acc + (math.log(xs) - 0.5 / xs + _psi_tail(xs))
     err = _PSI_ASYMP_ERR + shift_err + 2e-16 * abs(v)
     return Evaluation(v, err, shifts + len(_PSI_TAIL))
 
@@ -204,8 +208,9 @@ def digamma(x: float) -> Evaluation:
 _U = 2.0 ** -53          # unit roundoff of binary64
 
 
-def _em_block(name: str, s: float, a, n_direct: int | None, bernoulli_pairs: int | None):
-    """(N, J, base, x, bern, harm) for the array kernels: the (N x len(a))
+def _em_block(name: str, s: float, a):
+    """(N, J, base, x, bern, harm) for the array kernels, with the fixed
+    cutoffs N = max(20, ceil(10 + |s|)) and J = 10: the (N x len(a))
     block base[i] = k + a with k = N-1-i descending (a sum along axis 0
     adds the smallest terms first), x = N + a, and for i = 1..J+1 (the
     last is the first omitted) the Bernoulli corrections of zeta
@@ -217,12 +222,8 @@ def _em_block(name: str, s: float, a, n_direct: int | None, bernoulli_pairs: int
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or not np.all((a > 0.0) & (a <= 1.0)):
         raise DomainError(f"{name} requires 0 < a <= 1, got a={a}")
-    n = n_direct if n_direct is not None else max(_EM_DIRECT_MIN, math.ceil(10.0 + abs(s)))
-    j_max = bernoulli_pairs if bernoulli_pairs is not None else _EM_BERNOULLI_PAIRS
-    if j_max + 1 > len(_BERNOULLI_2J):
-        raise DomainError(f"at most {len(_BERNOULLI_2J) - 1} Bernoulli pairs, got {j_max}")
-    if n < 1 or j_max < 1:
-        raise DomainError("cutoffs must be positive")
+    n = max(_EM_DIRECT_MIN, math.ceil(10.0 + abs(s)))
+    j_max = _EM_BERNOULLI_PAIRS
     base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
     x = n + a
     t = s + np.arange(2.0 * j_max + 1.0)  # s, s+1, ..., s+2J
@@ -241,9 +242,7 @@ def _em_result(direct, rest, abs_sum, omitted, n: int, j: int):
     return value, err, n + j
 
 
-def hurwitz_zeta_array(
-    s: float, a, n_direct: int | None = None, bernoulli_pairs: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
+def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^{-s} for s > 1 at every entry
     of the 1-d array a, 0 < a <= 1.
 
@@ -254,7 +253,7 @@ def hurwitz_zeta_array(
     error estimate is the first omitted Bernoulli term plus the rounding
     of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
     """
-    n, j, base, x, bern, _ = _em_block("hurwitz_zeta", s, a, n_direct, bernoulli_pairs)
+    n, j, base, x, bern, _ = _em_block("hurwitz_zeta", s, a)
     direct = (base ** -s).sum(axis=0)
     xt = x ** (1.0 - s)
     rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:j].sum(axis=0)
@@ -262,13 +261,11 @@ def hurwitz_zeta_array(
     return _em_result(direct, rest, direct, np.abs(bern[j]), n, j)
 
 
-def hurwitz_zeta_ds_array(
-    s: float, a, n_direct: int | None = None, bernoulli_pairs: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
+def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     """d/ds of hurwitz_zeta_array(s, a), by term-wise differentiation of
     the same Euler-Maclaurin scheme.  The direct terms -ln(k+a) (k+a)^{-s}
     change sign at k + a = 1, so the rounding term uses sum|terms|."""
-    n, j, base, x, bern, harm = _em_block("hurwitz_zeta_ds", s, a, n_direct, bernoulli_pairs)
+    n, j, base, x, bern, harm = _em_block("hurwitz_zeta_ds", s, a)
     terms = -np.log(base) * base ** -s
     lx = np.log(x)
     xt = x ** (1.0 - s)
@@ -284,28 +281,20 @@ def _first(result: tuple[np.ndarray, np.ndarray, int]) -> Evaluation:
     return Evaluation(float(result[0][0]), float(result[1][0]), result[2])
 
 
-def hurwitz_zeta(
-    s: float, a: float, n_direct: int | None = None, bernoulli_pairs: int | None = None
-) -> Evaluation:
+def hurwitz_zeta(s: float, a: float) -> Evaluation:
     """Hurwitz zeta(s, a) for s > 1, 0 < a <= 1: a one-element
     :func:`hurwitz_zeta_array` call."""
-    return _first(hurwitz_zeta_array(s, [a], n_direct, bernoulli_pairs))
+    return _first(hurwitz_zeta_array(s, [a]))
 
 
-def hurwitz_zeta_ds(
-    s: float, a: float, n_direct: int | None = None, bernoulli_pairs: int | None = None
-) -> Evaluation:
+def hurwitz_zeta_ds(s: float, a: float) -> Evaluation:
     """d/ds of hurwitz_zeta(s, a): a one-element :func:`hurwitz_zeta_ds_array` call."""
-    return _first(hurwitz_zeta_ds_array(s, [a], n_direct, bernoulli_pairs))
+    return _first(hurwitz_zeta_ds_array(s, [a]))
 
 
-def riemann_zeta(
-    s: float,
-    n_direct: int | None = None,
-    bernoulli_pairs: int | None = None,
-) -> Evaluation:
+def riemann_zeta(s: float) -> Evaluation:
     """Riemann zeta(s) for s > 1, via hurwitz_zeta(s, 1) (PoleError at s <= 1)."""
-    return hurwitz_zeta(s, 1.0, n_direct, bernoulli_pairs)
+    return hurwitz_zeta(s, 1.0)
 
 
 # ------------------------------------------------------------ quadrature

@@ -17,6 +17,10 @@ constants directly instead of tiny beta.
 The series terms fall off like 1/l^3.  Each series is summed directly over
 its first 64 terms; the rest is an Euler-Maclaurin tail whose integral is
 a ln Gamma ratio and whose corrections are polygammas (DLMF 2.10, 5.11).
+Every head term needs psi(x + 1/2) - psi(x), which comes from one numpy
+expression: 12 steps of the recurrence psi(x+1) = psi(x) + 1/x (DLMF 5.5.2)
+and the asymptotic difference beyond (DLMF 5.11.2), so its error estimate
+counts the roundings of that one quantity.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     _BERNOULLI_2J,
-    _PSI_TAIL,
+    _U,
+    _psi_tail,
     digamma,
 )
 from .cyclozeta import (
@@ -60,17 +65,17 @@ BETA_MAX = 0.25
 
 # directly summed terms of each series; the rest is an Euler-Maclaurin tail
 _HEAD_TERMS = 64
-# below this index the digamma arguments can drop under the asymptotic
-# threshold, so terms go through the scalar (shifted) digamma
-_SCALAR_HEAD = 12
+# psi(x + 1/2) - psi(x) is lifted by this many unit steps before the
+# asymptotic series takes over; every x_l is >= 0.41, so x_l + 12 >= 12.41
+_PSI_LIFT = 12
+# the lift steps j = J-1 .. 0 down axis 0, so a sum adds the smallest first
+_LIFT_STEPS = np.arange(_PSI_LIFT - 1, -1, -1, dtype=np.float64)[:, None]
 # Bernoulli corrections in the tail; orders 2k-1 and coefficients B_2k/(2k)!
 # run to k = _EM_PAIRS + 1, the first omitted one, which prices the truncation
 _EM_PAIRS = 4
 _EM_ORDERS = np.arange(1, 2 * _EM_PAIRS + 2, 2)
 _EM_FACTORIALS = np.array([math.factorial(j) for j in _EM_ORDERS], dtype=np.float64)
 _EM_COEFFS = np.array(_BERNOULLI_2J[: _EM_PAIRS + 1]) / (_EM_FACTORIALS * (_EM_ORDERS + 1))
-# binary64 rounding per unit of sum |t_l| in the compensated head
-_ROUNDING = 4e-16
 _TARGET_ACCURACY = 1e-8
 
 
@@ -96,21 +101,15 @@ class ZimmertTerms:
 
 
 def _psi_half_step(x: np.ndarray) -> np.ndarray:
-    """psi(x + 1/2) - psi(x), vectorized, for x >= 8.
+    """psi(x + 1/2) - psi(x) from the asymptotic series, vectorized, for
+    large x (the caller prices the truncation after B_12).
 
     Written as log1p(1/(2x)) + 1/(4x(x+1/2)) + tail differences so the
     large-argument cancellation never surfaces.
     """
     y = x + 0.5
     out = np.log1p(0.5 / x) + 0.5 / (2.0 * x * y)
-    rx = 1.0 / (x * x)
-    ry = 1.0 / (y * y)
-    px = np.full_like(x, _PSI_TAIL[5])
-    py = np.full_like(x, _PSI_TAIL[5])
-    for c in (_PSI_TAIL[4], _PSI_TAIL[3], _PSI_TAIL[2], _PSI_TAIL[1], _PSI_TAIL[0]):
-        px = c + rx * px
-        py = c + ry * py
-    out += ry * py - rx * px
+    out += _psi_tail(y) - _psi_tail(x)
     return out
 
 
@@ -132,17 +131,22 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
     """Sum of the digamma series with harmonic subtraction.
 
     shift=0 gives the F1 series, terms
-        t(l) = w [psi(x_l + 1/2) - psi(x_l)] - 1/(2l-2-beta) - 1/(2l-1+beta)
+        t(l) = w D(x_l) - 1/(2l-2-beta) - 1/(2l-1+beta),  D(x) = psi(x + 1/2) - psi(x)
     with x_l = (2l-1+beta)/d, d = 2+4beta, w = 4/d; shift=1 gives F2
-    (every 2l moved to 2l+1).  Terms fall off like 1/l^3.  The first
-    ``length`` (>= _SCALAR_HEAD) terms are summed directly (compensated);
-    the rest is the Euler-Maclaurin tail at N = length + 1: the
-    closed-form integral (ln Gamma for the digamma part), t(N)/2 and
-    _EM_PAIRS Bernoulli corrections from polygammas.  Returns (value, err, length): ``err`` is
-    the first omitted Bernoulli correction plus the rounding of the head
-    (4e-16 per unit of sum |t_l|; the l = 1 term is ~1/beta) and its
-    digamma error estimates; the count is the number of directly summed
-    terms.
+    (every 2l moved to 2l+1).  Terms fall off like 1/l^3.  D comes from one
+    route for every term: the recurrence psi(x+1) = psi(x) + 1/x (DLMF
+    5.5.2) lifts x by J = _PSI_LIFT,
+
+        D(x) = sum_{j<J} 1/(2 (x+j)(x+j+1/2)) + D_asymptotic(x + J),
+
+    the positive lift terms summed smallest first.  The first ``length``
+    terms are summed directly (compensated); the rest is the
+    Euler-Maclaurin tail at N = length + 1: the closed-form integral
+    (ln Gamma for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli
+    corrections from polygammas.  Returns (value, err, length): ``err`` is
+    the first omitted Bernoulli correction, the truncation of the
+    asymptotic difference and the counted rounding (the l = 1 term is
+    ~1/beta); the count is the number of directly summed terms.
     """
     d = 2.0 + 4.0 * beta
     w = 4.0 / d
@@ -150,13 +154,9 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
     x = (2.0 * ell - 1.0 + shift + beta) / d
     harm = 1.0 / (2.0 * ell - 2.0 + shift - beta) + 1.0 / (2.0 * ell - 1.0 + shift + beta)
 
-    terms = np.empty(length + 1, dtype=np.float64)
-    psi_err = 0.0
-    for i in range(_SCALAR_HEAD):
-        hi, lo = digamma(x[i] + 0.5), digamma(x[i])
-        terms[i] = w * (hi.value - lo.value) - harm[i]
-        psi_err += w * (hi.err_estimate + lo.err_estimate)
-    terms[_SCALAR_HEAD:] = w * _psi_half_step(x[_SCALAR_HEAD:]) - harm[_SCALAR_HEAD:]
+    y = x + _LIFT_STEPS
+    psi_diff = (0.5 / (y * (y + 0.5))).sum(axis=0) + _psi_half_step(x + _PSI_LIFT)
+    terms = w * psi_diff - harm
     terms[-1] *= 0.5  # the tail's t(N)/2
 
     # In x = x_l the terms are t = g(x)/d with dx/dl = 2/d and
@@ -172,8 +172,22 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
     corrections = -_EM_COEFFS * g_der * (2.0 / d) ** j / d
 
     value = math.fsum(terms.tolist() + [integral] + corrections[:-1].tolist())
-    # the 4.0 prices the O(1) parts that cancel inside the integral
-    err = abs(float(corrections[-1])) + _ROUNDING * (float(np.abs(terms).sum()) + 4.0) + psi_err
+    # Roundings counted per term, in units of u: x_l carries 3 and D has
+    # condition <= 1.19 in x (4u D); each lift term 5u and their J - 1
+    # additions; the asymptotic difference 6u; the final addition u; so
+    # (J + 11) u D, and w = 4/d with the product adds 3u.  Each harmonic
+    # reciprocal carries 2u and their sum u (3u |harm|), the subtraction
+    # u |t|; the compensated sum u |value|, and 4u the O(1) parts that
+    # cancel inside the integral.
+    rounding = (_PSI_LIFT + 14.0) * w * psi_diff + 3.0 * np.abs(harm) + np.abs(terms)
+    # the asymptotic series stops at B_12: the trigamma remainder is at most
+    # |B_14| z^-15, so the difference over 1/2 is at most (7/12) (x + J)^-15
+    truncation = w * (7.0 / 12.0) * (x + _PSI_LIFT) ** -15.0
+    err = (
+        abs(float(corrections[-1]))
+        + float(truncation.sum())
+        + _U * (float(rounding.sum()) + abs(value) + 4.0)
+    )
     return value, err, length
 
 
@@ -182,7 +196,8 @@ def f_terms(beta: float) -> ZimmertTerms:
     """All five F-function pieces at beta in [1e-4, 1/4).
 
     Each series is a 64-term head plus an Euler-Maclaurin tail, accurate to
-    ~1e-12 absolute; ``err_estimate`` is the larger of the two series
+    ~1e-13 absolute (~1e-12 at beta = 1e-4, where the l = 1 term of F1 is
+    1/beta); ``err_estimate`` is the larger of the two series
     estimates and ``terms_used`` counts both heads.  Raises
     ConvergenceError if the estimate exceeds 1e-8.
     """

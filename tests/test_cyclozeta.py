@@ -513,7 +513,7 @@ def test_cyclozeta_caches_are_bounded():
         for name, obj in vars(cyclozeta).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert {"unit_group", "characters", "_group_exponent_data"} <= set(cached)
+    assert {"unit_group", "characters"} <= set(cached)
     assert all(size is not None for size in cached.values()), cached
 
 
@@ -559,13 +559,6 @@ def test_scan_duplicate_rows_identical():
     assert rows[6].zeta_value == rows[3].zeta_value
     assert rows[10].zeta_value == rows[5].zeta_value
     assert rows[6].s == rows[3].s
-
-
-def test_scan_skip_duplicates():
-    rows = scan(12, 0.75, keep_even_duplicates=False)
-    ms = [r.m for r in rows]
-    assert 6 not in ms and 10 not in ms
-    assert 1 in ms and 2 in ms and 12 in ms
 
 
 def test_scan_row_invariant():

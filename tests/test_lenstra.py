@@ -43,7 +43,7 @@ def test_delta1_domain():
 
 def test_delta2_upper_closed_form():
     for n in (10, 100, 10 ** 4):
-        got = delta2_star_log(n, mode="upper").value
+        got = delta2_star_log(n).value
         closed = 0.5 * n * (1.0 - math.log(math.pi)) - n * math.log(n) + math.lgamma(n + 2.0)
         assert abs(got - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -51,30 +51,20 @@ def test_delta2_upper_closed_form():
 def test_delta2_upper_small_n_direct():
     # n=2, s=1: sigma_2-upper * (4/(2 pi)) * Gamma(2)
     want = (1.0 - math.log(8.0)) + math.lgamma(4.0) + math.log(2.0 / math.pi)
-    assert delta2_star_log(2, mode="upper").value == pytest.approx(want, abs=1e-12)
-
-
-def test_delta2_lower_modes():
-    assert delta2_star_log(1152, 0.1, mode="lower") is None  # f <= 0 there
-    low = delta2_star_log(62238, 0.1, mode="lower")
-    assert low is not None and math.isfinite(low.value)
-    with pytest.raises(DomainError):
-        delta2_star_log(10, 0.1, mode="lower")
-    with pytest.raises(DomainError):
-        delta2_star_log(10, 0.1, mode="sideways")
+    assert delta2_star_log(2).value == pytest.approx(want, abs=1e-12)
 
 
 def test_delta2_below_delta1_spot():
     # scanning every admissible s at a few degrees (s=0 is the minimum of
     # delta1, but check the whole range anyway)
     for n in (56, 57, 100, 2000):
-        d2 = delta2_star_log(n, mode="upper").value
+        d2 = delta2_star_log(n).value
         for s in range(0, n // 2 + 1, max(1, n // 8)):
             assert d2 <= delta1_star_log(n, s)
 
 
 def test_delta2_above_delta1_just_below_56():
-    assert delta2_star_log(55, mode="upper").value > delta1_star_log(55, 0)
+    assert delta2_star_log(55).value > delta1_star_log(55, 0)
 
 
 # ------------------------------------------------------- criterion check

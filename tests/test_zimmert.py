@@ -120,12 +120,20 @@ def _series_oracle(beta, shift, head=400, pairs=8):
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-@pytest.mark.parametrize("beta", [1e-4, 1e-2, 0.1, 0.245])
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.245])
 def test_series_within_error_of_oracle(beta, shift):
     value, err, terms = _series(beta, shift)
     assert err <= 1e-10
     assert abs(value - _series_oracle(beta, shift)) <= err
     assert terms == zimmert._HEAD_TERMS
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("beta", [1e-2, 0.1, 0.2, 0.245])
+def test_series_error_estimate_is_tight(beta, shift):
+    # away from the 1/beta term the estimate is counted rounding, not a
+    # flat charge per digamma call
+    assert _series(beta, shift)[1] <= 1e-13
 
 
 def test_f_terms_raises_when_error_exceeds_target(monkeypatch):
