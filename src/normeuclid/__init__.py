@@ -4,8 +4,7 @@ fields.
 
 Subpackages by theme:
 
-* specfun    foundation numerics (gamma-family functions, Hurwitz zeta,
-             quadrature, root finding)
+* specfun    foundation numerics (gamma-family functions, Hurwitz zeta)
 * rogers     two-sided explicit bounds for the Rogers packing constant
 * lenstra    criterion thresholds, GRH discriminant bounds, the crossing
              degree where they collide
@@ -24,10 +23,8 @@ from .specfun import (
     Evaluation,
     PoleError,
     digamma,
-    find_root,
     hurwitz_zeta,
     hurwitz_zeta_ds,
-    integrate,
     log_gamma,
     riemann_zeta,
 )

@@ -21,7 +21,9 @@ rational primes up to a configurable limit, where f is the multiplicative
 order of p modulo the prime-to-p part of m and g = phi(.)/f; the omitted
 tail is estimated from the prime-counting integral and reported in the
 error estimate (it dominates for s near 1, where the truncated product is
-far from converged).
+far from converged).  That integral is the exponential integral E1(x) at
+x = (s - 1) ln P, taken at its closed-form upper bound e^{-x} ln(1 + 1/x)
+(Abramowitz-Stegun 5.1.20).
 
 Single characters keep their own route: ``dirichlet_l`` evaluates the
 primitive character that induces chi at its conductor, with values taken
@@ -43,10 +45,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1
 
 from .specfun import (
-    ConvergenceError,
     DomainError,
     Evaluation,
     hurwitz_zeta_array,
@@ -423,12 +423,15 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
 
 def _prime_tail_integral(s: float, limit: int) -> float:
-    """Estimate of sum_{p > limit} p^{-s} from the prime-counting integral:
-    int_limit^oo x^{-s}/ln x dx = E1((s - 1) ln limit)."""
-    return float(exp1((s - 1.0) * math.log(limit)))
+    """Estimate of sum_{p > limit} p^{-s} from the prime-counting integral
+    int_limit^oo x^{-s}/ln x dx = E1(x), x = (s - 1) ln limit, taken at
+    its upper bound e^{-x} ln(1 + 1/x) > E1(x) (Abramowitz-Stegun 5.1.20),
+    which is 1.02-1.20 E1(x) at limit 1e6 for s in [1.01, 3]."""
+    x = (s - 1.0) * math.log(limit)
+    return math.exp(-x) * math.log1p(1.0 / x)
 
 
-def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evaluation:
+def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     if prime_limit < 10:
         raise DomainError(f"prime_limit too small: {prime_limit}")
     phi = euler_phi(m)
@@ -447,10 +450,6 @@ def _zeta_euler(m: int, s: float, prime_limit: int, tol: float | None) -> Evalua
     tail2 = float(prime_limit) ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * math.log(prime_limit))
     err_log = phi * (tail1 + tail2)
     err = value * math.expm1(min(err_log, 700.0))
-    if tol is not None and err > tol:
-        raise ConvergenceError(
-            f"euler tail bound {err:.3e} exceeds tol {tol} at prime_limit {prime_limit}"
-        )
     return Evaluation(value, err, int(mask.sum()) + len(_factorize(m)))
 
 
@@ -459,7 +458,6 @@ def zeta_cyclotomic(
     s: float,
     method: str = "hurwitz",
     prime_limit: int = 10 ** 6,
-    tol: float | None = None,
 ) -> Evaluation:
     """Dedekind zeta of the m-th cyclotomic field at real s > 1.
 
@@ -478,7 +476,7 @@ def zeta_cyclotomic(
     if method == "hurwitz":
         return _zeta_hurwitz(m, s)
     if method == "euler":
-        return _zeta_euler(m, s, prime_limit, tol)
+        return _zeta_euler(m, s, prime_limit)
     raise DomainError(f"unknown method {method!r}")
 
 

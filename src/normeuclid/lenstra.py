@@ -38,6 +38,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _GAMMA = CONSTANTS.euler_gamma
+_LOG_4_PI_E = math.log(4.0 * math.pi) + 1.0
 
 # Degrees >= 1152 (kappa >= 24) keep the sigma_n lower-bound machinery valid.
 N_MIN_LOWER = 1152
@@ -143,6 +144,13 @@ def criterion_check(inp: CriterionInput) -> CriterionVerdict:
 
 # ------------------------------------------------- discriminant bounds
 
+def _r_coefficient(n: float) -> float:
+    """Coefficient of r/n in the Poitou bound, and so in the gap;
+    nonnegative for n >= 33."""
+    ln2_n = math.log(n) ** 2
+    return 0.5 * math.pi - (2.0 * math.pi ** 2 / ln2_n) * CONSTANTS.beta3
+
+
 def poitou_grh_lower(n: int, r: int) -> float:
     """Poitou's explicit GRH lower bound for (1/n) ln|Delta|:
 
@@ -159,7 +167,7 @@ def poitou_grh_lower(n: int, r: int) -> float:
     return (
         _GAMMA
         + math.log(8.0 * math.pi)
-        + (r / n) * (0.5 * math.pi - a * CONSTANTS.beta3)
+        + (r / n) * _r_coefficient(n)
         - a * (
             CONSTANTS.lambda3
             + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln2_n) ** 2)
@@ -194,24 +202,16 @@ def lenstra_disc_cap(n: int) -> float:
 
 # ------------------------------------------------------- the main gap
 
-def _r_coefficient(n: float) -> float:
-    """Coefficient of r/n in the gap; nonnegative for n >= 33."""
-    ln2_n = math.log(n) ** 2
-    return 0.5 * math.pi - (2.0 * math.pi ** 2 / ln2_n) * CONSTANTS.beta3
-
-
 def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
-    """(gamma + ln 2 - 1) minus the finite-n comparison term G(n, r).
+    """The GRH lower bound on (1/n) ln|Delta| minus the finite-n cap the
+    ball-packing criterion puts on it:
 
-    G collects the Poitou correction, the signature term, and the
-    finite-n remainders of the criterion chain:
+    gap = poitou_grh_lower(n, r) - ln(4 pi e)
+          + 3 ln n / n - (2 - ln 2 - 2 ln f(kappa, theta))/n + 2/(n(12n+1)),
 
-    G = (2 pi^2/ln^2 n)(lambda(3) + (8+8/n)/(ln n (1+pi^2/ln^2 n)^2))
-        - (r/n)(pi/2 - (2 pi^2/ln^2 n) beta(3))
-        - 3 ln n / n + (2 - ln 2 - 2 ln f(kappa, theta))/n - 2/(n(12n+1)).
-
-    A positive gap means the ball-packing criterion is incompatible with
-    the GRH discriminant bound at (n, r).  Returns None when f <= 0
+    the last three terms being the finite-n remainders of the criterion
+    chain.  A positive gap means the ball-packing criterion is incompatible
+    with the GRH discriminant bound at (n, r).  Returns None when f <= 0
     (the sigma_n lower bound is vacuous there).
     """
     if n < N_MIN_LOWER:
@@ -221,17 +221,13 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
     f = f_lower(RogersContext(float(n), theta))
     if f.value <= 0.0:
         return None
-    ln_n = math.log(n)
-    ln2_n = ln_n * ln_n
-    a = 2.0 * math.pi ** 2 / ln2_n
-    g = (
-        a * (CONSTANTS.lambda3 + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln2_n) ** 2))
-        - (r / n) * _r_coefficient(n)
-        - 3.0 * ln_n / n
-        + (2.0 - _LN2 - 2.0 * math.log(f.value)) / n
-        - 2.0 / (n * (12.0 * n + 1.0))
+    gap = (
+        poitou_grh_lower(n, r)
+        - _LOG_4_PI_E
+        + 3.0 * math.log(n) / n
+        - (2.0 - _LN2 - 2.0 * math.log(f.value)) / n
+        + 2.0 / (n * (12.0 * n + 1.0))
     )
-    gap = (_GAMMA + _LN2 - 1.0) - g
     err = 2.0 * f.err_estimate / (f.value * n) + 1e-15
     return Evaluation(gap, err, f.terms_used)
 

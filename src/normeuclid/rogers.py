@@ -10,6 +10,10 @@ C(u) = (kappa/2) u^2 in [0, kappa^theta].  Everything is computed exactly as
 printed, with no hidden slack: the resulting f(kappa, theta) may be negative,
 in which case the lower bound is vacuous.
 
+U and the central integral are closed forms: trigonometric Cardano and a
+deflated quadratic, and 32-node Gauss-Legendre on [0, min(kappa^theta, 5)]
+with a Bernstein-ellipse bound on its truncation.
+
 Also included: the classic log2 upper estimate of sigma_n due to Leech and
 Sloane, with the Stirling-level gap between the two upper bounds.
 """
@@ -19,13 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import (
-    BracketError,
-    DomainError,
-    Evaluation,
-    find_root,
-    integrate,
-)
+import numpy as np
+
+from .specfun import _U, BracketError, DomainError, Evaluation
 
 __all__ = [
     "RogersContext",
@@ -45,6 +45,16 @@ _SQRT_PI = math.sqrt(math.pi)
 # majorant is guaranteed to dip below (kappa/2) u^2 on the range only
 # from kappa = 24 up.
 KAPPA_MIN_LOWER = 24.0
+
+# Gauss-Legendre rule of the central integral, mapped from [-1, 1] to [0, 1]
+_GL_NODES = 32
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+_GL_T = 0.5 * (_GL_T + 1.0)
+_GL_W = 0.5 * _GL_W
+# The integrand is at most e^{-2u^2}, so the range is cut at u = 5: the
+# half-range integral beyond is below e^{-50}/20.
+_CUT = 5.0
+_CUT_TAIL = math.exp(-2.0 * _CUT * _CUT) / (4.0 * _CUT)
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,12 @@ def u_threshold(ctx: RogersContext) -> float:
 
     Uniqueness (and the bracketing sign change) holds for kappa >= 24; a
     BracketError signals kappa/theta outside that validity range.  The
-    returned root satisfies |C(U) - (kappa/2) U^2| <= 1e-10.
+    cubic c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
+    r2 > kappa^theta by the sign change, and r0 in (-U, 0) since g(0) > 0
+    > g(-U).  r2 comes from trigonometric Cardano, which is stable for the
+    largest root, and U from the deflated quadratic u^2 - S u + P with
+    P = r0 U = -D/r2 and S = r0 + U = (C + D/r2)/r2 > 0, so no digits
+    cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
     k = ctx.kappa
     hi = k ** ctx.theta
@@ -141,29 +156,61 @@ def u_threshold(ctx: RogersContext) -> float:
             f"no sign change for the threshold root on [0, {hi}] "
             f"(kappa={k}, theta={ctx.theta}; validity needs kappa >= 24)"
         )
-    return find_root(g, 0.0, hi, tol=1e-12)
+    # monic cubic u^3 + b u^2 + cc u + d, depressed by u = t - b/3
+    b = -0.5 * k / c.c42
+    cc = c.c41 / c.c42
+    d = c.c1 / c.c42
+    p = cc - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+    rho = math.sqrt(-p / 3.0)
+    cos3 = max(-1.0, min(1.0, -q / (2.0 * rho ** 3)))
+    r2 = 2.0 * rho * math.cos(math.acos(cos3) / 3.0) - b / 3.0
+    prod = -d / r2
+    total = (cc - prod) / r2
+    return 0.5 * (total + math.sqrt(total * total - 4.0 * prod))
 
 
 def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
-    Evaluated as twice the half-range integral by symmetry, with the
-    integrand written exp(-u^2 + n log1p(-u^2/(2 kappa^2))) so large n does
-    not lose accuracy, to absolute accuracy 1e-12.  The value lies in
-    (0, sqrt(pi)).
+    Twice the half-range integral by symmetry, as 32-node Gauss-Legendre on
+    [0, h], h = min(kappa^theta, 5), with the integrand written
+    exp(-u^2 + n log1p(-u^2/(2 kappa^2))) so large n does not lose
+    accuracy.  The value lies in (0, sqrt(pi)).
+
+    The error estimate is a bound on the truncation plus a count of the
+    roundings.  The integrand is at most e^{-2u^2} on the real line, so the
+    cut at 5 omits less than e^{-50}/20.  It is analytic off the real
+    half-lines |u| >= sqrt(n), and |e^{-u^2} (1 - u^2/n)^n| <= e^{2 Im(u)^2},
+    so on the Bernstein ellipse of parameter rho around [0, h] it is at
+    most M = exp(h^2 (rho - 1/rho)^2 / 8), and the N-point Gauss error is at
+    most (h/2) (64/15) M rho^{-2N}/(rho^2 - 1) (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 19.3).  rho = sqrt(8N)/h
+    about minimises that, capped so the ellipse stays inside |u| < sqrt(n).
+    Roundings per node u_i, in units of the unit roundoff: the N - 1
+    additions and the weight, node and product (N + 4), 6|E| for the
+    exponent E, and 6 h u_i for the node's own error through dE/du ~ -4u.
     """
     k = ctx.kappa
     n = ctx.n
     hi = k ** ctx.theta
-    if hi * hi >= 2.0 * k * k:
-        raise DomainError("integrand base not positive on the range")
     two_k2 = 2.0 * k * k
-
-    def f(u: float) -> float:
-        return math.exp(-u * u + n * math.log1p(-u * u / two_k2))
-
-    half = integrate(f, 0.0, hi, tol=0.5e-12)
-    return Evaluation(2.0 * half.value, 2.0 * half.err_estimate, half.terms_used)
+    if hi * hi >= two_k2:
+        raise DomainError("integrand base not positive on the range")
+    h = min(hi, _CUT)
+    u = h * _GL_T
+    exponent = -u * u + n * np.log1p(-u * u / two_k2)
+    terms = h * _GL_W * np.exp(exponent)
+    half = float(terms.sum())
+    rho = min(
+        math.sqrt(8.0 * _GL_NODES) / h, math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
+    )
+    truncation = (
+        (h / 2.0) * (64.0 / 15.0) * math.exp(h * h * (rho - 1.0 / rho) ** 2 / 8.0)
+        * rho ** (-2.0 * _GL_NODES) / (rho * rho - 1.0)
+    )
+    rounding = _U * float(terms @ (_GL_NODES + 4.0 + 6.0 * np.abs(exponent) + 6.0 * h * u))
+    return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), _GL_NODES)
 
 
 def f_lower(ctx: RogersContext) -> Evaluation:
@@ -176,7 +223,10 @@ def f_lower(ctx: RogersContext) -> Evaluation:
 
     Valid for kappa >= 24, theta in (0, 1/3); may be negative (the sigma_n
     lower bound is then vacuous).  Increasing in kappa on the validity
-    range.
+    range.  The error estimate adds to the central integral's 16u times
+    |f| plus the three subtracted terms (u = 2^-53), for the roundings of
+    the error constants and of the assembly; against a 30-digit oracle
+    these stay below 4u times the same sum.
     """
     k = ctx.kappa
     if k < KAPPA_MIN_LOWER:
@@ -187,13 +237,11 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     c = error_constants(ctx)
     c_edge = _majorant(c, hi)
     c_star = _majorant(c, u_star)
-    value = (
-        central.value
-        - 2.0 * _SQRT_PI * c_edge / k
-        - (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
-        - 2.0 * math.exp(-hi)
-    )
-    err = central.err_estimate + 1e-12
+    edge = 2.0 * _SQRT_PI * c_edge / k
+    inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
+    tail = 2.0 * math.exp(-hi)
+    value = central.value - edge - inner - tail
+    err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
     return Evaluation(value, err, central.terms_used)
 
 

@@ -1,5 +1,4 @@
-"""Foundation numerics: special functions, Euler-Maclaurin summation,
-adaptive quadrature, and bracketed root finding.
+"""Foundation numerics: special functions and Euler-Maclaurin summation.
 
 Scalar results come back as :class:`Evaluation` records carrying the value,
 an a-posteriori absolute error estimate, and the truncation parameters that
@@ -13,21 +12,16 @@ correction sits far below every tolerance used downstream (the tightest
 acceptance margin in the package is about 5e-5).  The Bernoulli part of
 the asymptotic digamma series has one evaluator, for floats and arrays,
 shared by ``digamma`` and the Zimmert series' psi(x + 1/2) - psi(x).
-
-Quadrature and root finding wrap scipy's QUADPACK (adaptive Gauss-Kronrod)
-and Brent routines behind the error contracts used by the rest of the
-package; both are deterministic for identical inputs.
+The package needs nothing beyond numpy: its quadrature and root are closed
+forms in ``rogers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.optimize import brentq as _brentq
 
 __all__ = [
     "DomainError",
@@ -46,8 +40,6 @@ __all__ = [
     "hurwitz_zeta_ds",
     "hurwitz_zeta_array",
     "hurwitz_zeta_ds_array",
-    "integrate",
-    "find_root",
 ]
 
 
@@ -295,55 +287,3 @@ def hurwitz_zeta_ds(s: float, a: float) -> Evaluation:
 def riemann_zeta(s: float) -> Evaluation:
     """Riemann zeta(s) for s > 1, via hurwitz_zeta(s, 1) (PoleError at s <= 1)."""
     return hurwitz_zeta(s, 1.0)
-
-
-# ------------------------------------------------------------ quadrature
-
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_subdivisions: int = 200,
-) -> Evaluation:
-    """Adaptive Gauss-Kronrod quadrature of f on [lo, hi] to absolute
-    accuracy tol (QUADPACK QAGS; deterministic subdivision order).
-
-    Raises ConvergenceError if the tolerance is unreachable within the
-    subdivision budget.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"bad interval [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    out = _quad(f, lo, hi, full_output=1, epsabs=tol, epsrel=0.0, limit=max_subdivisions)
-    if len(out) > 3:
-        raise ConvergenceError(f"quadrature did not converge to {tol}: {out[3]}")
-    value, abserr, info = out
-    return Evaluation(value, abserr, int(info["neval"]))
-
-
-# ---------------------------------------------------------- root finding
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Root of f on [lo, hi], which must bracket a sign change.
-
-    Brent's method (bisection refined by secant/inverse-quadratic steps),
-    bracket width tolerance tol; deterministic.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"bad bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} do not bracket a root")
-    return float(_brentq(f, lo, hi, xtol=tol))

@@ -16,7 +16,8 @@ constants directly instead of tiny beta.
 
 The series terms fall off like 1/l^3.  Each series is summed directly over
 its first 64 terms; the rest is an Euler-Maclaurin tail whose integral is
-a ln Gamma ratio and whose corrections are polygammas (DLMF 2.10, 5.11).
+a ln Gamma ratio and whose corrections are polygammas (DLMF 2.10, 5.11),
+taken from their asymptotic series (DLMF 5.15.8) at x_N >= 43.08.
 Every head term needs psi(x + 1/2) - psi(x), which comes from one numpy
 expression: 12 steps of the recurrence psi(x+1) = psi(x) + 1/x (DLMF 5.5.2)
 and the asymptotic difference beyond (DLMF 5.11.2), so its error estimate
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import polygamma
 
 from .specfun import (
     CONSTANTS,
@@ -76,6 +76,14 @@ _EM_PAIRS = 4
 _EM_ORDERS = np.arange(1, 2 * _EM_PAIRS + 2, 2)
 _EM_FACTORIALS = np.array([math.factorial(j) for j in _EM_ORDERS], dtype=np.float64)
 _EM_COEFFS = np.array(_BERNOULLI_2J[: _EM_PAIRS + 1]) / (_EM_FACTORIALS * (_EM_ORDERS + 1))
+# psi^(j)(x) ~ (j-1)!/x^j + j!/(2 x^(j+1)) + sum_k B_2k (2k+j-1)!/(2k)! x^(-2k-j)
+# for odd j (DLMF 5.15.8): row j of the coefficients, k = 1 .. 11
+_PSI_J_COEFFS = np.array([
+    [b * math.factorial(2 * k + j - 1) / math.factorial(2 * k)
+     for k, b in enumerate(_BERNOULLI_2J, 1)]
+    for j in _EM_ORDERS
+])
+_PSI_J_POWERS = -2.0 * np.arange(1, len(_BERNOULLI_2J) + 1)
 _TARGET_ACCURACY = 1e-8
 
 
@@ -113,6 +121,15 @@ def _psi_half_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _polygammas(x: float) -> np.ndarray:
+    """psi^(j)(x) for the odd orders j of the tail corrections, from the
+    asymptotic series through B_22.  For x >= 43 (every x_N is) the first
+    omitted term is below 1e-27 of the leading one."""
+    j = _EM_ORDERS
+    series = _PSI_J_COEFFS @ (x ** _PSI_J_POWERS)
+    return x ** -j * (_EM_FACTORIALS / j + _EM_FACTORIALS / (2.0 * x) + series)
+
+
 def _log_gamma_half_step_excess(x: float) -> float:
     """ln Gamma(x + 1/2) - ln Gamma(x) - (1/2) ln x for x >= 8, in Stirling
     form.
@@ -143,10 +160,11 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
     terms are summed directly (compensated); the rest is the
     Euler-Maclaurin tail at N = length + 1: the closed-form integral
     (ln Gamma for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli
-    corrections from polygammas.  Returns (value, err, length): ``err`` is
-    the first omitted Bernoulli correction, the truncation of the
-    asymptotic difference and the counted rounding (the l = 1 term is
-    ~1/beta); the count is the number of directly summed terms.
+    corrections from asymptotic polygammas, which need x_N >= 43 (so
+    length >= 64).  Returns (value, err, length): ``err`` is the first
+    omitted Bernoulli correction, the truncation of the asymptotic
+    difference and the counted rounding (the l = 1 term is ~1/beta); the
+    count is the number of directly summed terms.
     """
     d = 2.0 + 4.0 * beta
     w = 4.0 / d
@@ -166,7 +184,7 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
     xn = float(x[-1])
     integral = -0.5 * (4.0 * _log_gamma_half_step_excess(xn) - math.log1p(-0.5 / xn))
     j = _EM_ORDERS
-    g_der = 4.0 * (polygamma(j, xn + 0.5) - polygamma(j, xn)) + _EM_FACTORIALS * (
+    g_der = 4.0 * (_polygammas(xn + 0.5) - _polygammas(xn)) + _EM_FACTORIALS * (
         (xn - 0.5) ** (-j - 1.0) + xn ** (-j - 1.0)
     )
     corrections = -_EM_COEFFS * g_der * (2.0 / d) ** j / d

@@ -14,11 +14,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from normeuclid.cyclozeta import (
     ScanRow,
     _assert_real,
     _order_table,
+    _prime_tail_integral,
     _ramified_degrees,
     char_rotation,
     char_value,
@@ -303,11 +305,15 @@ def test_zeta_euler_improves_with_prime_limit():
     assert d2 < d1
 
 
-def test_zeta_euler_tolerance_failure():
-    from normeuclid.specfun import ConvergenceError
-
-    with pytest.raises(ConvergenceError):
-        zeta_cyclotomic(12, 1.1, "euler", prime_limit=10 ** 4, tol=1e-8)
+@pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 3.0])
+def test_prime_tail_brackets_e1(s):
+    # Abramowitz-Stegun 5.1.20: (1/2) e^-x ln(1 + 2/x) < E1(x) < e^-x ln(1 + 1/x)
+    for limit in (10 ** 3, 10 ** 4, 10 ** 6):
+        x = (s - 1.0) * math.log(limit)
+        lower = 0.5 * math.exp(-x) * math.log1p(2.0 / x)
+        tail = _prime_tail_integral(s, limit)
+        assert lower < exp1(x) <= tail
+    assert tail <= 1.21 * exp1(x)
 
 
 def test_zeta_above_one():

@@ -18,6 +18,7 @@ from normeuclid.lenstra import (
     remark_condition,
     uncond_lower_main,
 )
+from normeuclid.rogers import RogersContext, f_lower
 from normeuclid.specfun import CONSTANTS, DomainError
 
 GAMMA = CONSTANTS.euler_gamma
@@ -193,6 +194,24 @@ def test_main_gap_signs():
     assert main_gap(61000, 0, 0.1).value < 0.0
     assert main_gap(62238, 0, 0.1).value > 0.0
     assert main_gap(10 ** 6, 0, 0.1).value > 0.0
+
+
+def test_main_gap_against_inline_formula():
+    # (gamma + ln 2 - 1) minus the comparison term written out in full
+    for n, r in ((20000, 0), (61000, 0), (62236, 0), (62238, 31119), (10 ** 6, 10 ** 6)):
+        ln_n = math.log(n)
+        a = 2.0 * math.pi ** 2 / ln_n ** 2
+        f = f_lower(RogersContext(float(n), 0.1)).value
+        lam = 0.875 * 1.2020569031595942854
+        g = (
+            a * (lam + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln_n ** 2) ** 2))
+            - (r / n) * (math.pi / 2.0 - a * math.pi ** 3 / 32.0)
+            - 3.0 * ln_n / n
+            + (2.0 - LN2 - 2.0 * math.log(f)) / n
+            - 2.0 / (n * (12.0 * n + 1.0))
+        )
+        gap = main_gap(n, r, 0.1)
+        assert abs(gap.value - (GAMMA + LN2 - 1.0 - g)) <= gap.err_estimate
 
 
 def test_main_gap_monotone_in_n():

@@ -1,10 +1,16 @@
-"""Packing-constant bounds: formula anchors, grid monotonicity, and the
-independently recomputed error-term assembly."""
+"""Packing-constant bounds: formula anchors, grid monotonicity, the
+independently recomputed error-term assembly, scipy's Brent root and
+QUADPACK integral as check routes, and a 30-digit mpmath oracle for the
+error estimates."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from normeuclid.rogers import (
     RogersContext,
@@ -153,6 +159,16 @@ def test_u_threshold_decay_rate():
         assert u * math.sqrt(kappa) <= 1.0
 
 
+@pytest.mark.parametrize("kappa", (24.0, 1e3, 1e5, 1e8))
+def test_u_threshold_against_brentq(kappa):
+    for theta in (1e-3, 0.05, 0.1, 0.3, 0.333):
+        ctx = RogersContext.from_kappa(kappa, theta)
+        c1, _, _, c41, c42 = _constants_oracle(ctx.kappa, theta)
+        g = lambda u: c1 + c41 * u + c42 * u ** 3 - 0.5 * ctx.kappa * u * u
+        root = brentq(g, 0.0, ctx.kappa ** theta, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert abs(u_threshold(ctx) - root) <= 4e-15 * root
+
+
 def test_u_threshold_bracket_error_outside_validity():
     with pytest.raises(BracketError):
         u_threshold(RogersContext.from_kappa(2.0, 0.1))
@@ -192,6 +208,80 @@ def test_central_integral_small_kappa_oracle():
     ctx = RogersContext.from_kappa(24.0, 0.3)
     ci = central_integral(ctx)
     assert ci.value == pytest.approx(_simpson_central(24.0, 0.3, ctx.n), abs=1e-10)
+
+
+@pytest.mark.parametrize("kappa", (1.0, 24.0, 1e4, 1e8))
+def test_central_integral_against_quad(kappa):
+    for theta in (0.05, 0.3):
+        ctx = RogersContext.from_kappa(kappa, theta)
+        two_k2 = 2.0 * ctx.kappa ** 2
+        f = lambda u: math.exp(-u * u + ctx.n * math.log1p(-u * u / two_k2))
+        half, abserr = quad(f, 0.0, ctx.kappa ** theta, epsabs=1e-13, epsrel=0.0, limit=200)
+        ci = central_integral(ctx)
+        assert abs(ci.value - 2.0 * half) <= ci.err_estimate + 2.0 * abserr
+
+
+# ------------------------------------------ error estimates against mpmath
+
+def _central_oracle(n, theta):
+    """The central integral in 30-digit mpmath, from the exact inputs n and
+    theta, split where the integrand bends so quadrature stays accurate."""
+    with mpmath.workdps(30):
+        n = mpmath.mpf(n)
+        k2 = n / 2
+        hi = k2 ** (mpmath.mpf(theta) / 2)
+        f = lambda u: mpmath.exp(-u * u) * (1 - u * u / (2 * k2)) ** n
+        return 2 * mpmath.quad(f, [0] + [x for x in (1, 2, 3, 5, 8) if x < hi] + [hi])
+
+
+def _f_lower_oracle(n, theta):
+    """f(kappa, theta) in 30-digit mpmath: the constants as printed, U as
+    the middle root of the cubic, the central integral as above."""
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(mpmath.mpf(n) / 2)
+        t = mpmath.mpf(theta)
+        kt1, kt2, kt3 = k ** (t - 1), k ** (2 * t - 2), k ** (3 * t - 3)
+        root = mpmath.sqrt(1 + kt2)
+        sqrt_pi = mpmath.sqrt(mpmath.pi)
+        c1 = (2 * sqrt_pi * root / mpmath.e + (6 / k) * (1 + root / mpmath.e) + 3 / k ** 3) / 8
+        c2 = (1 / (1 - kt1)) * (1 / (1 - kt1 / 4) + mpmath.mpf(5) / 2)
+        c3 = mpmath.sqrt(1 + kt2 / 4)
+        c41 = c3 + kt3 * c2 * c3 + kt1 / 4
+        c42 = c2 * (1 - 1 / (2 * k * k))
+        big_c = lambda u: c1 + c41 * u + c42 * u ** 3
+        roots = mpmath.polyroots([c42, -k / 2, c41, c1], maxsteps=200, extraprec=60)
+        u = sorted(mpmath.re(r) for r in roots)[1]
+        hi = k ** t
+        return (
+            _central_oracle(n, theta)
+            - 2 * sqrt_pi * big_c(hi) / k
+            - (4 * u * big_c(u) / k) * (1 + 4 * big_c(u) / k)
+            - 2 * mpmath.exp(-hi)
+        )
+
+
+_THETA = st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_min=True, exclude_max=True)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kappa=_log_uniform(1.0, 1e8), theta=_THETA)
+def test_central_integral_within_error_of_oracle(kappa, theta):
+    ctx = RogersContext.from_kappa(kappa, theta)
+    ci = central_integral(ctx)
+    assert abs(mpmath.mpf(ci.value) - _central_oracle(ctx.n, theta)) <= ci.err_estimate <= 1e-12
+
+
+# f_lower is defined from kappa = 24 up
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kappa=_log_uniform(24.0, 1e8), theta=_THETA)
+def test_f_lower_within_error_of_oracle(kappa, theta):
+    ctx = RogersContext.from_kappa(kappa, theta)
+    f = f_lower(ctx)
+    assert abs(mpmath.mpf(f.value) - _f_lower_oracle(ctx.n, theta)) <= f.err_estimate <= 1e-12
 
 
 # --------------------------------------------------------------- f_lower

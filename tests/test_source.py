@@ -1,6 +1,9 @@
-"""Properties of the package source itself."""
+"""Properties of the package source itself and of what it loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import normeuclid
@@ -18,3 +21,22 @@ def test_no_assert_statements_in_package():
     ]
     assert len(list(SOURCE.glob("*.py"))) >= 7
     assert found == []
+
+
+def test_runtime_path_loads_no_scipy():
+    # scipy is a test dependency only: the CLI and every library route run
+    # on numpy alone
+    code = (
+        "import sys, normeuclid.cli\n"
+        "from normeuclid.cyclozeta import zeta_cyclotomic\n"
+        "from normeuclid.rogers import RogersContext, f_lower, u_threshold\n"
+        "from normeuclid.zimmert import f_terms\n"
+        "ctx = RogersContext(62238.0, 0.1)\n"
+        "f_lower(ctx), u_threshold(ctx), zeta_cyclotomic(12, 1.5, 'euler'), f_terms(0.1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

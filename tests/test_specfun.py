@@ -1,6 +1,5 @@
 """Foundation numerics against independent oracles: compensated sums,
-long direct series with integral tails, 30-digit mpmath Hurwitz zeta,
-Simpson-Richardson quadrature, and grid sign scans."""
+long direct series with integral tails, and 30-digit mpmath Hurwitz zeta."""
 
 import math
 import random
@@ -11,19 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normeuclid.specfun import (
-    BracketError,
     CONSTANTS,
-    ConvergenceError,
     DomainError,
     Evaluation,
     PoleError,
     digamma,
-    find_root,
     hurwitz_zeta,
     hurwitz_zeta_array,
     hurwitz_zeta_ds,
     hurwitz_zeta_ds_array,
-    integrate,
     log_gamma,
     riemann_zeta,
 )
@@ -277,65 +272,3 @@ def test_hurwitz_ds_finite_differences_random():
         fd = (hurwitz_zeta(s + h, a).value - hurwitz_zeta(s - h, a).value) / (2.0 * h)
         tol = 1e-7 * max(1.0, hurwitz_zeta(s, a).value)
         assert abs(hurwitz_zeta_ds(s, a).value - fd) <= tol
-
-
-# ------------------------------------------------------------ quadrature
-
-def _simpson_richardson(f, lo, hi, n=2000):
-    def simpson(m):
-        xs = np.linspace(lo, hi, 2 * m + 1)
-        ys = np.array([f(x) for x in xs])
-        h = (hi - lo) / (2 * m)
-        return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-
-    s1, s2 = simpson(n), simpson(2 * n)
-    return (16.0 * s2 - s1) / 15.0
-
-
-def test_integrate_gaussian():
-    v = integrate(lambda u: math.exp(-u * u), -10.0, 10.0, tol=1e-12)
-    assert v.value == pytest.approx(math.sqrt(math.pi), abs=1e-12)
-
-
-def test_integrate_unit():
-    assert integrate(lambda u: 1.0, 0.0, 1.0, tol=1e-12).value == pytest.approx(1.0, abs=1e-14)
-
-
-def test_integrate_against_simpson_richardson():
-    f = lambda u: math.exp(-2.0 * u * u)
-    got = integrate(f, -1.6775, 1.6775, tol=1e-12).value
-    oracle = _simpson_richardson(f, -1.6775, 1.6775)
-    assert abs(got - oracle) <= 1e-11
-    assert got == pytest.approx(1.2523, abs=1e-3)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 10])
-def test_integrate_polynomial_exactness(k):
-    got = integrate(lambda x, k=k: x ** k, 0.0, 1.0, tol=1e-12).value
-    assert abs(got - 1.0 / (k + 1)) <= 1e-14
-
-
-def test_integrate_budget_failure():
-    with pytest.raises(ConvergenceError):
-        integrate(lambda x: math.sin(1e5 * x), 0.0, 1.0, tol=1e-12, max_subdivisions=10)
-
-
-def test_integrate_domain():
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, 1.0, tol=-1.0)
-
-
-# ---------------------------------------------------------- root finding
-
-def test_find_root_simple():
-    assert find_root(lambda x: x - 0.5, 0.0, 1.0, tol=1e-14) == pytest.approx(0.5, abs=1e-12)
-    assert find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-14) == pytest.approx(
-        math.sqrt(2.0), abs=1e-12
-    )
-
-
-def test_find_root_bracket_error():
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)

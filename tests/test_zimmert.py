@@ -4,11 +4,14 @@ an mpmath oracle for the series, and the two inequality theorems."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from normeuclid import zimmert
 from normeuclid.specfun import CONSTANTS, ConvergenceError, DomainError, digamma
 from normeuclid.zimmert import (
+    _polygammas,
     _series,
     f_ab,
     f_terms,
@@ -134,6 +137,16 @@ def test_series_error_estimate_is_tight(beta, shift):
     # away from the 1/beta term the estimate is counted rounding, not a
     # flat charge per digamma call
     assert _series(beta, shift)[1] <= 1e-13
+
+
+@pytest.mark.parametrize("x", [43.0, 43.08, 75.0, 120.0, 200.0])
+def test_polygamma_series_against_scipy(x):
+    # the tail corrections need psi^(j) only at x_N >= 43.08 and x_N + 1/2
+    j = zimmert._EM_ORDERS
+    assert np.allclose(_polygammas(x), polygamma(j, x), rtol=1e-15, atol=0.0)
+    got = 4.0 * (_polygammas(x + 0.5) - _polygammas(x))
+    want = 4.0 * (polygamma(j, x + 0.5) - polygamma(j, x))
+    assert np.allclose(got, want, rtol=2e-13, atol=0.0)
 
 
 def test_f_terms_raises_when_error_exceeds_target(monkeypatch):
