@@ -75,10 +75,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# entries kept by each per-modulus cache: callers reuse a modulus's tables
-# over consecutive calls (one scan row, one sweep point), so a short window
-# holds all the reuse there is, and memory stays flat over long sweeps
-_CACHE_SIZE = 16
 
 
 # ------------------------------------------------------- basic arithmetic
@@ -148,7 +144,10 @@ class UnitGroupStructure:
         return self.logs[np.flatnonzero(self.units == r % self.modulus)[0]]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# callers reuse a modulus's group over consecutive calls (one scan row, one
+# sweep point), so a short window holds all the reuse there is, and memory
+# stays flat over long sweeps
+@lru_cache(maxsize=16)
 def unit_group(m: int) -> UnitGroupStructure:
     """Decompose (Z/mZ)* into cyclic factors with explicit generators.
 
@@ -236,7 +235,6 @@ class DirichletCharacter:
     conductor: int
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def characters(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, trivial character first,
     with exponent vectors in the C order of the discrete-log grid.
@@ -401,25 +399,18 @@ def _zeta_hurwitz(m: int, s: float) -> Evaluation:
     return Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
 
 
-# prime sieve, grown on demand and shared across calls
-_PRIME_CACHE: dict[str, object] = {"limit": 0}
-
-
+# the Euler route asks for one limit many times in a row; one entry holds
+# that reuse, and the array is read-only because every caller shares it
+@lru_cache(maxsize=1)
 def _primes_up_to(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    if limit > _PRIME_CACHE["limit"]:  # type: ignore[operator]
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _PRIME_CACHE["primes"] = np.nonzero(sieve)[0].astype(np.int64)
-        _PRIME_CACHE["limit"] = limit
-    primes: np.ndarray = _PRIME_CACHE["primes"]  # type: ignore[assignment]
-    if _PRIME_CACHE["limit"] == limit:
-        return primes
-    return primes[: np.searchsorted(primes, limit, side="right")]
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.nonzero(sieve)[0].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 def _prime_tail_integral(s: float, limit: int) -> float:

@@ -176,22 +176,26 @@ def digamma(x: float) -> Evaluation:
 
     Arguments below the shift threshold (including negative ones) are
     lifted with psi(x) = psi(x+1) - 1/x until the asymptotic expansion
-    applies.  Absolute accuracy ~1e-13 away from the poles; the error
-    estimate grows with the 1/x terms picked up near a pole.
+    applies.  The error estimate is the first omitted asymptotic term
+    plus the rounding in units of u: per lift step the reciprocal, the
+    running sum and x + 1 (an error of u|x+1| there moves the result by at
+    most (1 + 1/|x|) u), then the asymptotic part and the final addition.
     """
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"digamma pole at non-positive integer {x}")
-    shift_err = 0.0
+    lift_err = 0.0
     acc = 0.0
     shifts = 0
     xs = x
     while xs < _PSI_SHIFT:
-        acc -= 1.0 / xs
-        shift_err += abs(1.0 / xs) * 1.2e-16
+        step = 1.0 / xs
+        acc -= step
+        lift_err += abs(acc) + 2.0 * abs(step) + 1.0
         xs += 1.0
         shifts += 1
-    v = acc + (math.log(xs) - 0.5 / xs + _psi_tail(xs))
-    err = _PSI_ASYMP_ERR + shift_err + 2e-16 * abs(v)
+    asymptotic = math.log(xs) - 0.5 / xs + _psi_tail(xs)
+    v = acc + asymptotic
+    err = _PSI_ASYMP_ERR + _U * (lift_err + 5.0 * abs(asymptotic) + abs(v))
     return Evaluation(v, err, shifts + len(_PSI_TAIL))
 
 

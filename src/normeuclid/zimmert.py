@@ -37,6 +37,7 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     _BERNOULLI_2J,
+    _BERNOULLI_OVER_FACTORIAL,
     _U,
     _psi_tail,
     digamma,
@@ -75,7 +76,7 @@ _LIFT_STEPS = np.arange(_PSI_LIFT - 1, -1, -1, dtype=np.float64)[:, None]
 _EM_PAIRS = 4
 _EM_ORDERS = np.arange(1, 2 * _EM_PAIRS + 2, 2)
 _EM_FACTORIALS = np.array([math.factorial(j) for j in _EM_ORDERS], dtype=np.float64)
-_EM_COEFFS = np.array(_BERNOULLI_2J[: _EM_PAIRS + 1]) / (_EM_FACTORIALS * (_EM_ORDERS + 1))
+_EM_COEFFS = _BERNOULLI_OVER_FACTORIAL[: _EM_PAIRS + 1]
 # psi^(j)(x) ~ (j-1)!/x^j + j!/(2 x^(j+1)) + sum_k B_2k (2k+j-1)!/(2k)! x^(-2k-j)
 # for odd j (DLMF 5.15.8): row j of the coefficients, k = 1 .. 11
 _PSI_J_COEFFS = np.array([
@@ -144,7 +145,7 @@ def _log_gamma_half_step_excess(x: float) -> float:
     return out
 
 
-def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, float, int]:
+def _series(beta: float, shift: int) -> tuple[float, float, int]:
     """Sum of the digamma series with harmonic subtraction.
 
     shift=0 gives the F1 series, terms
@@ -156,19 +157,19 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
 
         D(x) = sum_{j<J} 1/(2 (x+j)(x+j+1/2)) + D_asymptotic(x + J),
 
-    the positive lift terms summed smallest first.  The first ``length``
-    terms are summed directly (compensated); the rest is the
-    Euler-Maclaurin tail at N = length + 1: the closed-form integral
-    (ln Gamma for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli
-    corrections from asymptotic polygammas, which need x_N >= 43 (so
-    length >= 64).  Returns (value, err, length): ``err`` is the first
-    omitted Bernoulli correction, the truncation of the asymptotic
-    difference and the counted rounding (the l = 1 term is ~1/beta); the
-    count is the number of directly summed terms.
+    the positive lift terms summed smallest first.  The first _HEAD_TERMS
+    = 64 terms are summed directly (compensated); the rest is the
+    Euler-Maclaurin tail at N = 65: the closed-form integral (ln Gamma
+    for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli corrections
+    from asymptotic polygammas, which need x_N >= 43.  Returns
+    (value, err, _HEAD_TERMS): ``err`` is the first omitted Bernoulli
+    correction, the truncation of the asymptotic difference and the
+    counted rounding (the l = 1 term is ~1/beta); the count is the number
+    of directly summed terms.
     """
     d = 2.0 + 4.0 * beta
     w = 4.0 / d
-    ell = np.arange(1, length + 2, dtype=np.float64)  # l = 1 .. N
+    ell = np.arange(1, _HEAD_TERMS + 2, dtype=np.float64)  # l = 1 .. N
     x = (2.0 * ell - 1.0 + shift + beta) / d
     harm = 1.0 / (2.0 * ell - 2.0 + shift - beta) + 1.0 / (2.0 * ell - 1.0 + shift + beta)
 
@@ -206,7 +207,7 @@ def _series(beta: float, shift: int, length: int = _HEAD_TERMS) -> tuple[float, 
         + float(truncation.sum())
         + _U * (float(rounding.sum()) + abs(value) + 4.0)
     )
-    return value, err, length
+    return value, err, _HEAD_TERMS
 
 
 @lru_cache(maxsize=64)

@@ -519,7 +519,7 @@ def test_cyclozeta_caches_are_bounded():
         for name, obj in vars(cyclozeta).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert {"unit_group", "characters"} <= set(cached)
+    assert set(cached) == {"unit_group", "_primes_up_to"}
     assert all(size is not None for size in cached.values()), cached
 
 

@@ -1,5 +1,6 @@
 """Foundation numerics against independent oracles: compensated sums,
-long direct series with integral tails, and 30-digit mpmath Hurwitz zeta."""
+long direct series with integral tails, and 30-digit mpmath Hurwitz zeta
+and digamma."""
 
 import math
 import random
@@ -7,7 +8,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from normeuclid.specfun import (
     CONSTANTS,
@@ -117,6 +118,35 @@ def test_digamma_poles():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
             digamma(x)
+
+
+# x in [-20, 200] and (-1, 1) away from the poles, where psi(x) ~ -1/x
+# stays finite in binary64 (|x| >= 1e-300), and the eight digamma
+# arguments of f_terms(beta) for beta in [1e-4, 1/4)
+_BETA = st.floats(min_value=1e-4, max_value=0.25, exclude_max=True)
+_F_TERMS_ARGS = _BETA.flatmap(
+    lambda b: st.sampled_from([
+        (1.0 + b) / 2.0, -b / 2.0, 1.0 + b / 2.0, (1.0 - b) / 2.0,
+        (1.0 + b) / (2.0 + 4.0 * b), (1.0 + 3.0 * b) / (2.0 + 4.0 * b),
+        (2.0 + 5.0 * b) / (2.0 + 4.0 * b), (2.0 + 3.0 * b) / (2.0 + 4.0 * b),
+    ])
+)
+_DIGAMMA_X = st.one_of(
+    st.floats(min_value=-20.0, max_value=200.0),
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    _F_TERMS_ARGS,
+).filter(lambda x: abs(x) >= 1e-300 and not (x <= 0.0 and x == math.floor(x)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(x=_DIGAMMA_X)
+@example(x=-0.986628514220175)
+@example(x=0.01407)
+def test_digamma_within_error_of_oracle(x):
+    d = digamma(x)
+    with mpmath.workdps(30):
+        gap = abs(mpmath.mpf(d.value) - mpmath.digamma(x))
+    assert gap <= d.err_estimate
 
 
 # ------------------------------------------------------------------ zeta
