@@ -41,9 +41,7 @@ from .rogers import (
     u_threshold,
 )
 from .lenstra import (
-    CriterionInput,
     CriterionVerdict,
-    FieldSignature,
     NotFoundError,
     criterion_check,
     delta1_star_log,
@@ -78,7 +76,6 @@ from .cyclozeta import (
 )
 from .zimmert import (
     ZimmertTerms,
-    f_ab,
     f_terms,
     min_norm_check,
     satz4_check,

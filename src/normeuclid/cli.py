@@ -76,7 +76,7 @@ def _cmd_rogers(args: argparse.Namespace) -> int:
         print(f"U       = {_fmt(u)}")
         print(f"central integral = {_fmt(ci.value)} (err {ci.err_estimate:.3e})")
         print(f"f(kappa, theta)  = {_fmt(f.value)} (err {f.err_estimate:.3e})")
-        low = rogers.sigma_lower_log(args.n, args.theta) if args.n >= lenstra.N_MIN_LOWER else None
+        low = rogers.sigma_lower_log(args.n, args.theta)
         if low is not None:
             print(f"log sigma_n lower bound = {_fmt(low.value)}")
         else:
@@ -95,11 +95,7 @@ def _cmd_lenstra_crossing(args: argparse.Namespace) -> int:
 
 
 def _cmd_lenstra_check(args: argparse.Namespace) -> int:
-    n, r = args.n, args.r
-    if (n - r) % 2 != 0:
-        raise DomainError(f"n - r must be even, got n={n}, r={r}")
-    sig = lenstra.FieldSignature(n, r, (n - r) // 2, args.log_disc)
-    verdict = lenstra.criterion_check(lenstra.CriterionInput(sig, args.log_m))
+    verdict = lenstra.criterion_check(args.n, args.r, args.log_disc, args.log_m)
     print(f"delta1 criterion holds: {verdict.delta1_holds}")
     print(f"delta2 criterion holds: {verdict.delta2_holds}")
     print(f"max log|disc| for delta2 = {_fmt(verdict.max_log_disc_delta2)}")
@@ -202,13 +198,14 @@ def _cmd_cyclo_scan(args: argparse.Namespace) -> int:
 
 def _cmd_zimmert(args: argparse.Namespace) -> int:
     t = zimmert.f_terms(args.beta)
+    f_ab = t.f_ab(args.a, args.b)
     print(f"beta = {_fmt(args.beta)}")
     print(f"F1 = {_fmt(t.f1_series)}")
     print(f"f1 = {_fmt(t.f1_point)}")
     print(f"F2 = {_fmt(t.f2_series)}")
     print(f"f2 = {_fmt(t.f2_point)}")
     print(f"F3 = {_fmt(t.f3)}")
-    print(f"F_{{{args.a},{args.b}}}(beta) = {_fmt(t.f_ab(args.a, args.b))}")
+    print(f"F_{{{args.a},{args.b}}}(beta) = {_fmt(f_ab)}")
     return 0
 
 

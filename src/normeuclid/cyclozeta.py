@@ -71,6 +71,7 @@ __all__ = [
     "cyclo_signature",
     "min_proper_ideal_norm",
     "scan",
+    "scan_row",
     "threshold_check",
 ]
 

@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .specfun import CONSTANTS, DomainError, Evaluation
-from .rogers import RogersContext, f_lower, sigma_upper_log
+from .rogers import KAPPA_MIN_LOWER, RogersContext, f_lower, sigma_upper_log
 
 __all__ = [
-    "FieldSignature",
-    "CriterionInput",
     "CriterionVerdict",
     "NotFoundError",
     "delta1_star_log",
@@ -40,54 +38,12 @@ _LN2 = math.log(2.0)
 _GAMMA = CONSTANTS.euler_gamma
 _LOG_4_PI_E = math.log(4.0 * math.pi) + 1.0
 
-# Degrees >= 1152 (kappa >= 24) keep the sigma_n lower-bound machinery valid.
-N_MIN_LOWER = 1152
-
 
 class NotFoundError(RuntimeError):
     """No crossing inside the requested range."""
 
 
 # ------------------------------------------------------------------ types
-
-@dataclass(frozen=True)
-class FieldSignature:
-    """Degree and embedding data of a number field: n = r + 2s.
-
-    ``log_abs_disc`` is ln|Delta| when known, else None.
-    """
-
-    n: int
-    r: int
-    s: int
-    log_abs_disc: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 0 or self.s < 0:
-            raise DomainError(f"bad signature ({self.n}, {self.r}, {self.s})")
-        if self.r + 2 * self.s != self.n:
-            raise DomainError(f"need r + 2s = n, got r={self.r}, s={self.s}, n={self.n}")
-        if self.log_abs_disc is not None:
-            if not math.isfinite(self.log_abs_disc) or self.log_abs_disc < 0.0:
-                raise DomainError(f"need ln|Delta| >= 0, got {self.log_abs_disc}")
-
-
-@dataclass(frozen=True)
-class CriterionInput:
-    """Signature plus ln M, with the structural bounds 2 <= M <= 2^n."""
-
-    sig: FieldSignature
-    log_M: float
-
-    def __post_init__(self) -> None:
-        # slack absorbs hand-entered decimal truncations of ln 2
-        lo = _LN2 - 1e-9
-        hi = self.sig.n * _LN2 + 1e-9
-        if not (lo <= self.log_M <= hi):
-            raise DomainError(
-                f"log M = {self.log_M} outside [ln 2, n ln 2] for n = {self.sig.n}"
-            )
-
 
 @dataclass(frozen=True)
 class CriterionVerdict:
@@ -123,22 +79,31 @@ def delta2_star_log(n: int) -> Evaluation:
     return Evaluation(sigma_upper_log(n) + shift, 4e-16 * (1.0 + abs(shift)), 1)
 
 
-def criterion_check(inp: CriterionInput) -> CriterionVerdict:
-    """Evaluate both criterion forms for one field.
+def criterion_check(n: int, r: int, log_disc: float, log_m: float) -> CriterionVerdict:
+    """Evaluate both criterion forms, M > delta*_i(n) sqrt(|Delta|), for a
+    field of degree n with r real places, ln|Delta| = log_disc and
+    ln M = log_m.
 
-    Both use upper bounds on the packing thresholds, so a True verdict is
-    sound.  The decision depends only on log_M - (1/2) ln|Delta|.
+    Raises DomainError unless n >= 1, 0 <= r <= n and n - r is even (the
+    field then has s = (n - r)/2 complex places), log_disc is finite and
+    >= 0, and 2 <= M <= 2^n; that last range gets 1e-9 of slack in ln M
+    for hand-entered decimal truncations of ln 2.  Both forms use upper
+    bounds on the packing thresholds, so a True verdict is sound.  The
+    decision depends only on log_m - (1/2) log_disc.
     """
-    sig = inp.sig
-    if sig.log_abs_disc is None:
-        raise DomainError("criterion check needs ln|Delta|")
-    half_disc = 0.5 * sig.log_abs_disc
-    d1 = delta1_star_log(sig.n, sig.s)
-    d2 = delta2_star_log(sig.n).value
+    if n < 1 or not (0 <= r <= n) or (n - r) % 2 != 0:
+        raise DomainError(f"need n >= 1, 0 <= r <= n and n - r even, got n={n}, r={r}")
+    if not (math.isfinite(log_disc) and log_disc >= 0.0):
+        raise DomainError(f"need ln|Delta| >= 0, got {log_disc}")
+    if not (_LN2 - 1e-9 <= log_m <= n * _LN2 + 1e-9):
+        raise DomainError(f"log M = {log_m} outside [ln 2, n ln 2] for n = {n}")
+    half_disc = 0.5 * log_disc
+    d1 = delta1_star_log(n, (n - r) // 2)
+    d2 = delta2_star_log(n).value
     return CriterionVerdict(
-        delta1_holds=inp.log_M > d1 + half_disc,
-        delta2_holds=inp.log_M > d2 + half_disc,
-        max_log_disc_delta2=2.0 * (inp.log_M - d2),
+        delta1_holds=log_m > d1 + half_disc,
+        delta2_holds=log_m > d2 + half_disc,
+        max_log_disc_delta2=2.0 * (log_m - d2),
     )
 
 
@@ -211,18 +176,19 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
 
     the last three terms being the finite-n remainders of the criterion
     chain.  A positive gap means the ball-packing criterion is incompatible
-    with the GRH discriminant bound at (n, r).  Returns None when f <= 0
-    (the sigma_n lower bound is vacuous there).
+    with the GRH discriminant bound at (n, r).
+
+    ``poitou_grh_lower`` checks n and r, and ``f_lower`` checks theta and
+    kappa = sqrt(n/2) >= 24 (n >= 1152); each raises DomainError.  Returns
+    None when f <= 0 (the sigma_n lower bound is vacuous there), which
+    holds for every n <= 7661 at theta = 0.1.
     """
-    if n < N_MIN_LOWER:
-        raise DomainError(f"main gap needs n >= {N_MIN_LOWER}, got {n}")
-    if not (0 <= r <= n):
-        raise DomainError(f"need 0 <= r <= n, got r={r}")
+    poitou = poitou_grh_lower(n, r)
     f = f_lower(RogersContext(float(n), theta))
     if f.value <= 0.0:
         return None
     gap = (
-        poitou_grh_lower(n, r)
+        poitou
         - _LOG_4_PI_E
         + 3.0 * math.log(n) / n
         - (2.0 - _LN2 - 2.0 * math.log(f.value)) / n
@@ -249,11 +215,12 @@ def find_crossing(theta: float, n_min: int, n_max: int) -> int:
     bisection and then re-verified at the checkpoints
     {n, n+1, n+10, n_max}.
 
-    Raises NotFoundError when the gap never turns positive in range.
+    Raises DomainError unless n_min >= 1152 (kappa >= 24, where f is
+    defined) and n_max > n_min, or when theta is outside (0, 1/3) or f <= 0
+    somewhere the gap is evaluated; NotFoundError when the gap never turns
+    positive in range.
     """
-    if not (0.0 < theta < 1.0 / 3.0):
-        raise DomainError(f"need theta in (0, 1/3), got {theta}")
-    if n_min < N_MIN_LOWER or n_max <= n_min:
+    if n_min < 2 * KAPPA_MIN_LOWER ** 2 or n_max <= n_min:
         raise DomainError(f"bad range [{n_min}, {n_max}]")
     if _r_coefficient(n_min) < 0.0:
         raise DomainError("r-coefficient sign guard failed; all-r reduction invalid")

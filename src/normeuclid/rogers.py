@@ -43,7 +43,7 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 # Validity threshold for the root/lower-bound machinery: the cubic
 # majorant is guaranteed to dip below (kappa/2) u^2 on the range only
-# from kappa = 24 up.
+# from kappa = 24 up.  f_lower is the one place that checks it.
 KAPPA_MIN_LOWER = 24.0
 
 # Gauss-Legendre rule of the central integral, mapped from [-1, 1] to [0, 1]
@@ -262,12 +262,10 @@ def sigma_lower_log(n: float, theta: float) -> Evaluation | None:
     The normalization gives
     ln sigma_n >= ln f - n ln 2 - (n/2) ln n - (1/2) ln pi + n/2
                   + ln (n+1)! - ln Gamma(1+n/2),
-    defined when f(kappa, theta) > 0.  Requires n >= 1152 (kappa >= 24).
+    defined when f(kappa, theta) > 0.  Requires n >= 1152 (kappa >= 24),
+    which ``f_lower`` checks.
     """
-    if n < 2.0 * KAPPA_MIN_LOWER ** 2:
-        raise DomainError(f"sigma lower bound needs n >= 1152, got {n}")
-    ctx = RogersContext(n, theta)
-    f = f_lower(ctx)
+    f = f_lower(RogersContext(n, theta))
     if f.value <= 0.0:
         return None
     value = (

@@ -180,6 +180,8 @@ def digamma(x: float) -> Evaluation:
     plus the rounding in units of u: per lift step the reciprocal, the
     running sum and x + 1 (an error of u|x+1| there moves the result by at
     most (1 + 1/|x|) u), then the asymptotic part and the final addition.
+    Below |x| ~ 3e-308 the value ~ -1/x or its estimate overflows, and
+    that is a PoleError too.
     """
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"digamma pole at non-positive integer {x}")
@@ -196,6 +198,8 @@ def digamma(x: float) -> Evaluation:
     asymptotic = math.log(xs) - 0.5 / xs + _psi_tail(xs)
     v = acc + asymptotic
     err = _PSI_ASYMP_ERR + _U * (lift_err + 5.0 * abs(asymptotic) + abs(v))
+    if abs(x) < 1.0 and not math.isfinite(err):
+        raise PoleError(f"digamma at x={x} overflows next to the pole at 0")
     return Evaluation(v, err, shifts + len(_PSI_TAIL))
 
 

@@ -53,7 +53,6 @@ from .cyclozeta import (
 __all__ = [
     "ZimmertTerms",
     "f_terms",
-    "f_ab",
     "satz4_check",
     "min_norm_check",
     "zeta_lenstra_threshold",
@@ -102,6 +101,13 @@ class ZimmertTerms:
     terms_used: int
 
     def f_ab(self, a: int, b: int) -> float:
+        """F_{a,b}(beta) = a(F1 + f1) + b(F2 + f2) + F3, for a, b >= 0
+        (a = r + s and b = s for a field with r real and s complex places).
+
+        Raises DomainError when a < 0 or b < 0.
+        """
+        if a < 0 or b < 0:
+            raise DomainError(f"need a, b >= 0, got a={a}, b={b}")
         return (
             a * (self.f1_series + self.f1_point)
             + b * (self.f2_series + self.f2_point)
@@ -245,13 +251,6 @@ def f_terms(beta: float) -> ZimmertTerms:
     return ZimmertTerms(beta, f1_series, f1_point, f2_series, f2_point, f3, err, n1 + n2)
 
 
-def f_ab(a: int, b: int, beta: float) -> float:
-    """F_{a,b}(beta) = a(F1 + f1) + b(F2 + f2) + F3."""
-    if a < 0 or b < 0:
-        raise DomainError(f"need a, b >= 0, got a={a}, b={b}")
-    return f_terms(beta).f_ab(a, b)
-
-
 def satz4_check(m: int, beta: float) -> tuple[float, float, bool]:
     """The series bound against the zeta data of the m-th cyclotomic field:
 
@@ -262,7 +261,7 @@ def satz4_check(m: int, beta: float) -> tuple[float, float, bool]:
     """
     r, s = cyclo_signature(m)
     n = r + 2 * s
-    lhs = 0.5 * f_ab(r + s, s, beta)
+    lhs = 0.5 * f_terms(beta).f_ab(r + s, s)
     rhs = (
         zeta_cyclotomic_logderiv(m, 1.0 + beta).value
         + 0.5 * cyclo_disc_log(m)
@@ -285,7 +284,7 @@ def min_norm_check(m: int, beta: float) -> tuple[float, float, bool]:
     z = zeta_cyclotomic(m, 1.0 + beta)
     lhs = math.log(min_proper_ideal_norm(m)) * (1.0 - 1.0 / z.value)
     rhs = (
-        -0.5 * f_ab(r + s, s, beta)
+        -0.5 * f_terms(beta).f_ab(r + s, s)
         + 0.5 * cyclo_disc_log(m)
         - 0.5 * n * math.log(math.pi)
     )

@@ -132,6 +132,14 @@ def test_zimmert_output(capsys):
     assert any(line.startswith("F_{1,0}") for line in out.splitlines())
 
 
+def test_zimmert_negative_pair_exits_one_silently(capsys):
+    # a rejected F_{a,b} pair fails before any value is printed
+    code, out, err = _run(["zimmert", "--a", "-1", "--b", "0", "--beta", "0.1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_zimmert_verify(capsys):
     code, out, _ = _run(["zimmert-verify", "--m", "8", "--beta", "0.1"], capsys)
     assert code == 0
@@ -142,6 +150,15 @@ def test_domain_error_exits_one(capsys):
     code, _, err = _run(["cyclo-zeta", "--m", "4", "--s", "0.5"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+def test_lenstra_check_odd_complex_count_exits_one(capsys):
+    code, out, err = _run(
+        ["lenstra-check", "--n", "3", "--r", "2", "--log-disc", "1", "--log-m", "1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "n - r even" in err
 
 
 def test_crossing_not_found_exits_one(capsys):

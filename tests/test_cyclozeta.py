@@ -19,6 +19,7 @@ from scipy.special import exp1
 from normeuclid.cyclozeta import (
     ScanRow,
     _assert_real,
+    _group_dft,
     _order_table,
     _prime_tail_integral,
     _ramified_degrees,
@@ -38,7 +39,7 @@ from normeuclid.cyclozeta import (
     zeta_cyclotomic,
     zeta_cyclotomic_logderiv,
 )
-from normeuclid.specfun import DomainError, riemann_zeta
+from normeuclid.specfun import DomainError, hurwitz_zeta_array, riemann_zeta
 
 CATALAN = 0.91596559417721901505460351493238411
 
@@ -211,6 +212,24 @@ def test_char_rotation_exact():
     assert char_rotation(quartic, 5) is None
 
 
+@pytest.mark.parametrize("m", list(range(1, 31)))
+def test_conjugate_character(m):
+    chars = characters(m)
+    by_exponents = {c.exponents: c for c in chars}
+    for chi in chars:
+        conj = conjugate_character(chi)
+        # conj chi is a character mod m with the conductor of chi
+        assert by_exponents[conj.exponents] == conj
+        assert conj.conductor == chi.conductor
+        for a in range(m):
+            rot = char_rotation(chi, a)
+            if math.gcd(a, m) == 1:
+                assert char_rotation(conj, a) == -rot % 1
+            else:
+                assert char_rotation(conj, a) is None
+        assert conjugate_character(conj) == chi
+
+
 @pytest.mark.parametrize("m", list(range(2, 61)))
 def test_conductor_euler_factor_identity(m):
     # L_m(s, chi) = L(s, chi*) * prod_{p | m, p coprime to cond} (1 - chi*(p) p^{-s})
@@ -249,28 +268,31 @@ def test_l_trivial_is_zeta():
 
 def test_l_catalan():
     chi = next(c for c in characters(4) if c.exponents != (0,))
-    got = dirichlet_l(2.0, chi).value
+    lv = dirichlet_l(2.0, chi)
+    got = lv.value
     assert abs(got.imag) <= 1e-15
-    # alternating-series oracle with half-term correction
-    k = np.arange(0, 10 ** 7, dtype=np.float64)
-    terms = (-1.0) ** k * (2.0 * k + 1.0) ** -2
-    oracle = float(np.sum(terms)) - 0.5 * float(terms[-1])
-    assert got.real == pytest.approx(oracle, abs=1e-12)
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(got.real) - mpmath.catalan) <= lv.err_estimate
     assert got.real == pytest.approx(CATALAN, abs=1e-12)
 
 
 def test_l_near_one_finite_and_matches_series():
-    # nontrivial primitive character mod 5 at s=1.01 against direct
-    # summation over whole periods (partial sums over a full period vanish)
+    # the quartic character mod 5 at s = 1.01 against the 30-digit series
+    # 5^{-s} sum_a chi(a) zeta(s, a/5) with the exact chi(1..4) = 1, i, -i, -1
     s = 1.01
     chi = next(c for c in characters(5) if c.exponents == (1,))
-    got = dirichlet_l(s, chi).value
+    quarter_turns = [char_rotation(chi, a) * 4 for a in range(1, 5)]
+    assert quarter_turns == [0, 1, 3, 2]
+    lv = dirichlet_l(s, chi)
+    got = lv.value
     assert math.isfinite(got.real) and math.isfinite(got.imag)
-    n = np.arange(1, 5 * 10 ** 6 + 1)
-    vals = np.array([char_value(chi, int(a % 5)) for a in range(5)])
-    coeff = vals[n % 5]
-    series = complex(np.sum(coeff * n ** -s))
-    assert abs(got - series) <= 1e-4
+    with mpmath.workdps(30):
+        s_mp = mpmath.mpf(s)
+        oracle = mpmath.power(5, -s_mp) * mpmath.fsum(
+            c * mpmath.zeta(s_mp, mpmath.mpf(a) / 5)
+            for a, c in zip(range(1, 5), (1, 1j, -1j, -1))
+        )
+        assert abs(mpmath.mpc(got) - oracle) <= lv.err_estimate
 
 
 def test_l_domain():
@@ -377,6 +399,19 @@ def test_logderiv_within_error_of_oracle(m, s):
         oracle = float((hi - lo) / (2 * h))
     d = zeta_cyclotomic_logderiv(m, s)
     assert abs(d.value - oracle) <= d.err_estimate
+
+
+@pytest.mark.parametrize("m", list(range(1, 61)))
+def test_group_dft_matches_l_values_in_character_order(m):
+    # entry i of the transform is sum_a conj(chi_i(a)) h(a) = conj L_m(s, chi_i)
+    # for chi_i = characters(m)[i]: both walk the discrete-log grid in C order
+    chars = characters(m)
+    for s in (1.1, 2.0):
+        entries, err = _group_dft(m, s, hurwitz_zeta_array)
+        assert len(entries) == len(chars)
+        for entry, chi in zip(entries, chars):
+            lv = dirichlet_l(s, chi, primitive=False)
+            assert abs(entry - lv.value.conjugate()) <= err + lv.err_estimate
 
 
 @pytest.mark.parametrize("m", list(range(1, 61)))

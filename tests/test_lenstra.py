@@ -5,8 +5,6 @@ import math
 import pytest
 
 from normeuclid.lenstra import (
-    CriterionInput,
-    FieldSignature,
     NotFoundError,
     criterion_check,
     delta1_star_log,
@@ -72,48 +70,45 @@ def test_delta2_above_delta1_just_below_56():
 
 def test_criterion_rationals():
     # Q: n=1, |disc|=1, M=2
-    q = CriterionInput(FieldSignature(1, 1, 0, 0.0), LN2)
-    v = criterion_check(q)
-    assert v.delta1_holds
+    assert criterion_check(1, 1, 0.0, LN2).delta1_holds
 
     # Q(i): n=2, s=1, |disc|=4, M=2 -> 2 > (2/pi) * 2
-    qi = CriterionInput(FieldSignature(2, 0, 1, math.log(4.0)), LN2)
-    assert criterion_check(qi).delta1_holds
+    assert criterion_check(2, 0, math.log(4.0), LN2).delta1_holds
 
     # overwhelming discriminant: n=2, s=0, |disc|=1e6, M=4
-    big = CriterionInput(FieldSignature(2, 2, 0, math.log(1e6)), math.log(4.0))
-    assert not criterion_check(big).delta1_holds
+    assert not criterion_check(2, 2, math.log(1e6), math.log(4.0)).delta1_holds
 
 
 def test_criterion_scale_invariance():
     # replacing (M, disc) by (cM, c^2 disc) leaves both verdicts unchanged
-    base_sig = FieldSignature(40, 0, 20, 25.0)
-    base = criterion_check(CriterionInput(base_sig, 10.0))
+    base = criterion_check(40, 0, 25.0, 10.0)
     t = 3.7
-    shifted = criterion_check(
-        CriterionInput(FieldSignature(40, 0, 20, 25.0 + 2.0 * t), 10.0 + t)
-    )
+    shifted = criterion_check(40, 0, 25.0 + 2.0 * t, 10.0 + t)
     assert base.delta1_holds == shifted.delta1_holds
     assert base.delta2_holds == shifted.delta2_holds
 
 
-def test_criterion_requires_disc():
+@pytest.mark.parametrize("log_disc", [math.nan, math.inf, -math.inf, -1.0])
+def test_criterion_log_disc_domain(log_disc):
     with pytest.raises(DomainError):
-        criterion_check(CriterionInput(FieldSignature(2, 0, 1, None), LN2))
+        criterion_check(2, 0, log_disc, LN2)
 
 
 def test_criterion_input_bounds():
     with pytest.raises(DomainError):
-        CriterionInput(FieldSignature(2, 0, 1, 0.0), 3.0 * LN2)
+        criterion_check(2, 0, 0.0, 3.0 * LN2)
     with pytest.raises(DomainError):
-        CriterionInput(FieldSignature(2, 0, 1, 0.0), 0.5 * LN2)
+        criterion_check(2, 0, 0.0, 0.5 * LN2)
+    # the 1e-9 slack admits decimal truncations of ln 2 at both ends
+    criterion_check(2, 0, 0.0, 0.693147180)
+    criterion_check(2, 0, 0.0, 2.0 * 0.693147181)
 
 
 def test_signature_validation():
-    with pytest.raises(DomainError):
-        FieldSignature(3, 2, 1)
-    with pytest.raises(DomainError):
-        FieldSignature(2, 0, 1, -1.0)
+    # n - r odd, n < 1, r < 0, r > n
+    for n, r in ((3, 2), (0, 0), (2, -2), (2, 4)):
+        with pytest.raises(DomainError):
+            criterion_check(n, r, 0.0, LN2)
 
 
 # ------------------------------------------------------- discriminant

@@ -1,6 +1,7 @@
 """Properties of the package source itself and of what it loads."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,31 @@ def test_no_assert_statements_in_package():
     ]
     assert len(list(SOURCE.glob("*.py"))) >= 7
     assert found == []
+
+
+def test_public_surface_is_consistent():
+    # every name a module exports resolves, and every name the package
+    # re-exports from a module is one that module exports
+    init = ast.parse((SOURCE / "__init__.py").read_text())
+    reexports = [
+        (node.module, alias.name)
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexports
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"normeuclid.{path.stem}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{path.stem}.__all__ names {missing}"
+    unlisted = [
+        f"{mod}.{name}"
+        for mod, name in reexports
+        if name not in importlib.import_module(f"normeuclid.{mod}").__all__
+    ]
+    assert unlisted == []
 
 
 def test_runtime_path_loads_no_scipy():

@@ -120,6 +120,16 @@ def test_digamma_poles():
             digamma(x)
 
 
+def test_digamma_next_to_the_pole_at_zero():
+    # psi(x) ~ -1/x: below |x| ~ 3e-308 the value or its estimate overflows
+    for x in (5e-324, 1e-310, -1e-310, 1e-308):
+        with pytest.raises(PoleError, match="pole at 0"):
+            digamma(x)
+    e = digamma(1e-300)
+    assert math.isfinite(e.value) and math.isfinite(e.err_estimate)
+    assert e.value == pytest.approx(-1e300, rel=1e-15)
+
+
 # x in [-20, 200] and (-1, 1) away from the poles, where psi(x) ~ -1/x
 # stays finite in binary64 (|x| >= 1e-300), and the eight digamma
 # arguments of f_terms(beta) for beta in [1e-4, 1/4)

@@ -13,7 +13,6 @@ from normeuclid.specfun import CONSTANTS, ConvergenceError, DomainError, digamma
 from normeuclid.zimmert import (
     _polygammas,
     _series,
-    f_ab,
     f_terms,
     min_norm_check,
     satz4_check,
@@ -149,19 +148,21 @@ def test_f_terms_raises_when_error_exceeds_target(monkeypatch):
 
 def test_f_ab_linearity():
     t = f_terms(0.1)
-    assert f_ab(0, 0, 0.1) == t.f3
+    assert t.f_ab(0, 0) == t.f3
     direct = 2.0 * (t.f1_series + t.f1_point) + 3.0 * (t.f2_series + t.f2_point) + t.f3
-    assert f_ab(2, 3, 0.1) == pytest.approx(direct, abs=1e-12)
+    assert t.f_ab(2, 3) == pytest.approx(direct, abs=1e-12)
 
 
 def test_f_ab_near_limit():
     t = f_terms(1e-4)
-    assert f_ab(1, 0, 1e-4) == pytest.approx(2.96354 + t.f3, abs=2e-3)
+    assert t.f_ab(1, 0) == pytest.approx(2.96354 + t.f3, abs=2e-3)
 
 
 def test_f_ab_domain():
-    with pytest.raises(DomainError):
-        f_ab(-1, 0, 0.1)
+    t = f_terms(0.1)
+    for a, b in ((-1, 0), (0, -1), (-1, -3)):
+        with pytest.raises(DomainError):
+            t.f_ab(a, b)
 
 
 # ------------------------------------------------------------- theorems
