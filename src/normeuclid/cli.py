@@ -59,24 +59,23 @@ def _theta(text: str) -> float:
 
 def _cmd_rogers(args: argparse.Namespace) -> int:
     ctx = rogers.RogersContext(float(args.n), args.theta)
+    chain = rogers._chain(ctx) if ctx.kappa >= rogers.KAPPA_MIN_LOWER else None
     print(f"n       = {args.n}")
     print(f"kappa   = {_fmt(ctx.kappa)}")
     print(f"theta   = {_fmt(args.theta)}")
-    c = rogers.error_constants(ctx)
+    c = chain.constants if chain is not None else rogers.error_constants(ctx)
     print(f"C1      = {_fmt(c.c1)}")
     print(f"C2      = {_fmt(c.c2)}")
     print(f"C3      = {_fmt(c.c3)}")
     print(f"C41     = {_fmt(c.c41)}")
     print(f"C42     = {_fmt(c.c42)}")
     print(f"log sigma_n upper bound = {_fmt(rogers.sigma_upper_log(args.n))}")
-    if ctx.kappa >= rogers.KAPPA_MIN_LOWER:
-        u = rogers.u_threshold(ctx)
-        ci = rogers.central_integral(ctx)
-        f = rogers.f_lower(ctx)
-        print(f"U       = {_fmt(u)}")
+    if chain is not None:
+        ci, f = chain.central, chain.f
+        print(f"U       = {_fmt(chain.u_star)}")
         print(f"central integral = {_fmt(ci.value)} (err {ci.err_estimate:.3e})")
         print(f"f(kappa, theta)  = {_fmt(f.value)} (err {f.err_estimate:.3e})")
-        low = rogers.sigma_lower_log(args.n, args.theta)
+        low = rogers._sigma_lower_log(args.n, f)
         if low is not None:
             print(f"log sigma_n lower bound = {_fmt(low.value)}")
         else:
@@ -87,8 +86,7 @@ def _cmd_rogers(args: argparse.Namespace) -> int:
 
 
 def _cmd_lenstra_crossing(args: argparse.Namespace) -> int:
-    n = lenstra.find_crossing(args.theta, args.n_min, args.n_max)
-    gap = lenstra.main_gap(n, 0, args.theta)
+    n, gap = lenstra._crossing(args.theta, args.n_min, args.n_max)
     print(f"crossing = {n}")
     print(f"gap at crossing (r=0) = {_fmt(gap.value)}")
     return 0

@@ -198,11 +198,54 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
     return Evaluation(gap, err, f.terms_used)
 
 
-def _gap_at(n: int, theta: float) -> float:
-    gap = main_gap(n, 0, theta)
-    if gap is None:
-        raise DomainError(f"f(kappa, theta) <= 0 at n={n}; range outside f-positivity")
-    return gap.value
+def _crossing(theta: float, n_min: int, n_max: int) -> tuple[int, Evaluation]:
+    """``find_crossing`` and the gap at the crossing (r = 0), from one
+    search that evaluates the gap at most once per degree."""
+    if n_min < 2 * KAPPA_MIN_LOWER ** 2 or n_max <= n_min:
+        raise DomainError(f"bad range [{n_min}, {n_max}]")
+    if _r_coefficient(n_min) < 0.0:
+        raise DomainError("r-coefficient sign guard failed; all-r reduction invalid")
+    gaps: dict[int, Evaluation] = {}
+
+    def gap(n: int) -> float:
+        if n not in gaps:
+            g = main_gap(n, 0, theta)
+            if g is None:
+                raise DomainError(f"f(kappa, theta) <= 0 at n={n}; range outside f-positivity")
+            gaps[n] = g
+        return gaps[n].value
+
+    g_max = gap(n_max)
+    if g_max <= 0.0:
+        raise NotFoundError(f"gap still nonpositive at n = {n_max}")
+    g_min = gap(n_min)
+    if g_min > 0.0:
+        crossing = n_min
+    else:
+        # secant weights at the bracket ends: the gaps there, except that
+        # an end which stays put for a second step in a row is halved
+        lo, hi, w_lo, w_hi = n_min, n_max, g_min, g_max
+        moved = 0
+        while hi - lo > 1:
+            x = lo + (hi - lo) * w_lo / (w_lo - w_hi)
+            m = min(max(round(x), lo + 1), hi - 1)
+            g = gap(m)
+            if g > 0.0:
+                hi, w_hi = m, g
+                if moved > 0:
+                    w_lo *= 0.5
+                moved = 1
+            else:
+                lo, w_lo = m, g
+                if moved < 0:
+                    w_hi *= 0.5
+                moved = -1
+        crossing = hi
+    for m in (crossing + 1, crossing + 10):
+        n = min(m, n_max)
+        if gap(n) <= 0.0:
+            raise NotFoundError(f"gap not positive at checkpoint n = {n}")
+    return crossing, gaps[crossing]
 
 
 def find_crossing(theta: float, n_min: int, n_max: int) -> int:
@@ -210,43 +253,22 @@ def find_crossing(theta: float, n_min: int, n_max: int) -> int:
     every signature.
 
     The all-r quantifier reduces to r = 0 because the r coefficient is
-    nonnegative for n >= 33 (asserted).  The gap has a single sign change
-    in n on any range this is used on, so the crossing is located by
-    bisection and then re-verified at the checkpoints
-    {n, n+1, n+10, n_max}.
+    nonnegative for n >= 33 (checked at n_min).  The gap is checked
+    positive at n_max first.  The crossing is then located by the Illinois
+    method (Dowell and Jarratt, BIT 11, 1971) on integers: regula falsi
+    inside a bracket [lo, hi] with gap(lo) <= 0 < gap(hi), halving the
+    secant weight of an end that stays put for two steps in a row.  The
+    search ends on a bracket of width one, which proves
+    gap(c - 1) <= 0 < gap(c) for the returned c (or c = n_min with
+    gap(n_min) > 0).  The gap is then checked positive at c + 1 and
+    c + 10 (capped at n_max).  Each degree is evaluated at most once, so a
+    crossing costs about nine gap evaluations.  The gap is assumed to
+    change sign once on the range; the checkpoints test that only at
+    {c, c + 1, c + 10, n_max}.
 
     Raises DomainError unless n_min >= 1152 (kappa >= 24, where f is
     defined) and n_max > n_min, or when theta is outside (0, 1/3) or f <= 0
     somewhere the gap is evaluated; NotFoundError when the gap never turns
-    positive in range.
+    positive in range or is not positive at a checkpoint.
     """
-    if n_min < 2 * KAPPA_MIN_LOWER ** 2 or n_max <= n_min:
-        raise DomainError(f"bad range [{n_min}, {n_max}]")
-    if _r_coefficient(n_min) < 0.0:
-        raise DomainError("r-coefficient sign guard failed; all-r reduction invalid")
-
-    if _gap_at(n_max, theta) <= 0.0:
-        raise NotFoundError(f"gap still nonpositive at n = {n_max}")
-    lo = n_min
-    if _gap_at(lo, theta) > 0.0:
-        crossing = lo
-    else:
-        hi = n_max
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _gap_at(mid, theta) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        crossing = hi
-
-    checkpoints = sorted({
-        crossing,
-        min(crossing + 1, n_max),
-        min(crossing + 10, n_max),
-        n_max,
-    })
-    for m in checkpoints:
-        if _gap_at(m, theta) <= 0.0:
-            raise NotFoundError(f"gap not positive at checkpoint n = {m}")
-    return crossing
+    return _crossing(theta, n_min, n_max)[0]

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .specfun import _U, BracketError, DomainError, Evaluation
 
@@ -46,11 +45,48 @@ _SQRT_PI = math.sqrt(math.pi)
 # from kappa = 24 up.  f_lower is the one place that checks it.
 KAPPA_MIN_LOWER = 24.0
 
-# Gauss-Legendre rule of the central integral, mapped from [-1, 1] to [0, 1]
-_GL_NODES = 32
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-_GL_T = 0.5 * (_GL_T + 1.0)
-_GL_W = 0.5 * _GL_W
+# The 32-node Gauss-Legendre rule of the central integral as (node, weight)
+# pairs, numpy's leggauss(32) mapped from [-1, 1] to [0, 1] by
+# t = (x + 1)/2, w/2 (a test checks every digit)
+_GL_RULE = (
+    (0.001368069075259215, 0.003509305004735253),
+    (0.007194244227365809, 0.008137197365452872),
+    (0.017618872206246805, 0.012696032654631012),
+    (0.03254696203113017, 0.017136931456510882),
+    (0.051839422116973954, 0.021417949011113418),
+    (0.07531619313371501, 0.025499029631188046),
+    (0.10275810201602881, 0.029342046739267783),
+    (0.13390894062985514, 0.03291111138818084),
+    (0.16847786653489238, 0.03617289705442417),
+    (0.20614212137961885, 0.039096947893535114),
+    (0.24655004553388532, 0.041655962113473353),
+    (0.28932436193468236, 0.04382604650220189),
+    (0.33406569885893617, 0.04558693934788189),
+    (0.38035631887393145, 0.046922199540402255),
+    (0.42776401920860174, 0.047819360039637354),
+    (0.4758461671561308, 0.04827004425736383),
+    (0.5241538328438692, 0.04827004425736383),
+    (0.5722359807913983, 0.047819360039637354),
+    (0.6196436811260685, 0.046922199540402255),
+    (0.6659343011410639, 0.04558693934788189),
+    (0.7106756380653176, 0.04382604650220189),
+    (0.7534499544661146, 0.041655962113473353),
+    (0.7938578786203812, 0.039096947893535114),
+    (0.8315221334651076, 0.03617289705442417),
+    (0.8660910593701449, 0.03291111138818084),
+    (0.8972418979839711, 0.029342046739267783),
+    (0.924683806866285, 0.025499029631188046),
+    (0.948160577883026, 0.021417949011113418),
+    (0.9674530379688698, 0.017136931456510882),
+    (0.9823811277937532, 0.012696032654631012),
+    (0.9928057557726342, 0.008137197365452872),
+    (0.9986319309247408, 0.003509305004735253),
+)
+_GL_NODES = len(_GL_RULE)
+# The same nodes in eight interleaved lanes of four, node i in lane i mod 8.
+# Summed along each lane and then pairwise across lanes, the terms add up
+# in numpy's pairwise order for 32 terms: np.sum gives the same bits.
+_GL_LANES = tuple(_GL_RULE[j::8] for j in range(8))
 # The integrand is at most e^{-2u^2}, so the range is cut at u = 5: the
 # half-range integral beyond is below e^{-50}/20.
 _CUT = 5.0
@@ -102,10 +138,12 @@ def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     stay positive.  Each constant is positive, decreasing in kappa and
     increasing in theta on the validity range.
     """
-    k = ctx.kappa
+    return _constants(ctx.kappa, ctx.theta)
+
+
+def _constants(k: float, t: float) -> RogersErrorConstants:
     if k <= 1.0:
         raise DomainError(f"error constants need kappa > 1, got {k}")
-    t = ctx.theta
     kt1 = k ** (t - 1.0)
     kt2 = k ** (2.0 * t - 2.0)
     kt3 = k ** (3.0 * t - 3.0)
@@ -135,6 +173,8 @@ def _majorant(c: RogersErrorConstants, u: float) -> float:
 def u_threshold(ctx: RogersContext) -> float:
     """The unique root U of C(u) = (kappa/2) u^2 in [0, kappa^theta].
 
+    Computes the error constants at ctx and solves the cubic they give;
+    ``f_lower`` solves the same cubic from the constants it already has.
     Uniqueness (and the bracketing sign change) holds for kappa >= 24; a
     BracketError signals kappa/theta outside that validity range.  The
     cubic c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
@@ -145,16 +185,15 @@ def u_threshold(ctx: RogersContext) -> float:
     cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
     k = ctx.kappa
-    hi = k ** ctx.theta
-    c = error_constants(ctx)
+    return _threshold(k, ctx.theta, k ** ctx.theta, _constants(k, ctx.theta))
 
-    def g(u: float) -> float:
-        return _majorant(c, u) - 0.5 * k * u * u
 
-    if g(0.0) <= 0.0 or g(hi) >= 0.0:
+def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> float:
+    # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
+    if c.c1 <= 0.0 or _majorant(c, hi) - 0.5 * k * hi * hi >= 0.0:
         raise BracketError(
             f"no sign change for the threshold root on [0, {hi}] "
-            f"(kappa={k}, theta={ctx.theta}; validity needs kappa >= 24)"
+            f"(kappa={k}, theta={theta}; validity needs kappa >= 24)"
         )
     # monic cubic u^3 + b u^2 + cc u + d, depressed by u = t - b/3
     b = -0.5 * k / c.c42
@@ -175,7 +214,7 @@ def central_integral(ctx: RogersContext) -> Evaluation:
 
     Twice the half-range integral by symmetry, as 32-node Gauss-Legendre on
     [0, h], h = min(kappa^theta, 5), with the integrand written
-    exp(-u^2 + n log1p(-u^2/(2 kappa^2))) so large n does not lose
+    exp(E), E = -u^2 + n log1p(-u^2/(2 kappa^2)), so large n does not lose
     accuracy.  The value lies in (0, sqrt(pi)).
 
     The error estimate is a bound on the truncation plus a count of the
@@ -187,21 +226,45 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     most (h/2) (64/15) M rho^{-2N}/(rho^2 - 1) (Trefethen, Approximation
     Theory and Approximation Practice, Thm 19.3).  rho = sqrt(8N)/h
     about minimises that, capped so the ellipse stays inside |u| < sqrt(n).
-    Roundings per node u_i, in units of the unit roundoff: the N - 1
-    additions and the weight, node and product (N + 4), 6|E| for the
-    exponent E, and 6 h u_i for the node's own error through dE/du ~ -4u.
+
+    The terms h w_i e^{E_i} are added in eight interleaved lanes of four
+    (node i in lane i mod 8) and the lanes joined pairwise, so each passes
+    through six additions.  Roundings of term i, in units of the unit
+    roundoff u: N - 1 for the additions (every term is positive; N - 1
+    bounds any order), one each for the weight, h w_i, exp, the product and
+    h itself (N + 4); 6|E_i| for the exponent, whose own roundings come to
+    about 3|E_i| since E ~ -2u^2; and 6 h u_i for the node u_i = h t_i,
+    whose two roundings move E through dE/du ~ -4u.  E <= 0 at every node,
+    so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2) with the running sums
+    S0 = sum of the terms, S1 = sum of term_i E_i and S2 = sum of
+    term_i t_i.
     """
     k = ctx.kappa
-    n = ctx.n
-    hi = k ** ctx.theta
+    return _central(k, ctx.n, k ** ctx.theta)
+
+
+def _central(k: float, n: float, hi: float) -> Evaluation:
     two_k2 = 2.0 * k * k
     if hi * hi >= two_k2:
         raise DomainError("integrand base not positive on the range")
     h = min(hi, _CUT)
-    u = h * _GL_T
-    exponent = -u * u + n * np.log1p(-u * u / two_k2)
-    terms = h * _GL_W * np.exp(exponent)
-    half = float(terms.sum())
+    neg_two_k2 = -two_k2
+    exp = math.exp
+    log1p = math.log1p
+    lanes = []
+    s1 = s2 = 0.0
+    for lane in _GL_LANES:
+        acc = 0.0
+        for t, w in lane:
+            u = h * t
+            u2 = u * u
+            e = n * log1p(u2 / neg_two_k2) - u2
+            term = h * w * exp(e)
+            acc += term
+            s1 += term * e
+            s2 += term * t
+        lanes.append(acc)
+    half = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
     rho = min(
         math.sqrt(8.0 * _GL_NODES) / h, math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
     )
@@ -209,8 +272,45 @@ def central_integral(ctx: RogersContext) -> Evaluation:
         (h / 2.0) * (64.0 / 15.0) * math.exp(h * h * (rho - 1.0 / rho) ** 2 / 8.0)
         * rho ** (-2.0 * _GL_NODES) / (rho * rho - 1.0)
     )
-    rounding = _U * float(terms @ (_GL_NODES + 4.0 + 6.0 * np.abs(exponent) + 6.0 * h * u))
+    rounding = _U * ((_GL_NODES + 4.0) * half - 6.0 * s1 + 6.0 * h * h * s2)
     return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), _GL_NODES)
+
+
+class _Chain(NamedTuple):
+    """f(kappa, theta) and every piece it is assembled from."""
+
+    constants: RogersErrorConstants
+    u_star: float       # U
+    c_star: float       # C(U)
+    c_edge: float       # C(kappa^theta)
+    central: Evaluation
+    edge: float         # 2 sqrt(pi) C(kappa^theta)/kappa
+    inner: float        # (4 U C(U)/kappa)(1 + 4 C(U)/kappa)
+    tail: float         # 2 exp(-kappa^theta)
+    f: Evaluation
+
+
+def _chain(ctx: RogersContext) -> _Chain:
+    """The lower-bound chain at ctx, each piece computed once: the
+    constants, the central integral, U, C at U and at kappa^theta, the
+    three subtracted terms and f (see ``f_lower``)."""
+    k = ctx.kappa
+    if k < KAPPA_MIN_LOWER:
+        raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
+    theta = ctx.theta
+    hi = k ** theta
+    c = _constants(k, theta)
+    central = _central(k, ctx.n, hi)
+    u_star = _threshold(k, theta, hi, c)
+    c_edge = _majorant(c, hi)
+    c_star = _majorant(c, u_star)
+    edge = 2.0 * _SQRT_PI * c_edge / k
+    inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
+    tail = 2.0 * math.exp(-hi)
+    value = central.value - edge - inner - tail
+    err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
+    f = Evaluation(value, err, central.terms_used)
+    return _Chain(c, u_star, c_star, c_edge, central, edge, inner, tail, f)
 
 
 def f_lower(ctx: RogersContext) -> Evaluation:
@@ -228,21 +328,7 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     the error constants and of the assembly; against a 30-digit oracle
     these stay below 4u times the same sum.
     """
-    k = ctx.kappa
-    if k < KAPPA_MIN_LOWER:
-        raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
-    hi = k ** ctx.theta
-    central = central_integral(ctx)
-    u_star = u_threshold(ctx)
-    c = error_constants(ctx)
-    c_edge = _majorant(c, hi)
-    c_star = _majorant(c, u_star)
-    edge = 2.0 * _SQRT_PI * c_edge / k
-    inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
-    tail = 2.0 * math.exp(-hi)
-    value = central.value - edge - inner - tail
-    err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
-    return Evaluation(value, err, central.terms_used)
+    return _chain(ctx).f
 
 
 def sigma_upper_log(n: float) -> float:
@@ -265,7 +351,11 @@ def sigma_lower_log(n: float, theta: float) -> Evaluation | None:
     defined when f(kappa, theta) > 0.  Requires n >= 1152 (kappa >= 24),
     which ``f_lower`` checks.
     """
-    f = f_lower(RogersContext(n, theta))
+    return _sigma_lower_log(n, f_lower(RogersContext(n, theta)))
+
+
+def _sigma_lower_log(n: float, f: Evaluation) -> Evaluation | None:
+    """``sigma_lower_log`` from f = f(kappa, theta) at dimension n."""
     if f.value <= 0.0:
         return None
     value = (

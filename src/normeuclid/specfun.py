@@ -181,8 +181,10 @@ def digamma(x: float) -> Evaluation:
     running sum and x + 1 (an error of u|x+1| there moves the result by at
     most (1 + 1/|x|) u), then the asymptotic part and the final addition.
     Below |x| ~ 3e-308 the value ~ -1/x or its estimate overflows, and
-    that is a PoleError too.
+    that is a PoleError too.  A NaN or infinite x raises DomainError.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"digamma needs a finite x, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"digamma pole at non-positive integer {x}")
     lift_err = 0.0

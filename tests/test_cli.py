@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from normeuclid import cli
+from normeuclid import cli, lenstra, rogers
 
 
 def _run(argv, capsys):
@@ -39,6 +39,29 @@ def test_rogers_small_n(capsys):
     code, out, _ = _run(["rogers", "--n", "100"], capsys)
     assert code == 0
     assert "not defined below kappa = 24" in out
+
+
+def test_rogers_report_matches_the_public_routes(capsys):
+    # one chain evaluation feeds every printed line of f and its pieces
+    code, out, _ = _run(["rogers", "--n", "62238"], capsys)
+    assert code == 0
+    ctx = rogers.RogersContext(62238.0, 0.1)
+    ci, f = rogers.central_integral(ctx), rogers.f_lower(ctx)
+    for line in (
+        f"C42     = {cli._fmt(rogers.error_constants(ctx).c42)}",
+        f"U       = {cli._fmt(rogers.u_threshold(ctx))}",
+        f"central integral = {cli._fmt(ci.value)} (err {ci.err_estimate:.3e})",
+        f"f(kappa, theta)  = {cli._fmt(f.value)} (err {f.err_estimate:.3e})",
+        f"log sigma_n lower bound = {cli._fmt(rogers.sigma_lower_log(62238, 0.1).value)}",
+    ):
+        assert line in out.splitlines()
+
+
+def test_lenstra_crossing_prints_the_gap_at_the_crossing(capsys):
+    code, out, _ = _run(["lenstra-crossing"], capsys)
+    assert code == 0
+    gap = lenstra.main_gap(62236, 0, 0.1).value
+    assert out == f"crossing = 62236\ngap at crossing (r=0) = {cli._fmt(gap)}\n"
 
 
 def test_lenstra_crossing(capsys):

@@ -1,11 +1,14 @@
 """Criterion thresholds, discriminant bounds, and the crossing search."""
 
 import math
+import random
 
 import pytest
 
+from normeuclid import lenstra
 from normeuclid.lenstra import (
     NotFoundError,
+    _crossing,
     criterion_check,
     delta1_star_log,
     delta2_star_log,
@@ -17,7 +20,7 @@ from normeuclid.lenstra import (
     uncond_lower_main,
 )
 from normeuclid.rogers import RogersContext, f_lower
-from normeuclid.specfun import CONSTANTS, DomainError
+from normeuclid.specfun import CONSTANTS, DomainError, Evaluation
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -254,3 +257,67 @@ def test_find_crossing_domain():
         find_crossing(0.5, 55000, 70000)
     with pytest.raises(DomainError):
         find_crossing(0.1, 100, 200)
+
+
+def _bisect_crossing(theta, n_min, n_max):
+    """The crossing by plain integer bisection on the r = 0 gap."""
+    def gap(n):
+        return main_gap(n, 0, theta).value
+
+    if gap(n_min) > 0.0:
+        return n_min
+    lo, hi = n_min, n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gap(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_find_crossing_matches_bisection():
+    rng = random.Random(11)
+    cases = [(rng.uniform(0.05, 0.15), 55000, 70000) for _ in range(50)]
+    for theta, n_min, n_max in cases + [(0.1, 65000, 70000)]:
+        assert find_crossing(theta, n_min, n_max) == _bisect_crossing(theta, n_min, n_max)
+
+
+def test_find_crossing_evaluates_each_degree_once(monkeypatch):
+    calls = []
+
+    def counted(n, r, theta):
+        calls.append(n)
+        return main_gap(n, r, theta)
+
+    monkeypatch.setattr(lenstra, "main_gap", counted)
+    rng = random.Random(12)
+    for theta in [0.1] + [rng.uniform(0.05, 0.15) for _ in range(20)]:
+        calls.clear()
+        c = find_crossing(theta, 55000, 70000)
+        assert len(calls) <= 10
+        assert len(set(calls)) == len(calls)
+        # the final bracket and every checkpoint were evaluated
+        assert {c - 1, c, c + 1, c + 10, 70000} <= set(calls)
+
+
+def test_crossing_returns_the_gap_at_the_crossing():
+    c, gap = _crossing(0.1, 55000, 70000)
+    assert c == find_crossing(0.1, 55000, 70000)
+    assert gap == main_gap(c, 0, 0.1)
+
+
+def test_find_crossing_checkpoint_catches_a_late_dip(monkeypatch):
+    # a gap that turns positive at 62000 but is <= 0 again at 62010: the
+    # search brackets 62000, and only the c + 10 checkpoint sees the dip
+    def linear(n, r, theta):
+        return Evaluation((n - 61999.5) * 1e-6, 0.0, 1)
+
+    def dipped(n, r, theta):
+        return Evaluation(-1.0, 0.0, 1) if n == 62010 else linear(n, r, theta)
+
+    monkeypatch.setattr(lenstra, "main_gap", linear)
+    assert find_crossing(0.1, 55000, 70000) == 62000
+    monkeypatch.setattr(lenstra, "main_gap", dipped)
+    with pytest.raises(NotFoundError, match="checkpoint n = 62010"):
+        find_crossing(0.1, 55000, 70000)

@@ -13,7 +13,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from normeuclid.rogers import (
+    _GL_RULE,
     RogersContext,
+    _chain,
+    _sigma_lower_log,
     c_poly,
     central_integral,
     error_constants,
@@ -336,6 +339,30 @@ def test_f_bounded_by_sqrt_pi():
 def test_f_domain():
     with pytest.raises(DomainError):
         f_lower(RogersContext.from_kappa(20.0, 0.1))
+
+
+# ------------------------------------------------------------ the chain
+
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(32)
+    want = [(float(t).hex(), float(v).hex()) for t, v in zip(0.5 * (x + 1.0), 0.5 * w)]
+    assert [(t.hex(), v.hex()) for t, v in _GL_RULE] == want
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+def test_chain_pieces_match_the_public_routes(kappa):
+    for theta in THETA_GRID:
+        ctx = RogersContext.from_kappa(kappa, theta)
+        chain = _chain(ctx)
+        assert chain.constants == error_constants(ctx)
+        assert chain.u_star == u_threshold(ctx)
+        assert chain.central == central_integral(ctx)
+        assert chain.f == f_lower(ctx)
+        assert chain.c_star == c_poly(ctx, chain.u_star)
+        assert chain.c_edge == c_poly(ctx, ctx.kappa ** theta)
+        pieces = chain.central.value - chain.edge - chain.inner - chain.tail
+        assert chain.f.value == pieces
+        assert _sigma_lower_log(ctx.n, chain.f) == sigma_lower_log(ctx.n, theta)
 
 
 # --------------------------------------------------------- sigma bounds

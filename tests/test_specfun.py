@@ -120,6 +120,12 @@ def test_digamma_poles():
             digamma(x)
 
 
+def test_digamma_non_finite_argument_is_a_domain_error():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            digamma(x)
+
+
 def test_digamma_next_to_the_pole_at_zero():
     # psi(x) ~ -1/x: below |x| ~ 3e-308 the value or its estimate overflows
     for x in (5e-324, 1e-310, -1e-310, 1e-308):
