@@ -241,6 +241,8 @@ def test_find_crossing_window():
     assert 62138 <= crossing <= 62338
     # smallest such n: the gap flips sign exactly there
     assert main_gap(crossing - 1, 0, 0.1).value <= 0.0 < main_gap(crossing, 0, 0.1).value
+    # the private form also hands back the gap it found there
+    assert _crossing(0.1, 55000, 70000) == (crossing, main_gap(crossing, 0, 0.1))
 
 
 def test_find_crossing_returns_nmin_when_already_positive():
@@ -299,12 +301,6 @@ def test_find_crossing_evaluates_each_degree_once(monkeypatch):
         assert len(set(calls)) == len(calls)
         # the final bracket and every checkpoint were evaluated
         assert {c - 1, c, c + 1, c + 10, 70000} <= set(calls)
-
-
-def test_crossing_returns_the_gap_at_the_crossing():
-    c, gap = _crossing(0.1, 55000, 70000)
-    assert c == find_crossing(0.1, 55000, 70000)
-    assert gap == main_gap(c, 0, 0.1)
 
 
 def test_find_crossing_checkpoint_catches_a_late_dip(monkeypatch):
