@@ -12,74 +12,29 @@ Subpackages by theme:
              scans
 * zimmert    digamma series bounds and the minimal-ideal-norm inequalities
 * cli        command-line front end (``normeuclid ...``)
+
+Nothing is imported up front: ``normeuclid.<module>`` and
+``normeuclid.<name>``, for any name in a module's ``__all__``, load on
+first use, so ``from normeuclid import lenstra`` loads only lenstra and
+what it imports.
 """
 
-from .specfun import (
-    BracketError,
-    CONSTANTS,
-    Constants,
-    ConvergenceError,
-    DomainError,
-    Evaluation,
-    PoleError,
-    digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
-    log_gamma,
-    riemann_zeta,
-)
-from .rogers import (
-    RogersContext,
-    RogersErrorConstants,
-    c_poly,
-    central_integral,
-    error_constants,
-    f_lower,
-    leech_gap,
-    sigma_lower_log,
-    sigma_upper_log,
-    u_threshold,
-)
-from .lenstra import (
-    CriterionVerdict,
-    NotFoundError,
-    criterion_check,
-    delta1_star_log,
-    delta2_star_log,
-    find_crossing,
-    lenstra_disc_cap,
-    main_gap,
-    poitou_grh_lower,
-    remark_condition,
-    uncond_lower_main,
-)
-from .cyclozeta import (
-    ComplexEvaluation,
-    DirichletCharacter,
-    ScanRow,
-    UnitGroupStructure,
-    char_rotation,
-    char_value,
-    characters,
-    conjugate_character,
-    cyclo_disc_log,
-    cyclo_signature,
-    dirichlet_l,
-    euler_phi,
-    min_proper_ideal_norm,
-    scan,
-    scan_row,
-    threshold_check,
-    unit_group,
-    zeta_cyclotomic,
-    zeta_cyclotomic_logderiv,
-)
-from .zimmert import (
-    ZimmertTerms,
-    f_terms,
-    min_norm_check,
-    satz4_check,
-    zeta_lenstra_threshold,
-)
+from importlib import import_module as _import
 
 __version__ = "0.1.0"
+
+# in dependency order, so a name resolves after loading only what it needs
+_MODULES = ("specfun", "rogers", "lenstra", "cyclozeta", "zimmert", "cli")
+
+
+def __getattr__(name: str):
+    # submodules first: ``from normeuclid import x`` asks for x here before
+    # it would import the submodule itself; dunders are protocol probes
+    if name in _MODULES:
+        return _import(f"{__name__}.{name}")
+    if not name.startswith("__"):
+        for module in _MODULES:
+            mod = _import(f"{__name__}.{module}")
+            if name in mod.__all__:
+                return getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -58,18 +58,20 @@ def _theta(text: str) -> float:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_rogers(args: argparse.Namespace) -> int:
+    # everything that can fail is computed before the first line is printed
     ctx = rogers.RogersContext(float(args.n), args.theta)
     chain = rogers._chain(ctx) if ctx.kappa >= rogers.KAPPA_MIN_LOWER else None
+    c = chain.constants if chain is not None else rogers.error_constants(ctx)
+    upper = rogers.sigma_upper_log(args.n)
     print(f"n       = {args.n}")
     print(f"kappa   = {_fmt(ctx.kappa)}")
     print(f"theta   = {_fmt(args.theta)}")
-    c = chain.constants if chain is not None else rogers.error_constants(ctx)
     print(f"C1      = {_fmt(c.c1)}")
     print(f"C2      = {_fmt(c.c2)}")
     print(f"C3      = {_fmt(c.c3)}")
     print(f"C41     = {_fmt(c.c41)}")
     print(f"C42     = {_fmt(c.c42)}")
-    print(f"log sigma_n upper bound = {_fmt(rogers.sigma_upper_log(args.n))}")
+    print(f"log sigma_n upper bound = {_fmt(upper)}")
     if chain is not None:
         ci, f = chain.central, chain.f
         print(f"U       = {_fmt(chain.u_star)}")

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .specfun import (
 __all__ = [
     "UnitGroupStructure",
     "DirichletCharacter",
-    "ComplexEvaluation",
     "ScanRow",
     "euler_phi",
     "unit_group",
@@ -72,7 +71,6 @@ __all__ = [
     "min_proper_ideal_norm",
     "scan",
     "scan_row",
-    "threshold_check",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -222,13 +220,13 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
 
 # ------------------------------------------------------------- characters
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple):
     """A character of (Z/mZ)* as an exponent vector over the generators.
 
     The value at a residue a with dlog vector v is the rotation
     sum_i exponents[i] * v[i] / order_i (mod 1); ``conductor`` is the
-    smallest d | m through which the character factors.
+    smallest d | m through which the character factors.  A named tuple,
+    because ``characters`` builds phi(m) of them per modulus.
     """
 
     modulus: int
@@ -323,24 +321,14 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
 
 # ------------------------------------------------------------ L-functions
 
-@dataclass(frozen=True)
-class ComplexEvaluation:
-    """Like Evaluation, but the value may be genuinely complex
-    (non-real characters have complex L-values)."""
-
-    value: complex
-    err_estimate: float
-    terms_used: int
-
-
-def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> ComplexEvaluation:
+def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Evaluation:
     """L(s, chi) for s > 1 via the Hurwitz-zeta identity
     L(s, chi) = d^{-s} sum_{a mod d} chi(a) zeta(s, a/d): one array-kernel
     call over a = 1/d, ..., d/d and a dot product with the character table.
 
     With primitive=True (the default) the L-value of the inducing
     primitive character is returned (d the conductor); this is the factor
-    that enters the cyclotomic zeta product.
+    that enters the cyclotomic zeta product.  The value is complex.
     """
     if s <= 1.0:
         raise DomainError(f"dirichlet_l requires s > 1, got {s}")
@@ -349,7 +337,7 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Co
     # entry a of the table meets zeta(s, (a or d)/d)
     vals, errs, terms = hurwitz_zeta_array(s, np.roll(np.arange(1, d + 1), 1) / d)
     scale = d ** (-s)
-    return ComplexEvaluation(
+    return Evaluation(
         complex(scale * (table @ vals)), scale * float(errs[table != 0].sum()), d * terms
     )
 
@@ -445,6 +433,15 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     return Evaluation(value, err, int(mask.sum()) + len(_factorize(m)))
 
 
+def _check_point(m: int, s: float) -> None:
+    if m < 1:
+        raise DomainError(f"need m >= 1, got {m}")
+    if not math.isfinite(s):
+        raise DomainError(f"need a finite s, got {s}")
+    if s <= 1.0:
+        raise DomainError(f"need s > 1, got {s}")
+
+
 def zeta_cyclotomic(
     m: int,
     s: float,
@@ -461,10 +458,7 @@ def zeta_cyclotomic(
     omitted-tail bound, which is large for s near 1, and ``terms_used``
     counts the primes multiplied in.  Both deliver a real value > 1.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if s <= 1.0:
-        raise DomainError(f"need s > 1, got {s}")
+    _check_point(m, s)
     if method == "hurwitz":
         return _zeta_hurwitz(m, s)
     if method == "euler":
@@ -480,10 +474,7 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     value is sum F'/F - phi(m) ln m plus the ramified Euler factors'
     log-derivative.  ``terms_used`` is the number of Hurwitz-zeta
     evaluations, 2 phi(m)."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if s <= 1.0:
-        raise DomainError(f"need s > 1, got {s}")
+    _check_point(m, s)
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
@@ -590,8 +581,3 @@ def scan(m_max: int, epsilon: float) -> list[ScanRow]:
     if m_max < 1:
         raise DomainError(f"need m_max >= 1, got {m_max}")
     return [scan_row(m, epsilon) for m in range(1, m_max + 1)]
-
-
-def threshold_check(row: ScanRow, bound: float) -> bool:
-    """Whether the scan point clears the lower-bound threshold."""
-    return row.zeta_value >= bound

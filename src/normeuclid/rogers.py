@@ -30,7 +30,6 @@ __all__ = [
     "RogersContext",
     "RogersErrorConstants",
     "error_constants",
-    "c_poly",
     "u_threshold",
     "central_integral",
     "f_lower",
@@ -138,10 +137,7 @@ def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     stay positive.  Each constant is positive, decreasing in kappa and
     increasing in theta on the validity range.
     """
-    return _constants(ctx.kappa, ctx.theta)
-
-
-def _constants(k: float, t: float) -> RogersErrorConstants:
+    k, t = ctx.kappa, ctx.theta
     if k <= 1.0:
         raise DomainError(f"error constants need kappa > 1, got {k}")
     kt1 = k ** (t - 1.0)
@@ -160,12 +156,8 @@ def _constants(k: float, t: float) -> RogersErrorConstants:
     return RogersErrorConstants(c1, c2, c3, c41, c42)
 
 
-def c_poly(ctx: RogersContext, u: float) -> float:
-    """The cubic error majorant C(u) = C1 + C41 |u| + C42 |u|^3 (even in u)."""
-    return _majorant(error_constants(ctx), u)
-
-
 def _majorant(c: RogersErrorConstants, u: float) -> float:
+    """The cubic error majorant C(u) = C1 + C41 |u| + C42 |u|^3 (even in u)."""
     au = abs(u)
     return c.c1 + c.c41 * au + c.c42 * au ** 3
 
@@ -185,7 +177,7 @@ def u_threshold(ctx: RogersContext) -> float:
     cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
     k = ctx.kappa
-    return _threshold(k, ctx.theta, k ** ctx.theta, _constants(k, ctx.theta))
+    return _threshold(k, ctx.theta, k ** ctx.theta, error_constants(ctx))
 
 
 def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> float:
@@ -299,7 +291,7 @@ def _chain(ctx: RogersContext) -> _Chain:
         raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
     theta = ctx.theta
     hi = k ** theta
-    c = _constants(k, theta)
+    c = error_constants(ctx)
     central = _central(k, ctx.n, hi)
     u_star = _threshold(k, theta, hi, c)
     c_edge = _majorant(c, hi)

@@ -18,6 +18,7 @@ forms in ``rogers``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ __all__ = [
     "CONSTANTS",
     "EULER_GAMMA",
     "ZETA3",
-    "log_gamma",
     "digamma",
     "riemann_zeta",
     "hurwitz_zeta",
@@ -67,16 +67,17 @@ class ConvergenceError(RuntimeError):
 class Evaluation:
     """A numeric result with an absolute error estimate.
 
+    ``value`` is real except for L-values of non-real characters.
     ``err_estimate`` is an a-posteriori estimate, not a certified bound,
     except where the producing routine documents otherwise.
     """
 
-    value: float
+    value: float | complex
     err_estimate: float
     terms_used: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+        if not cmath.isfinite(self.value):
             raise ValueError(f"non-finite value {self.value!r}")
         if not (math.isfinite(self.err_estimate) and self.err_estimate >= 0.0):
             raise ValueError(f"bad error estimate {self.err_estimate!r}")
@@ -127,20 +128,6 @@ _BERNOULLI_OVER_FACTORIAL = np.array(
 
 _EM_DIRECT_MIN = 20      # minimum direct terms in Euler-Maclaurin sums
 _EM_BERNOULLI_PAIRS = 10
-
-
-# ------------------------------------------------------------ log-gamma
-
-def log_gamma(x: float) -> Evaluation:
-    """ln Gamma(x) for x > 0.
-
-    Backed by the C library lgamma (a couple of ulps); the error estimate
-    reflects that.  Relative error stays below 1e-12 through x = 1e7.
-    """
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    v = math.lgamma(x)
-    return Evaluation(v, 2e-15 * max(1.0, abs(v)), 1)
 
 
 # -------------------------------------------------------------- digamma
@@ -219,6 +206,8 @@ def _em_block(name: str, s: float, a):
     bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1} and the sums
     harm[i-1] of 1/(s+t) over the same factors; those of d/ds are
     bern[i-1] (harm[i-1] - ln x)."""
+    if not math.isfinite(s):
+        raise DomainError(f"{name} needs a finite s, got {s}")
     if s <= 1.0:
         raise PoleError(f"{name} requires s > 1, got {s}")
     a = np.asarray(a, dtype=np.float64)

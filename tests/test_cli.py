@@ -175,6 +175,23 @@ def test_domain_error_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("method", ["hurwitz", "euler"])
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_nonfinite_s_exits_one_silently(s, method, capsys):
+    code, out, err = _run(["cyclo-zeta", "--m", "7", "--s", s, "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite s" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_rogers_without_error_constants_exits_one_silently(n, capsys):
+    code, out, err = _run(["rogers", "--n", n], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: error constants need kappa > 1" in err
+
+
 def test_lenstra_check_odd_complex_count_exits_one(capsys):
     code, out, err = _run(
         ["lenstra-check", "--n", "3", "--r", "2", "--log-disc", "1", "--log-m", "1"], capsys

@@ -34,12 +34,11 @@ from normeuclid.cyclozeta import (
     min_proper_ideal_norm,
     scan,
     scan_row,
-    threshold_check,
     unit_group,
     zeta_cyclotomic,
     zeta_cyclotomic_logderiv,
 )
-from normeuclid.specfun import DomainError, hurwitz_zeta_array, riemann_zeta
+from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta_array, riemann_zeta
 
 CATALAN = 0.91596559417721901505460351493238411
 
@@ -284,6 +283,7 @@ def test_l_near_one_finite_and_matches_series():
     quarter_turns = [char_rotation(chi, a) * 4 for a in range(1, 5)]
     assert quarter_turns == [0, 1, 3, 2]
     lv = dirichlet_l(s, chi)
+    assert isinstance(lv, Evaluation)
     got = lv.value
     assert math.isfinite(got.real) and math.isfinite(got.imag)
     with mpmath.workdps(30):
@@ -296,8 +296,10 @@ def test_l_near_one_finite_and_matches_series():
 
 
 def test_l_domain():
-    with pytest.raises(DomainError):
-        dirichlet_l(1.0, characters(4)[1])
+    chi = characters(4)[1]
+    for s in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dirichlet_l(s, chi)
 
 
 # ------------------------------------------------------------ zeta values
@@ -351,6 +353,26 @@ def test_zeta_domain():
         zeta_cyclotomic(4, 2.0, method="mystery")
     with pytest.raises(DomainError):
         zeta_cyclotomic(0, 2.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        zeta_cyclotomic,
+        lambda m, s: zeta_cyclotomic(m, s, "euler"),
+        zeta_cyclotomic_logderiv,
+    ],
+    ids=["hurwitz", "euler", "logderiv"],
+)
+def test_zeta_nonfinite_s(fn, s):
+    # NaN passes the s <= 1 test, and inf made the Euler route return 1
+    with pytest.raises(DomainError, match="finite s"):
+        fn(7, s)
+
+
+def test_characters_are_distinct_hashable_values():
+    assert len(set(characters(15))) == 8
 
 
 def test_assert_real_raises_arithmetic_error():
@@ -584,7 +606,7 @@ def test_scan_row_m1():
         row = scan_row(1, eps)
         assert row.s == 2.0
         assert row.zeta_value == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
-        assert threshold_check(row, 1.44)
+        assert row.zeta_value >= 1.44
 
 
 def test_scan_m3_value():

@@ -16,8 +16,8 @@ from normeuclid.rogers import (
     _GL_RULE,
     RogersContext,
     _chain,
+    _majorant,
     _sigma_lower_log,
-    c_poly,
     central_integral,
     error_constants,
     f_lower,
@@ -117,18 +117,17 @@ def test_error_constants_domain():
         error_constants(RogersContext.from_kappa(1.0, 0.1))
 
 
-# ----------------------------------------------------------------- c_poly
+# ------------------------------------------------- the cubic majorant C(u)
 
 def test_c_poly_at_zero_and_even():
-    ctx = RogersContext.from_kappa(176.4, 0.1)
-    c = error_constants(ctx)
-    assert c_poly(ctx, 0.0) == c.c1
+    c = error_constants(RogersContext.from_kappa(176.4, 0.1))
+    assert _majorant(c, 0.0) == c.c1
     for u in (0.3, 1.0, 1.6775):
-        assert c_poly(ctx, u) == c_poly(ctx, -u)
+        assert _majorant(c, u) == _majorant(c, -u)
     c1, _, _, c41, c42 = _constants_oracle(176.4, 0.1)
     u = 1.6775
-    assert c_poly(ctx, u) == pytest.approx(c1 + c41 * u + c42 * u ** 3, rel=1e-14)
-    assert c_poly(ctx, u) == pytest.approx(18.5, abs=0.1)
+    assert _majorant(c, u) == pytest.approx(c1 + c41 * u + c42 * u ** 3, rel=1e-14)
+    assert _majorant(c, u) == pytest.approx(18.5, abs=0.1)
 
 
 # ------------------------------------------------------------ u_threshold
@@ -151,7 +150,7 @@ def test_u_threshold_grid_bounds(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     u = u_threshold(ctx)
     assert 0.0 < u <= min(0.19, kappa ** theta)
-    residual = c_poly(ctx, u) - 0.5 * kappa * u * u
+    residual = _majorant(error_constants(ctx), u) - 0.5 * kappa * u * u
     assert abs(residual) <= 1e-10
 
 
@@ -295,8 +294,9 @@ def _f_oracle(kappa, theta):
     hi = kappa ** theta
     central = _simpson_central(kappa, theta, ctx.n)
     u = u_threshold(ctx)
-    c_edge = c_poly(ctx, hi)
-    c_star = c_poly(ctx, u)
+    c = error_constants(ctx)
+    c_edge = _majorant(c, hi)
+    c_star = _majorant(c, u)
     return (
         central
         - 2.0 * SQRT_PI * c_edge / kappa
@@ -358,8 +358,8 @@ def test_chain_pieces_match_the_public_routes(kappa):
         assert chain.u_star == u_threshold(ctx)
         assert chain.central == central_integral(ctx)
         assert chain.f == f_lower(ctx)
-        assert chain.c_star == c_poly(ctx, chain.u_star)
-        assert chain.c_edge == c_poly(ctx, ctx.kappa ** theta)
+        assert chain.c_star == _majorant(chain.constants, chain.u_star)
+        assert chain.c_edge == _majorant(chain.constants, ctx.kappa ** theta)
         pieces = chain.central.value - chain.edge - chain.inner - chain.tail
         assert chain.f.value == pieces
         assert _sigma_lower_log(ctx.n, chain.f) == sigma_lower_log(ctx.n, theta)

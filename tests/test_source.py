@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import normeuclid
 
 SOURCE = Path(normeuclid.__file__).parent
@@ -25,28 +27,45 @@ def test_no_assert_statements_in_package():
 
 
 def test_public_surface_is_consistent():
-    # every name a module exports resolves, and every name the package
-    # re-exports from a module is one that module exports
-    init = ast.parse((SOURCE / "__init__.py").read_text())
-    reexports = [
-        (node.module, alias.name)
-        for node in init.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert reexports
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.stem == "__init__":
-            continue
-        module = importlib.import_module(f"normeuclid.{path.stem}")
+    # every name a module exports resolves, no name is exported twice, and
+    # the package resolves every module and every exported name to the
+    # same object (it keeps no list of names of its own)
+    modules = [path.stem for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"]
+    assert len(modules) >= 6
+    owners = {}
+    for short in modules:
+        module = importlib.import_module(f"normeuclid.{short}")
+        # the import binds the attribute, so ask the package's hook itself
+        assert normeuclid.__getattr__(short) is module
         missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert missing == [], f"{path.stem}.__all__ names {missing}"
-    unlisted = [
-        f"{mod}.{name}"
-        for mod, name in reexports
-        if name not in importlib.import_module(f"normeuclid.{mod}").__all__
-    ]
-    assert unlisted == []
+        assert missing == [], f"{short}.__all__ names {missing}"
+        for name in module.__all__:
+            assert owners.setdefault(name, short) == short, f"{name} in two __all__ lists"
+            assert getattr(normeuclid, name) is getattr(module, name), name
+    assert not hasattr(normeuclid, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import normeuclid", []),
+        ("import normeuclid.lenstra", ["lenstra", "rogers", "specfun"]),
+        ("from normeuclid import rogers", ["rogers", "specfun"]),
+    ],
+)
+def test_package_loads_only_what_is_asked_for(code, loaded):
+    # the package init imports no module, and a module brings only its own
+    # imports: neither of these loads cyclozeta or zimmert
+    code += (
+        "\nimport sys\n"
+        "print(sorted(m.removeprefix('normeuclid.') for m in sys.modules"
+        " if m.startswith('normeuclid.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str(loaded)
 
 
 def test_runtime_path_loads_no_scipy():

@@ -20,7 +20,6 @@ from normeuclid.specfun import (
     hurwitz_zeta_array,
     hurwitz_zeta_ds,
     hurwitz_zeta_ds_array,
-    log_gamma,
     riemann_zeta,
 )
 
@@ -36,6 +35,11 @@ def test_evaluation_rejects_nonfinite():
         Evaluation(1.0, -1e-9, 1)
     with pytest.raises(ValueError):
         Evaluation(math.inf, 0.0, 1)
+    # a complex value (an L-value of a non-real character) is checked too
+    assert Evaluation(1.0 - 2.0j, 0.0, 1).value == 1.0 - 2.0j
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            Evaluation(bad, 0.0, 1)
 
 
 def test_constants():
@@ -52,33 +56,6 @@ def test_constants():
     terms = (-1.0) ** k * (2 * k + 1) ** -3.0
     bet = float(np.sum(terms)) - 0.5 * float(terms[-1])
     assert abs(CONSTANTS.beta3 - bet) <= 1e-12
-
-
-# ------------------------------------------------------------- log-gamma
-
-def test_log_gamma_anchor_values():
-    assert log_gamma(1.0).value == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5).value == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
-
-
-def test_log_gamma_against_compensated_factorial():
-    oracle = math.fsum(math.log(k) for k in range(1, 31120))
-    got = log_gamma(31120.0).value
-    assert abs(got - oracle) <= 1e-12 * abs(oracle)
-
-
-@pytest.mark.parametrize("x", [0.5, 10.0, 1e4])
-def test_log_gamma_recurrence(x):
-    lhs = log_gamma(x + 1.0).value - log_gamma(x).value - math.log(x)
-    scale = max(1.0, abs(log_gamma(x + 1.0).value))
-    assert abs(lhs) <= 1e-12 * scale
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
 
 
 # --------------------------------------------------------------- digamma
@@ -183,6 +160,16 @@ def test_zeta_pole():
         riemann_zeta(1.0)
     with pytest.raises(PoleError):
         hurwitz_zeta(0.5, 0.3)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fn", [hurwitz_zeta, hurwitz_zeta_ds, hurwitz_zeta_array, hurwitz_zeta_ds_array]
+)
+def test_nonfinite_s_is_a_domain_error_not_a_pole(fn, s):
+    with pytest.raises(DomainError, match="finite s") as exc:
+        fn(s, 0.5 if fn in (hurwitz_zeta, hurwitz_zeta_ds) else np.array([0.5]))
+    assert not isinstance(exc.value, PoleError)
 
 
 def test_hurwitz_identities():
