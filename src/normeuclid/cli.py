@@ -7,7 +7,8 @@ pass.  Floating-point output is rendered with 15 significant digits, CSV
 payloads with full round-trip precision, so identical flags give
 byte-identical output.
 
-Exit codes: 0 success, 1 domain/convergence error, 2 usage error.
+Exit codes: 0 success, 1 domain/convergence error or an output file that
+cannot be written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _cmd_rogers(args: argparse.Namespace) -> int:
         print(f"U       = {_fmt(chain.u_star)}")
         print(f"central integral = {_fmt(ci.value)} (err {ci.err_estimate:.3e})")
         print(f"f(kappa, theta)  = {_fmt(f.value)} (err {f.err_estimate:.3e})")
-        low = rogers._sigma_lower_log(args.n, f)
+        low = rogers.sigma_lower_log(args.n, f)
         if low is not None:
             print(f"log sigma_n lower bound = {_fmt(low.value)}")
         else:
@@ -113,27 +114,26 @@ def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
     return 0
 
 
+# the scan's columns, each as (name, ScanRow field)
+_SCAN_COLUMNS = (
+    ("m", "m"),
+    ("phi", "phi_m"),
+    ("epsilon", "epsilon"),
+    ("s", "s"),
+    ("zeta_value", "zeta_value"),
+    ("err_estimate", "err_estimate"),
+)
+
+
 def _rows_csv(rows: list[cyclozeta.ScanRow]) -> str:
-    lines = ["m,phi,epsilon,s,zeta_value,err_estimate"]
+    lines = [",".join(name for name, _ in _SCAN_COLUMNS)]
     for r in rows:
-        lines.append(
-            f"{r.m},{r.phi_m},{r.epsilon!r},{r.s!r},{r.zeta_value!r},{r.err_estimate!r}"
-        )
+        lines.append(",".join(repr(getattr(r, field)) for _, field in _SCAN_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def _rows_json(rows: list[cyclozeta.ScanRow]) -> str:
-    payload = [
-        {
-            "m": r.m,
-            "phi": r.phi_m,
-            "epsilon": r.epsilon,
-            "s": r.s,
-            "zeta_value": r.zeta_value,
-            "err_estimate": r.err_estimate,
-        }
-        for r in rows
-    ]
+    payload = [{name: getattr(r, field) for name, field in _SCAN_COLUMNS} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -524,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError) as exc:
+    except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

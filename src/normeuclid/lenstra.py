@@ -15,10 +15,10 @@ first degree where the gap turns positive for every signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .specfun import CONSTANTS, DomainError, Evaluation
-from .rogers import KAPPA_MIN_LOWER, RogersContext, f_lower, sigma_upper_log
+from .specfun import _U, CONSTANTS, DomainError, Evaluation
+from .rogers import KAPPA_MIN_LOWER, RogersContext, f_lower
 
 __all__ = [
     "CriterionVerdict",
@@ -37,6 +37,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _GAMMA = CONSTANTS.euler_gamma
 _LOG_4_PI_E = math.log(4.0 * math.pi) + 1.0
+_HALF_1_MINUS_LN_PI = 0.5 * (1.0 - math.log(math.pi))
 
 
 class NotFoundError(RuntimeError):
@@ -45,8 +46,7 @@ class NotFoundError(RuntimeError):
 
 # ------------------------------------------------------------------ types
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """Outcome of both criterion forms for one field.
 
     ``max_log_disc_delta2`` is the largest ln|Delta| that would still
@@ -68,15 +68,23 @@ def delta1_star_log(n: int, s: int) -> float:
 
 
 def delta2_star_log(n: int) -> Evaluation:
-    """ln delta*_2(n) = ln sigma-bound + (n/2) ln(4/(pi n)) + ln Gamma(1+n/2)
-    with the closed-form sigma_n upper bound, the sound direction for
-    certifying norm-Euclideanity; the Gamma factors cancel down to
-    (n/2)(1 - ln pi) - n ln n + ln (n+1)!.
+    """ln delta*_2(n) = (n/2)(1 - ln pi) - n ln n + ln (n+1)!.
+
+    This is ln sigma-bound + (n/2) ln(4/(pi n)) + ln Gamma(1+n/2) with the
+    closed-form sigma_n upper bound (e/4n)^{n/2} (n+1)!/Gamma(1+n/2), the
+    sound direction for certifying norm-Euclideanity, after the Gamma
+    factors cancel.  With t1 = (n/2)(1 - ln pi), t2 = n ln n and
+    t3 = ln Gamma(n+2), the error estimate counts the roundings as
+    u (3|t1| + 2|t2| + 4|t3| + 2|value|), u = 2^-53.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    shift = 0.5 * n * math.log(4.0 / (math.pi * n)) + math.lgamma(1.0 + 0.5 * n)
-    return Evaluation(sigma_upper_log(n) + shift, 4e-16 * (1.0 + abs(shift)), 1)
+    t1 = n * _HALF_1_MINUS_LN_PI
+    t2 = n * math.log(n)
+    t3 = math.lgamma(n + 2.0)
+    value = t1 - t2 + t3
+    err = _U * (3.0 * abs(t1) + 2.0 * abs(t2) + 4.0 * abs(t3) + 2.0 * abs(value))
+    return Evaluation(value, err, 1)
 
 
 def criterion_check(n: int, r: int, log_disc: float, log_m: float) -> CriterionVerdict:
@@ -176,7 +184,9 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
 
     the last three terms being the finite-n remainders of the criterion
     chain.  A positive gap means the ball-packing criterion is incompatible
-    with the GRH discriminant bound at (n, r).
+    with the GRH discriminant bound at (n, r).  The error estimate carries
+    f's error through 2 ln f/n and counts the roundings as 8u times the sum
+    of the five terms' magnitudes (u = 2^-53).
 
     ``poitou_grh_lower`` checks n and r, and ``f_lower`` checks theta and
     kappa = sqrt(n/2) >= 24 (n >= 1152); each raises DomainError.  Returns
@@ -187,14 +197,12 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
     f = f_lower(RogersContext(float(n), theta))
     if f.value <= 0.0:
         return None
-    gap = (
-        poitou
-        - _LOG_4_PI_E
-        + 3.0 * math.log(n) / n
-        - (2.0 - _LN2 - 2.0 * math.log(f.value)) / n
-        + 2.0 / (n * (12.0 * n + 1.0))
-    )
-    err = 2.0 * f.err_estimate / (f.value * n) + 1e-15
+    log_term = 3.0 * math.log(n) / n
+    f_term = (2.0 - _LN2 - 2.0 * math.log(f.value)) / n
+    stirling = 2.0 / (n * (12.0 * n + 1.0))
+    gap = poitou - _LOG_4_PI_E + log_term - f_term + stirling
+    rounding = 8.0 * _U * (abs(poitou) + _LOG_4_PI_E + log_term + abs(f_term) + stirling)
+    err = 2.0 * f.err_estimate / (f.value * n) + rounding
     return Evaluation(gap, err, f.terms_used)
 
 

@@ -82,10 +82,6 @@ _GL_RULE = (
     (0.9986319309247408, 0.003509305004735253),
 )
 _GL_NODES = len(_GL_RULE)
-# The same nodes in eight interleaved lanes of four, node i in lane i mod 8.
-# Summed along each lane and then pairwise across lanes, the terms add up
-# in numpy's pairwise order for 32 terms: np.sum gives the same bits.
-_GL_LANES = tuple(_GL_RULE[j::8] for j in range(8))
 # The integrand is at most e^{-2u^2}, so the range is cut at u = 5: the
 # half-range integral beyond is below e^{-50}/20.
 _CUT = 5.0
@@ -119,8 +115,7 @@ class RogersContext:
         return cls(2.0 * kappa * kappa, theta)
 
 
-@dataclass(frozen=True)
-class RogersErrorConstants:
+class RogersErrorConstants(NamedTuple):
     """The five error constants of the central-integral lower bound."""
 
     c1: float
@@ -219,23 +214,18 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     Theory and Approximation Practice, Thm 19.3).  rho = sqrt(8N)/h
     about minimises that, capped so the ellipse stays inside |u| < sqrt(n).
 
-    The terms h w_i e^{E_i} are added in eight interleaved lanes of four
-    (node i in lane i mod 8) and the lanes joined pairwise, so each passes
-    through six additions.  Roundings of term i, in units of the unit
-    roundoff u: N - 1 for the additions (every term is positive; N - 1
-    bounds any order), one each for the weight, h w_i, exp, the product and
-    h itself (N + 4); 6|E_i| for the exponent, whose own roundings come to
-    about 3|E_i| since E ~ -2u^2; and 6 h u_i for the node u_i = h t_i,
-    whose two roundings move E through dE/du ~ -4u.  E <= 0 at every node,
-    so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2) with the running sums
-    S0 = sum of the terms, S1 = sum of term_i E_i and S2 = sum of
-    term_i t_i.
+    The terms h w_i e^{E_i} are added in node order.  Roundings of term i,
+    in units of the unit roundoff u: N - 1 for the additions (every term is
+    positive, so N - 1 bounds any order), one each for the weight, h w_i,
+    exp, the product and h itself (N + 4); 6|E_i| for the exponent, whose
+    own roundings come to about 3|E_i| since E ~ -2u^2; and 6 h u_i for the
+    node u_i = h t_i, whose two roundings move E through dE/du ~ -4u.
+    E <= 0 at every node, so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2)
+    with the running sums S0 = sum of the terms, S1 = sum of term_i E_i and
+    S2 = sum of term_i t_i.
     """
-    k = ctx.kappa
-    return _central(k, ctx.n, k ** ctx.theta)
-
-
-def _central(k: float, n: float, hi: float) -> Evaluation:
+    k, n = ctx.kappa, ctx.n
+    hi = k ** ctx.theta
     two_k2 = 2.0 * k * k
     if hi * hi >= two_k2:
         raise DomainError("integrand base not positive on the range")
@@ -243,20 +233,15 @@ def _central(k: float, n: float, hi: float) -> Evaluation:
     neg_two_k2 = -two_k2
     exp = math.exp
     log1p = math.log1p
-    lanes = []
-    s1 = s2 = 0.0
-    for lane in _GL_LANES:
-        acc = 0.0
-        for t, w in lane:
-            u = h * t
-            u2 = u * u
-            e = n * log1p(u2 / neg_two_k2) - u2
-            term = h * w * exp(e)
-            acc += term
-            s1 += term * e
-            s2 += term * t
-        lanes.append(acc)
-    half = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    half = s1 = s2 = 0.0
+    for t, w in _GL_RULE:
+        u = h * t
+        u2 = u * u
+        e = n * log1p(u2 / neg_two_k2) - u2
+        term = h * w * exp(e)
+        half += term
+        s1 += term * e
+        s2 += term * t
     rho = min(
         math.sqrt(8.0 * _GL_NODES) / h, math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
     )
@@ -292,7 +277,7 @@ def _chain(ctx: RogersContext) -> _Chain:
     theta = ctx.theta
     hi = k ** theta
     c = error_constants(ctx)
-    central = _central(k, ctx.n, hi)
+    central = central_integral(ctx)
     u_star = _threshold(k, theta, hi, c)
     c_edge = _majorant(c, hi)
     c_star = _majorant(c, u_star)
@@ -334,32 +319,37 @@ def sigma_upper_log(n: float) -> float:
     )
 
 
-def sigma_lower_log(n: float, theta: float) -> Evaluation | None:
+def sigma_lower_log(n: float, f: Evaluation) -> Evaluation | None:
     """ln of the explicit lower bound on sigma_n, or None when vacuous.
 
-    The normalization gives
+    f is f(kappa, theta) at dimension n, as ``f_lower`` returns it; n below
+    1152 (kappa = 24), where f is not defined, raises DomainError.  The
+    normalization gives
     ln sigma_n >= ln f - n ln 2 - (n/2) ln n - (1/2) ln pi + n/2
                   + ln (n+1)! - ln Gamma(1+n/2),
-    defined when f(kappa, theta) > 0.  Requires n >= 1152 (kappa >= 24),
-    which ``f_lower`` checks.
+    defined when f > 0.  The terms grow like n ln n and nearly cancel, so
+    the error estimate is f's relative error plus 8u times the sum of the
+    terms' magnitudes (u = 2^-53), for their roundings and the additions.
     """
-    return _sigma_lower_log(n, f_lower(RogersContext(n, theta)))
-
-
-def _sigma_lower_log(n: float, f: Evaluation) -> Evaluation | None:
-    """``sigma_lower_log`` from f = f(kappa, theta) at dimension n."""
+    if n < 2.0 * KAPPA_MIN_LOWER ** 2:
+        raise DomainError(f"sigma_lower_log needs n >= {2.0 * KAPPA_MIN_LOWER ** 2:g}, got {n}")
     if f.value <= 0.0:
         return None
-    value = (
-        math.log(f.value)
-        - n * math.log(2.0)
-        - 0.5 * n * math.log(n)
-        - 0.5 * math.log(math.pi)
-        + 0.5 * n
-        + math.lgamma(n + 2.0)
-        - math.lgamma(1.0 + 0.5 * n)
+    terms = (
+        math.log(f.value),
+        -n * math.log(2.0),
+        -0.5 * n * math.log(n),
+        -0.5 * math.log(math.pi),
+        0.5 * n,
+        math.lgamma(n + 2.0),
+        -math.lgamma(1.0 + 0.5 * n),
     )
-    err = f.err_estimate / f.value + 1e-12
+    # added left to right: sum() compensates from Python 3.12 on, and the
+    # printed digits should not depend on the interpreter
+    value = terms[0]
+    for term in terms[1:]:
+        value += term
+    err = f.err_estimate / f.value + 8.0 * _U * sum(map(abs, terms))
     return Evaluation(value, err, f.terms_used)
 
 

@@ -52,7 +52,7 @@ def test_rogers_report_matches_the_public_routes(capsys):
         f"U       = {cli._fmt(rogers.u_threshold(ctx))}",
         f"central integral = {cli._fmt(ci.value)} (err {ci.err_estimate:.3e})",
         f"f(kappa, theta)  = {cli._fmt(f.value)} (err {f.err_estimate:.3e})",
-        f"log sigma_n lower bound = {cli._fmt(rogers.sigma_lower_log(62238, 0.1).value)}",
+        f"log sigma_n lower bound = {cli._fmt(rogers.sigma_lower_log(62238, f).value)}",
     ):
         assert line in out.splitlines()
 
@@ -141,6 +141,28 @@ def test_scan_svg(tmp_path, capsys):
     assert text.startswith("<svg")
     assert text.count("<circle") == 8
     assert 'width="800" height="600"' in text
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    bad = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(
+        ["cyclo-scan", "--m-max", "3", "--epsilon", "0.7", "--out", str(bad)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(bad) in err
+
+
+def test_unwritable_svg_exits_one(tmp_path, capsys):
+    # the CSV is written and reported before the scatter fails
+    good, bad = tmp_path / "x.csv", tmp_path / "missing" / "x.svg"
+    code, out, err = _run(
+        ["cyclo-scan", "--m-max", "3", "--epsilon", "0.7", "--out", str(good), "--svg", str(bad)],
+        capsys,
+    )
+    assert code == 1
+    assert out == f"wrote 3 rows to {good}\n"
+    assert err.startswith("error:") and str(bad) in err
 
 
 def test_scan_stdout(capsys):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from normeuclid import lenstra
@@ -67,6 +68,20 @@ def test_delta2_below_delta1_spot():
 
 def test_delta2_above_delta1_just_below_56():
     assert delta2_star_log(55).value > delta1_star_log(55, 0)
+
+
+def test_delta2_within_error_of_oracle():
+    # against (n/2)(1 - ln pi) - n ln n + ln (n+1)! in 40 digits, on every
+    # degree below 200 and a log-uniform sample up to 1e12
+    rng = random.Random(14)
+    ns = list(range(1, 200)) + [62238, 10 ** 6, 10 ** 12]
+    ns += [round(math.exp(rng.uniform(0.0, math.log(1e12)))) for _ in range(400)]
+    with mpmath.workdps(40):
+        for n in ns:
+            d2 = delta2_star_log(n)
+            x = mpmath.mpf(n)
+            want = x / 2 * (1 - mpmath.log(mpmath.pi)) - x * mpmath.log(x) + mpmath.loggamma(x + 2)
+            assert abs(d2.value - want) <= d2.err_estimate, n
 
 
 # ------------------------------------------------------- criterion check
@@ -210,6 +225,39 @@ def test_main_gap_against_inline_formula():
         )
         gap = main_gap(n, r, 0.1)
         assert abs(gap.value - (GAMMA + LN2 - 1.0 - g)) <= gap.err_estimate
+
+
+def _main_gap_oracle(n, r, f):
+    """The gap in 40-digit mpmath from the exact Poitou constants, with f
+    taken as exact."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(n)
+        ln_n = mpmath.log(x)
+        a = 2 * mpmath.pi ** 2 / ln_n ** 2
+        lam3 = mpmath.mpf(7) / 8 * mpmath.zeta(3)
+        beta3 = mpmath.pi ** 3 / 32
+        poitou = (
+            mpmath.euler + mpmath.log(8 * mpmath.pi) + (r / x) * (mpmath.pi / 2 - a * beta3)
+            - a * (lam3 + (8 + 8 / x) / (ln_n * (1 + mpmath.pi ** 2 / ln_n ** 2) ** 2))
+        )
+        return (
+            poitou - mpmath.log(4 * mpmath.pi) - 1 + 3 * ln_n / x
+            - (2 - mpmath.log(2) - 2 * mpmath.log(f)) / x + 2 / (x * (12 * x + 1))
+        )
+
+
+def test_main_gap_within_error_of_oracle():
+    # a seeded (n, r) grid over [7700, 1e12] with r = 0, r = n and r drawn
+    # in between; r = n is where a flat rounding term fell short
+    rng = random.Random(15)
+    cases = [(62236, 0), (62238, 62238), (3 * 10 ** 6, 3 * 10 ** 6)]
+    for _ in range(200):
+        n = round(math.exp(rng.uniform(math.log(7700), math.log(1e12))))
+        cases += [(n, 0), (n, n), (n, rng.randrange(n + 1))]
+    for n, r in cases:
+        gap = main_gap(n, r, 0.1)
+        f = f_lower(RogersContext(float(n), 0.1)).value
+        assert abs(gap.value - _main_gap_oracle(n, r, f)) <= gap.err_estimate, (n, r)
 
 
 def test_main_gap_monotone_in_n():

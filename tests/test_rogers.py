@@ -17,7 +17,6 @@ from normeuclid.rogers import (
     RogersContext,
     _chain,
     _majorant,
-    _sigma_lower_log,
     central_integral,
     error_constants,
     f_lower,
@@ -362,7 +361,7 @@ def test_chain_pieces_match_the_public_routes(kappa):
         assert chain.c_edge == _majorant(chain.constants, ctx.kappa ** theta)
         pieces = chain.central.value - chain.edge - chain.inner - chain.tail
         assert chain.f.value == pieces
-        assert _sigma_lower_log(ctx.n, chain.f) == sigma_lower_log(ctx.n, theta)
+        assert sigma_lower_log(ctx.n, chain.f) == sigma_lower_log(ctx.n, f_lower(ctx))
 
 
 # --------------------------------------------------------- sigma bounds
@@ -385,23 +384,50 @@ def test_sigma_upper_stirling_asymptotic():
     assert abs(defect(10 ** 6)) < abs(defect(10 ** 4))
 
 
+def _sigma_lower_at(n, theta):
+    return sigma_lower_log(n, f_lower(RogersContext(float(n), theta)))
+
+
 def test_sigma_lower_vacuous_and_finite():
-    assert sigma_lower_log(1152, 0.1) is None
-    low = sigma_lower_log(62238, 0.1)
+    assert _sigma_lower_at(1152, 0.1) is None
+    low = _sigma_lower_at(62238, 0.1)
     assert low is not None and math.isfinite(low.value)
     with pytest.raises(DomainError):
-        sigma_lower_log(1000, 0.1)
+        _sigma_lower_at(1000, 0.1)
+    with pytest.raises(DomainError):
+        sigma_lower_log(1000, f_lower(RogersContext(62238.0, 0.1)))
 
 
 def test_sigma_sandwich():
     for n in (62238, 10 ** 5):
-        low = sigma_lower_log(n, 0.1)
+        low = _sigma_lower_at(n, 0.1)
         assert low is not None
         up = sigma_upper_log(n)
         assert low.value <= up
         # the gap is exactly ln(sqrt(pi)/f) >= 0
         f = f_lower(RogersContext(float(n), 0.1)).value
         assert up - low.value == pytest.approx(math.log(SQRT_PI / f), abs=1e-9)
+
+
+def _sigma_lower_oracle(n, f):
+    """ln of the sigma_n lower bound in 40-digit mpmath, f taken as exact."""
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        return (
+            mpmath.log(f) - n * mpmath.log(2) - n / 2 * mpmath.log(n) - mpmath.log(mpmath.pi) / 2
+            + n / 2 + mpmath.loggamma(n + 2) - mpmath.loggamma(1 + n / 2)
+        )
+
+
+def test_sigma_lower_within_error_of_oracle():
+    # the terms grow like n ln n, so a flat relative estimate falls short by
+    # up to eight orders of magnitude at n = 1e12
+    rng = np.random.default_rng(13)
+    ns = [62238, 10 ** 6, 10 ** 12] + [round(x) for x in np.exp(rng.uniform(9.0, 27.6, 200))]
+    for n in ns:
+        f = f_lower(RogersContext(float(n), 0.1))
+        low = sigma_lower_log(n, f)
+        assert abs(mpmath.mpf(low.value) - _sigma_lower_oracle(n, f.value)) <= low.err_estimate
 
 
 # ------------------------------------------------------------- leech gap
