@@ -7,8 +7,8 @@ pass.  Floating-point output is rendered with 15 significant digits, CSV
 payloads with full round-trip precision, so identical flags give
 byte-identical output.
 
-Exit codes: 0 success, 1 domain/convergence error or an output file that
-cannot be written, 2 usage error.
+Exit codes: 0 success, 1 domain/convergence error, an integer argument too
+large for binary64 or an output file that cannot be written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,21 +18,22 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import cyclozeta, lenstra, rogers, zimmert
 from .specfun import (
+    BETA3,
     BracketError,
-    CONSTANTS,
     ConvergenceError,
     DomainError,
+    EULER_GAMMA,
+    LAMBDA3,
 )
 
 __all__ = ["main", "run_acceptance", "CriterionResult"]
 
-_GAMMA = CONSTANTS.euler_gamma
 _LN2 = math.log(2.0)
 
 
@@ -41,10 +42,10 @@ def _fmt(x: float) -> str:
 
 
 def _prime_limit(text: str) -> int:
-    """argparse type for --prime-limit: an integer >= 1000."""
-    limit = int(text)
-    if limit < 10 ** 3:
-        raise argparse.ArgumentTypeError(f"prime-limit must be >= 1000, got {limit}")
+    """argparse type for --prime-limit: an integer >= the Euler route's minimum, 1000."""
+    limit, low = int(text), cyclozeta._PRIME_LIMIT_MIN
+    if limit < low:
+        raise argparse.ArgumentTypeError(f"prime-limit must be >= {low}, got {limit}")
     return limit
 
 
@@ -219,11 +220,11 @@ def _cmd_zimmert_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    print(f"euler_gamma        = {_fmt(CONSTANTS.euler_gamma)}")
-    print(f"lambda(3)          = {_fmt(CONSTANTS.lambda3)}   (= 7/8 zeta(3))")
-    print(f"beta(3)            = {_fmt(CONSTANTS.beta3)}   (= pi^3/32)")
+    print(f"euler_gamma        = {_fmt(EULER_GAMMA)}")
+    print(f"lambda(3)          = {_fmt(LAMBDA3)}   (= 7/8 zeta(3))")
+    print(f"beta(3)            = {_fmt(BETA3)}   (= pi^3/32)")
     print(f"ln(4 pi e)         = {_fmt(math.log(4 * math.pi * math.e))}")
-    print(f"ln(8 pi e^gamma)   = {_fmt(math.log(8 * math.pi) + CONSTANTS.euler_gamma)}")
+    print(f"ln(8 pi e^gamma)   = {_fmt(math.log(8 * math.pi) + EULER_GAMMA)}")
     threshold, _ = zimmert.zeta_lenstra_threshold(0.5 * _LN2)
     print(f"zeta threshold     = {_fmt(threshold)}   (= 2 ln 2/(2 ln 2 + gamma - 1))")
     return 0
@@ -241,8 +242,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------- acceptance suite
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     name: str
     ok: bool
@@ -300,9 +300,9 @@ def _crit_3_delta_comparison() -> tuple[bool, str]:
 def _crit_4_asymptotic_cap() -> tuple[bool, str]:
     cap = lenstra.lenstra_disc_cap(10 ** 6)
     limit = math.log(4.0 * math.pi * math.e)
-    serre = _GAMMA + math.log(8.0 * math.pi)
-    identity_gap = abs((serre - limit) - (_GAMMA + _LN2 - 1.0))
-    ratio = 2.0 * math.exp(_GAMMA - 1.0)
+    serre = EULER_GAMMA + math.log(8.0 * math.pi)
+    identity_gap = abs((serre - limit) - (EULER_GAMMA + _LN2 - 1.0))
+    ratio = 2.0 * math.exp(EULER_GAMMA - 1.0)
     ok = abs(cap - limit) <= 0.01 and identity_gap <= 1e-12 and ratio >= 1.31
     return ok, (
         f"cap(1e6)={cap:.6f} vs ln(4 pi e)={limit:.6f}, identity gap={identity_gap:.2e}, "
@@ -312,8 +312,8 @@ def _crit_4_asymptotic_cap() -> tuple[bool, str]:
 
 def _crit_5_zimmert_limits() -> tuple[bool, str]:
     t = zimmert.f_terms(1e-4)
-    lim1 = _GAMMA + math.log(4.0) + 1.0
-    lim2 = _GAMMA + math.log(4.0) - 1.0
+    lim1 = EULER_GAMMA + math.log(4.0) + 1.0
+    lim2 = EULER_GAMMA + math.log(4.0) - 1.0
     d1 = abs(t.f1_series + t.f1_point - lim1)
     d2 = abs(t.f2_series + t.f2_point - lim2)
     ok = d1 <= 1e-3 and d2 <= 1e-3
@@ -337,8 +337,8 @@ def _odd_power_series(p: int, alternating: bool) -> float:
 def _crit_6_threshold_constant() -> tuple[bool, str]:
     th, _ = zimmert.zeta_lenstra_threshold(0.5 * _LN2)
     # independent series oracles for the two Poitou constants
-    d_lam = abs(CONSTANTS.lambda3 - _odd_power_series(3, alternating=False))
-    d_bet = abs(CONSTANTS.beta3 - _odd_power_series(3, alternating=True))
+    d_lam = abs(LAMBDA3 - _odd_power_series(3, alternating=False))
+    d_bet = abs(BETA3 - _odd_power_series(3, alternating=True))
     ok = abs(th - 1.43879) <= 1e-5 and d_lam <= 1e-12 and d_bet <= 1e-12
     return ok, f"threshold={th:.7f}, |lambda3 - oracle|={d_lam:.2e}, |beta3 - oracle|={d_bet:.2e}"
 
@@ -524,7 +524,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError, OSError) as exc:
+    except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError, OSError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -411,9 +411,13 @@ def _prime_tail_integral(s: float, limit: int) -> float:
     return math.exp(-x) * math.log1p(1.0 / x)
 
 
+# the smallest prime cutoff the Euler route accepts, from the library and the CLI
+_PRIME_LIMIT_MIN = 1000
+
+
 def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
-    if prime_limit < 10:
-        raise DomainError(f"prime_limit too small: {prime_limit}")
+    if prime_limit < _PRIME_LIMIT_MIN:
+        raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     phi = euler_phi(m)
     # unramified primes read their residue degree from the order table
     primes = _primes_up_to(prime_limit)
@@ -454,7 +458,7 @@ def zeta_cyclotomic(
     from one group DFT, plus the ramified Euler factors (accurate to
     roughly 1e-12 relative); ``terms_used`` is the number of Hurwitz-zeta
     evaluations, phi(m).  method="euler": truncated Euler product over
-    rational primes up to prime_limit; its error estimate carries the
+    rational primes up to prime_limit >= 1000; its error estimate carries the
     omitted-tail bound, which is large for s near 1, and ``terms_used``
     counts the primes multiplied in.  Both deliver a real value > 1.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import _U, CONSTANTS, DomainError, Evaluation
+from .specfun import _U, BETA3, DomainError, EULER_GAMMA, Evaluation, LAMBDA3
 from .rogers import KAPPA_MIN_LOWER, RogersContext, f_lower
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_GAMMA = CONSTANTS.euler_gamma
 _LOG_4_PI_E = math.log(4.0 * math.pi) + 1.0
 _HALF_1_MINUS_LN_PI = 0.5 * (1.0 - math.log(math.pi))
 
@@ -121,7 +120,7 @@ def _r_coefficient(n: float) -> float:
     """Coefficient of r/n in the Poitou bound, and so in the gap;
     nonnegative for n >= 33."""
     ln2_n = math.log(n) ** 2
-    return 0.5 * math.pi - (2.0 * math.pi ** 2 / ln2_n) * CONSTANTS.beta3
+    return 0.5 * math.pi - (2.0 * math.pi ** 2 / ln2_n) * BETA3
 
 
 def poitou_grh_lower(n: int, r: int) -> float:
@@ -138,11 +137,11 @@ def poitou_grh_lower(n: int, r: int) -> float:
     ln2_n = ln_n * ln_n
     a = 2.0 * math.pi ** 2 / ln2_n
     return (
-        _GAMMA
+        EULER_GAMMA
         + math.log(8.0 * math.pi)
         + (r / n) * _r_coefficient(n)
         - a * (
-            CONSTANTS.lambda3
+            LAMBDA3
             + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln2_n) ** 2)
         )
     )
@@ -155,13 +154,13 @@ def uncond_lower_main(n: int, r: int) -> float:
     """
     if n < 1 or not (0 <= r <= n):
         raise DomainError(f"bad (n, r) = ({n}, {r})")
-    return math.log(4.0 * math.pi) + _GAMMA + r / n
+    return math.log(4.0 * math.pi) + EULER_GAMMA + r / n
 
 
 def remark_condition(r_over_n: float) -> bool:
     """Whether the unconditional bound already contradicts the 4 pi e cap:
     true iff r/n > 1 - gamma."""
-    return r_over_n > 1.0 - _GAMMA
+    return r_over_n > 1.0 - EULER_GAMMA
 
 
 def lenstra_disc_cap(n: int) -> float:

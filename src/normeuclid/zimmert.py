@@ -27,15 +27,15 @@ counts the roundings of that one quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .specfun import (
-    CONSTANTS,
     ConvergenceError,
     DomainError,
+    EULER_GAMMA,
     _BERNOULLI_2J,
     _BERNOULLI_OVER_FACTORIAL,
     _U,
@@ -87,8 +87,7 @@ _PSI_J_POWERS = -2.0 * np.arange(1, len(_BERNOULLI_2J) + 1)
 _TARGET_ACCURACY = 1e-8
 
 
-@dataclass(frozen=True)
-class ZimmertTerms:
+class ZimmertTerms(NamedTuple):
     """The five series/point values at a fixed beta, plus their combination."""
 
     beta: float
@@ -302,7 +301,7 @@ def zeta_lenstra_threshold(c: float) -> tuple[float, float]:
     hypothesis direction in the source material is ambiguous (we evaluate
     the printed formula, we do not guess the intent).
     """
-    den = 3.0 * math.log(2.0) + CONSTANTS.euler_gamma - 1.0 - 2.0 * c
+    den = 3.0 * math.log(2.0) + EULER_GAMMA - 1.0 - 2.0 * c
     if abs(den) < 1e-300:
         raise DomainError("threshold denominator vanishes")
     return 2.0 * math.log(2.0) / den, den

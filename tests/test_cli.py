@@ -206,6 +206,34 @@ def test_nonfinite_s_exits_one_silently(s, method, capsys):
     assert err.startswith("error:") and "finite s" in err
 
 
+@pytest.mark.parametrize("s", ["400", "1e308"])
+def test_cyclo_zeta_beyond_binary64_exits_one_silently(s, capsys):
+    # (1/7)^{-s} overflows binary64 in the Hurwitz kernel
+    code, out, err = _run(["cyclo-zeta", "--m", "7", "--s", s], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"s={float(s)}" in err
+
+
+_HUGE = "1" + "0" * 400  # an integer argument that binary64 cannot hold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rogers", "--n", _HUGE],
+        ["lenstra-crossing", "--n-min", "60000", "--n-max", _HUGE],
+        ["lenstra-check", "--n", _HUGE, "--r", "0", "--log-disc", "1", "--log-m", "1"],
+    ],
+    ids=["rogers", "lenstra-crossing", "lenstra-check"],
+)
+def test_integer_too_large_for_binary64_exits_one_silently(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "too large" in err
+
+
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_rogers_without_error_constants_exits_one_silently(n, capsys):
     code, out, err = _run(["rogers", "--n", n], capsys)

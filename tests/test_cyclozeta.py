@@ -329,6 +329,13 @@ def test_zeta_euler_improves_with_prime_limit():
     assert d2 < d1
 
 
+def test_zeta_euler_rejects_a_prime_limit_the_cli_rejects():
+    # the library and --prime-limit share one minimum, 1000
+    with pytest.raises(DomainError, match=">= 1000"):
+        zeta_cyclotomic(12, 1.5, "euler", prime_limit=999)
+    assert zeta_cyclotomic(12, 1.5, "euler", prime_limit=1000).value > 1.0
+
+
 @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 3.0])
 def test_prime_tail_brackets_e1(s):
     # Abramowitz-Stegun 5.1.20: (1/2) e^-x ln(1 + 2/x) < E1(x) < e^-x ln(1 + 1/x)

@@ -21,9 +21,8 @@ from normeuclid.lenstra import (
     uncond_lower_main,
 )
 from normeuclid.rogers import RogersContext, f_lower
-from normeuclid.specfun import CONSTANTS, DomainError, Evaluation
+from normeuclid.specfun import EULER_GAMMA as GAMMA, DomainError, Evaluation
 
-GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
 
 

@@ -4,14 +4,21 @@ and digamma."""
 
 import math
 import random
+import re
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from normeuclid import specfun
 from normeuclid.specfun import (
-    CONSTANTS,
+    BETA3,
+    EULER_GAMMA as GAMMA,
+    LAMBDA3,
+    ZETA3,
     DomainError,
     Evaluation,
     PoleError,
@@ -22,8 +29,6 @@ from normeuclid.specfun import (
     hurwitz_zeta_ds_array,
     riemann_zeta,
 )
-
-GAMMA = CONSTANTS.euler_gamma
 
 
 # ------------------------------------------------------------------ types
@@ -44,18 +49,40 @@ def test_evaluation_rejects_nonfinite():
 
 def test_constants():
     # lambda3 and beta3 are rendered exactly from their definitions
-    assert CONSTANTS.lambda3 == 0.875 * CONSTANTS.zeta3
-    assert CONSTANTS.beta3 == math.pi ** 3 / 32.0
+    assert LAMBDA3 == 0.875 * ZETA3
+    assert BETA3 == math.pi ** 3 / 32.0
     # zeta3 against the Euler-Maclaurin evaluation
-    assert abs(CONSTANTS.zeta3 - riemann_zeta(3.0).value) <= 1e-14
+    assert abs(ZETA3 - riemann_zeta(3.0).value) <= 1e-14
     # odd cubic series oracle for lambda3: direct sum plus integral tail
     k = np.arange(0, 10 ** 6, dtype=np.float64)
     lam = float(np.sum((2 * k + 1) ** -3.0)) + 1.0 / (16.0 * (10 ** 6) ** 2)
-    assert abs(CONSTANTS.lambda3 - lam) <= 1e-12
+    assert abs(LAMBDA3 - lam) <= 1e-12
     # alternating series oracle for beta3 with half-term correction
     terms = (-1.0) ** k * (2 * k + 1) ** -3.0
     bet = float(np.sum(terms)) - 0.5 * float(terms[-1])
-    assert abs(CONSTANTS.beta3 - bet) <= 1e-12
+    assert abs(BETA3 - bet) <= 1e-12
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n exactly, by the Akiyama-Tanigawa algorithm (B_1 = +1/2)."""
+    a = []
+    for m in range(n + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+def test_bernoulli_tables_are_the_nearest_floats():
+    # one exact table; B_2k and the digamma tail -B_2k/(2k) are each the
+    # binary64 number nearest the exact rational, with no double rounding
+    for k, (n, d) in enumerate(specfun._BERNOULLI_FRACTIONS, 1):
+        b = _bernoulli(2 * k)
+        assert Fraction(n, d) == b
+        assert specfun._BERNOULLI_2J[k - 1] == float(b)
+    assert len(specfun._PSI_TAIL) == 6
+    for k, c in enumerate(specfun._PSI_TAIL, 1):
+        assert c == float(-_bernoulli(2 * k) / (2 * k))
 
 
 # --------------------------------------------------------------- digamma
@@ -256,6 +283,47 @@ def test_scalar_kernel_is_a_one_element_array_call():
             z = scalar(s, a)
             v, e, n = array(s, np.array([a]))
             assert (z.value, z.err_estimate, z.terms_used) == (v[0], e[0], n)
+
+
+@pytest.mark.parametrize("s", [1.5, 30.0, 1e5])
+def test_one_block_shape_for_every_s(s):
+    # N = 20 direct terms and J = 10 Bernoulli pairs, whatever s is
+    a = np.array([0.25, 0.5, 1.0])
+    base, x, bern, harm = specfun._em_block("hurwitz_zeta", s, a)
+    assert base.shape == (20, a.size)
+    assert bern.shape == (11, a.size) and harm.shape == (11,)
+    assert np.array_equal(x, 20.0 + a)
+    for kernel in (hurwitz_zeta_array, hurwitz_zeta_ds_array):
+        assert kernel(s, np.array([1.0]))[2] == 30
+
+
+# s in (10, 240] with s ln(1/a) < 700, so that a^{-s} and its
+# s-derivative stay inside binary64
+_S_A_HIGH = st.floats(min_value=10.0, max_value=240.0, exclude_min=True).flatmap(
+    lambda s: st.tuples(st.just(s), st.floats(min_value=math.exp(-700.0 / s), max_value=1.0))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sa=_S_A_HIGH)
+@example(sa=(10.0000001, 1.0))
+@example(sa=(240.0, 1.0))
+def test_kernels_within_error_of_oracle_at_large_s(sa):
+    s, a = sa
+    z = hurwitz_zeta(s, a)
+    assert _oracle_gap(z.value, s, a, False) <= z.err_estimate
+    dz = hurwitz_zeta_ds(s, a)
+    assert _oracle_gap(dz.value, s, a, True) <= dz.err_estimate
+
+
+@pytest.mark.parametrize("s,a", [(240.0, 0.05), (400.0, 1.0 / 7.0), (1e308, 1.0)])
+@pytest.mark.parametrize("fn", [hurwitz_zeta, hurwitz_zeta_ds])
+def test_beyond_binary64_is_a_domain_error_naming_s(fn, s, a):
+    # no overflow warning first: the kernel's own check reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"s={s}")):
+            fn(s, a)
 
 
 def test_array_kernel_domain():

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import polygamma
 
 from normeuclid import zimmert
-from normeuclid.specfun import CONSTANTS, ConvergenceError, DomainError, digamma
+from normeuclid.specfun import EULER_GAMMA as GAMMA, ConvergenceError, DomainError, digamma
 from normeuclid.zimmert import (
     _polygammas,
     _series,
@@ -19,7 +19,6 @@ from normeuclid.zimmert import (
     zeta_lenstra_threshold,
 )
 
-GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
 LIMIT_1 = GAMMA + math.log(4.0) + 1.0  # F1 + f1 at beta -> 0
 LIMIT_2 = GAMMA + math.log(4.0) - 1.0  # F2 + f2 at beta -> 0
