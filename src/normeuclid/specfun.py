@@ -124,8 +124,8 @@ def _psi_tail(x):
     digamma series (DLMF 5.11.2), by Horner's rule in 1/x^2, for a float
     or an array x."""
     r = 1.0 / (x * x)
-    t = _PSI_TAIL[-1]
-    for c in reversed(_PSI_TAIL[:-1]):
+    t = _PSI_TAIL[5]
+    for c in (_PSI_TAIL[4], _PSI_TAIL[3], _PSI_TAIL[2], _PSI_TAIL[1], _PSI_TAIL[0]):
         t = c + r * t
     return r * t
 
