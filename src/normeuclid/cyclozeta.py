@@ -143,10 +143,10 @@ class UnitGroupStructure:
         return self.logs[np.flatnonzero(self.units == r % self.modulus)[0]]
 
 
-# callers reuse a modulus's group over consecutive calls (one scan row, one
-# sweep point), so a short window holds all the reuse there is, and memory
-# stays flat over long sweeps
-@lru_cache(maxsize=16)
+# every caller works through one modulus at a time (one scan row, one sweep
+# point), so the last group holds all the reuse there is, and memory stays
+# flat over long sweeps
+@lru_cache(maxsize=1)
 def unit_group(m: int) -> UnitGroupStructure:
     """Decompose (Z/mZ)* into cyclic factors with explicit generators.
 
@@ -275,27 +275,22 @@ def _rotation_indices(chi: DirichletCharacter, logs: np.ndarray) -> np.ndarray:
     return logs @ (np.array(chi.exponents, dtype=np.int64) * group.weights) % group.exponent
 
 
-def _char_index(chi: DirichletCharacter, a: int) -> int | None:
-    """The integer k with chi(a) = exp(2 pi i k/L), or None off the units."""
+def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
+    """Exact rotation index k/L of chi(a) = exp(2 pi i k/L) as a fraction
+    of a full turn, or None when chi(a) = 0 (a not coprime to the modulus)."""
     m = chi.modulus
     if math.gcd(a, m) != 1:
         return None
-    return int(_rotation_indices(chi, unit_group(m).dlog(a)))
-
-
-def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
-    """Exact rotation index of chi(a) as a fraction of a full turn, or
-    None when chi(a) = 0 (a not coprime to the modulus)."""
-    k = _char_index(chi, a)
-    return None if k is None else Fraction(k, unit_group(chi.modulus).exponent)
+    group = unit_group(m)
+    return Fraction(int(_rotation_indices(chi, group.dlog(a))), group.exponent)
 
 
 def char_value(chi: DirichletCharacter, a: int) -> complex:
     """chi(a) as a complex number (exactly 0 off the coprime residues)."""
-    k = _char_index(chi, a)
-    if k is None:
+    turn = char_rotation(chi, a)
+    if turn is None:
         return 0j
-    angle = _TWO_PI * (k / unit_group(chi.modulus).exponent)
+    angle = _TWO_PI * float(turn)  # the correctly rounded k/L
     return complex(math.cos(angle), math.sin(angle))
 
 
@@ -437,9 +432,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     return Evaluation(value, err, int(mask.sum()) + len(_factorize(m)))
 
 
-def _check_point(m: int, s: float) -> None:
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
+def _check_point(s: float) -> None:
     if not math.isfinite(s):
         raise DomainError(f"need a finite s, got {s}")
     if s <= 1.0:
@@ -462,7 +455,7 @@ def zeta_cyclotomic(
     omitted-tail bound, which is large for s near 1, and ``terms_used``
     counts the primes multiplied in.  Both deliver a real value > 1.
     """
-    _check_point(m, s)
+    _check_point(s)
     if method == "hurwitz":
         return _zeta_hurwitz(m, s)
     if method == "euler":
@@ -478,7 +471,7 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     value is sum F'/F - phi(m) ln m plus the ramified Euler factors'
     log-derivative.  ``terms_used`` is the number of Hurwitz-zeta
     evaluations, 2 phi(m)."""
-    _check_point(m, s)
+    _check_point(s)
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
@@ -496,52 +489,37 @@ def cyclo_disc_log(m: int) -> float:
 
     The formula already collapses m = 2 mod 4 onto the same field as m/2.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
+    phi = euler_phi(m)
     if m == 1:
         return 0.0
-    phi = euler_phi(m)
     return phi * math.log(m) - sum(
         (phi / (p - 1)) * math.log(p) for p in _factorize(m)
     )
 
 
 def cyclo_signature(m: int) -> tuple[int, int]:
-    """(real embeddings, complex pairs) of the m-th cyclotomic field."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if m <= 2:
-        return (1, 0)
-    return (0, euler_phi(m) // 2)
+    """(real embeddings, complex pairs) of the m-th cyclotomic field: Q
+    itself for m = 1 and 2, the only m with phi(m) = 1."""
+    phi = euler_phi(m)
+    return (1, 0) if phi == 1 else (0, phi // 2)
 
 
 def min_proper_ideal_norm(m: int) -> int:
     """Smallest norm of a proper nonzero ideal in the m-th cyclotomic ring.
 
-    Equals min over rational primes p of p^{f_p} with f_p the residue
-    degree; only primes p <= current best need checking since any larger
-    prime already has norm >= p.
+    Every proper ideal has a prime factor, so this is the least norm p^f
+    of a prime ideal, f the residue degree of p.  The ramified p | m give
+    their p^f through ``_ramified_degrees`` (m = 1, the integers, has none,
+    and starts from the prime 2).  An unramified p has f = ord_m(p), so
+    p^f = 1 (mod m) lies in the progression m+1, 2m+1, ....  Conversely,
+    let q = p^e be the first prime power in it.  Then ord_m(p) divides e,
+    and p^ord_m(p) is a prime power in the same progression no larger
+    than q, so e = ord_m(p) and q is the norm of a prime over p.  The least
+    unramified norm is thus the first prime power in the progression, and
+    only the terms below the least ramified norm need a look.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    table = _order_table(m)
-    # m = 1 (the integers) has no ramified prime, and 2 is prime there
     best = min((p ** f for p, f, _ in _ramified_degrees(m)), default=2)
-    checked = 1  # every unramified prime <= checked has been tried
-    while checked < best:
-        limit = min(best, max(1024, 2 * checked))
-        primes = _primes_up_to(limit)
-        primes = primes[np.searchsorted(primes, checked, side="right") :]
-        f = table[primes % m]
-        primes, f = primes[f > 0], f[f > 0]
-        if primes.size:
-            # the p^f are distinct integers: logs pick the few that can be
-            # least, and exact powers decide among them
-            logs = f * np.log(primes)
-            near = logs <= logs.min() * (1.0 + 1e-12)
-            best = min(best, *(int(p) ** int(e) for p, e in zip(primes[near], f[near])))
-        checked = limit
-    return best
+    return next((q for q in range(m + 1, best, m) if len(_factorize(q)) == 1), best)
 
 
 # ------------------------------------------------------------------ scans

@@ -198,7 +198,10 @@ def _em_block(name: str, s: float, a):
     t = s + _EM_OFFSETS
     coef = _BERNOULLI_OVER_FACTORIAL * np.cumprod(t)[::2]
     xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
-    return _EM_K + a, x, coef[:, None] * xp, np.cumsum(1.0 / t)[::2]
+    # for s above about 4e14 the product s(s+1)... overflows where the power
+    # has already underflowed; such a correction is 0, not inf * 0
+    bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+    return _EM_K + a, x, bern, np.cumsum(1.0 / t)[::2]
 
 
 def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):

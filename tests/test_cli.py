@@ -215,6 +215,14 @@ def test_cyclo_zeta_beyond_binary64_exits_one_silently(s, capsys):
     assert err.startswith("error:") and f"s={float(s)}" in err
 
 
+def test_cyclo_zeta_at_huge_s_is_one(capsys):
+    # zeta_Q(1e15) = 1 + 2^{-1e15} + ... is 1 in binary64
+    code, out, err = _run(["cyclo-zeta", "--m", "1", "--s", "1e15"], capsys)
+    assert code == 0
+    assert "value = 1\n" in out
+    assert err == ""
+
+
 _HUGE = "1" + "0" * 400  # an integer argument that binary64 cannot hold
 
 

@@ -583,8 +583,17 @@ def test_cyclozeta_caches_are_bounded():
         for name, obj in vars(cyclozeta).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert set(cached) == {"unit_group", "_primes_up_to"}
-    assert all(size is not None for size in cached.values()), cached
+    assert cached == {"unit_group": 1, "_primes_up_to": 1}
+
+
+def test_min_norm_leaves_the_euler_sieve_cached():
+    from normeuclid import cyclozeta
+
+    zeta_cyclotomic(12, 1.5, "euler")
+    min_proper_ideal_norm(7)
+    hits = cyclozeta._primes_up_to.cache_info().hits
+    zeta_cyclotomic(12, 1.5, "euler")
+    assert cyclozeta._primes_up_to.cache_info().hits == hits + 1
 
 
 def test_min_norm_matches_naive_prime_walk():
@@ -604,6 +613,24 @@ def test_min_norm_matches_naive_prime_walk():
 
     for m in range(1, 501):
         assert min_proper_ideal_norm(m) == oracle(m), m
+
+
+def test_min_norm_is_a_ramified_or_progression_prime_power():
+    # beyond the prime walk's reach: a prime power that is either a
+    # ramified p^f or = 1 mod m, and never above a ramified p^f
+    def prime_power(n):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    assert min_proper_ideal_norm(4097) == 48 * 4097 + 1  # the longest walk for m <= 5000
+    for m in range(1, 5001):
+        got = min_proper_ideal_norm(m)
+        ramified = [p ** f for p, f, _ in _ramified_degrees(m)]
+        assert prime_power(got), m
+        assert got in ramified or got % m == 1 % m, m
+        assert all(got <= q for q in ramified), m
 
 
 # ----------------------------------------------------------------- scans

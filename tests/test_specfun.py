@@ -316,7 +316,7 @@ def test_kernels_within_error_of_oracle_at_large_s(sa):
     assert _oracle_gap(dz.value, s, a, True) <= dz.err_estimate
 
 
-@pytest.mark.parametrize("s,a", [(240.0, 0.05), (400.0, 1.0 / 7.0), (1e308, 1.0)])
+@pytest.mark.parametrize("s,a", [(240.0, 0.05), (400.0, 1.0 / 7.0), (1e15, 0.5)])
 @pytest.mark.parametrize("fn", [hurwitz_zeta, hurwitz_zeta_ds])
 def test_beyond_binary64_is_a_domain_error_naming_s(fn, s, a):
     # no overflow warning first: the kernel's own check reports it
@@ -324,6 +324,20 @@ def test_beyond_binary64_is_a_domain_error_naming_s(fn, s, a):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape(f"s={s}")):
             fn(s, a)
+
+
+@pytest.mark.parametrize("s", [1e15, 1e308])
+@pytest.mark.parametrize(
+    "fn,want", [(hurwitz_zeta, 1.0), (hurwitz_zeta_ds, 0.0)], ids=["hurwitz_zeta", "hurwitz_zeta_ds"]
+)
+def test_huge_s_at_a_one_is_the_first_term(fn, want, s):
+    # zeta(s, 1) = 1 + 2^{-s} + ... and its s-derivative -ln 2 2^{-s} - ...
+    # round to their first terms, although s(s+1)...(s+2J) overflows in the
+    # Bernoulli corrections
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = fn(s, 1.0)
+    assert abs(z.value - want) <= z.err_estimate < 1e-14
 
 
 def test_array_kernel_domain():
