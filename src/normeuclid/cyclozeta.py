@@ -18,12 +18,17 @@ the same way.
 
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
-order of p modulo the prime-to-p part of m and g = phi(.)/f; the omitted
-tail is estimated from the prime-counting integral and reported in the
-error estimate (it dominates for s near 1, where the truncated product is
-far from converged).  That integral is the exponential integral E1(x) at
-x = (s - 1) ln P, taken at its closed-form upper bound e^{-x} ln(1 + 1/x)
-(Abramowitz-Stegun 5.1.20).
+order of p modulo the prime-to-p part of m and g = phi(.)/f.  Only the
+primes whose factor differs from 1 in binary64 are multiplied in: once
+(f s) ln p passes 745.2, p^{-f s} underflows to exactly 0.0, which for
+m in the hundreds is most primes up to 10^6.  The primes and their logs
+are sieved once per process (odd numbers only).  The omitted tail is a
+proven bound, reported in the error estimate (it dominates for s near 1,
+where the truncated product is far from converged): partial summation
+with pi(x) < 1.25506 x/ln x (Rosser-Schoenfeld 1962) bounds
+sum_{p > P} p^{-s} by 1.25506 s E1(x) at x = (s - 1) ln P, with E1 taken
+at its closed-form upper bound e^{-x} ln(1 + 1/x) (Abramowitz-Stegun
+5.1.20), and the prime powers add at most P^{1-2s}/(2 (2s - 1)(1 - P^{-s})).
 
 Single characters keep their own route: ``dirichlet_l`` evaluates the
 primitive character that induces chi at its conductor, with values taken
@@ -384,52 +389,98 @@ def _zeta_hurwitz(m: int, s: float) -> Evaluation:
 
 
 # the Euler route asks for one limit many times in a row; one entry holds
-# that reuse, and the array is read-only because every caller shares it
+# that reuse, and the arrays are read-only because every caller shares them
 @lru_cache(maxsize=1)
-def _primes_up_to(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.nonzero(sieve)[0].astype(np.int64)
-    primes.flags.writeable = False
-    return primes
+def _primes_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to limit >= 2 (int64) and their natural logs, both
+    read-only.  The sieve holds the odd numbers only: index i is 2i + 1."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
+    log_p = np.log(primes.astype(np.float64))
+    for a in (primes, log_p):
+        a.flags.writeable = False
+    return primes, log_p
 
 
 def _prime_tail_integral(s: float, limit: int) -> float:
-    """Estimate of sum_{p > limit} p^{-s} from the prime-counting integral
-    int_limit^oo x^{-s}/ln x dx = E1(x), x = (s - 1) ln limit, taken at
-    its upper bound e^{-x} ln(1 + 1/x) > E1(x) (Abramowitz-Stegun 5.1.20),
-    which is 1.02-1.20 E1(x) at limit 1e6 for s in [1.01, 3]."""
+    """Upper bound on the prime-counting integral int_limit^oo x^{-s}/ln x dx
+    = E1(x), x = (s - 1) ln limit: e^{-x} ln(1 + 1/x) > E1(x)
+    (Abramowitz-Stegun 5.1.20), which is 1.02-1.20 E1(x) at limit 1e6 for
+    s in [1.01, 3]."""
     x = (s - 1.0) * math.log(limit)
     return math.exp(-x) * math.log1p(1.0 / x)
+
+
+# Rosser-Schoenfeld (Illinois J. Math. 6, 1962), eq. 3.6:
+# pi(x) < 1.25506 x/ln x for x > 1
+_PI_UPPER = 1.25506
+
+
+def _prime_sum_tail(s: float, limit: int) -> float:
+    """Upper bound on sum_{p > limit} p^{-s}.  By partial summation the sum
+    is -pi(limit) limit^{-s} + s int_limit^oo pi(x) x^{-s-1} dx; dropping
+    the first term and putting pi(x) < 1.25506 x/ln x in the integral
+    leaves 1.25506 s E1((s - 1) ln limit)."""
+    return _PI_UPPER * s * _prime_tail_integral(s, limit)
 
 
 # the smallest prime cutoff the Euler route accepts, from the library and the CLI
 _PRIME_LIMIT_MIN = 1000
 
+# np.exp(-y) is exactly 0.0 once y > 745.1332, where e^{-y} rounds below
+# 2^-1074; such a prime's Euler factor is exactly 1
+_EXP_UNDERFLOW = 745.2
+
 
 def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
+    """Truncated Euler product over the primes p <= P = prime_limit.
+
+    An unramified p adds -g ln(1 - x), x = p^{-f s} = exp(-y) with
+    y = (f s) ln p, f read from the order table and g = phi/f; the
+    ramified p | m enter through their exact factors (``_ramified``).  Only
+    the primes with y < 745.2 go through exp and log1p: beyond that x is
+    exactly 0.0 and the term exactly 0.  The ramified residues carry
+    f = inf in a float copy of the table, so the same test drops them.
+    ``terms_used`` counts every unramified p <= P plus the ramified p.
+
+    The omitted log is sum_{p > P} g sum_k p^{-f k s}/k.  Since f g = phi,
+    those are the terms j = f k of phi sum_j p^{-j s}/j, so the omitted
+    log is at most phi sum_{p > P} -ln(1 - p^{-s}), and
+    -ln(1 - p^{-s}) <= p^{-s} + p^{-2s}/(2 (1 - P^{-s})).  The first powers
+    sum to at most ``_prime_sum_tail``, and sum_{p > P} p^{-2s} <=
+    int_P^oo x^{-2s} dx = P^{1-2s}/(2s - 1).  With E phi times the sum of
+    the two, value <= zeta_K <= value e^E, and the truncation error is at
+    most value (e^E - 1).  E is capped at 700 to keep the estimate finite;
+    past the cap it flags a product with no correct digits, not a bound.
+    """
     if prime_limit < _PRIME_LIMIT_MIN:
         raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     phi = euler_phi(m)
-    # unramified primes read their residue degree from the order table
-    primes = _primes_up_to(prime_limit)
-    fv = _order_table(m)[primes % m]
-    mask = fv > 0
-    f_arr = fv[mask].astype(np.float64)
-    p_arr = primes[mask].astype(np.float64)
-    g_arr = (phi // fv[mask]).astype(np.float64)
-    x = np.exp(-f_arr * s * np.log(p_arr))
-    log_total = _ramified(m, s)[0] + float(np.sum(-g_arr * np.log1p(-x)))
-    value = math.exp(log_total)
+    primes, log_p = _primes_up_to(prime_limit)
+    order = _order_table(m).astype(np.float64)
+    order[order == 0.0] = np.inf
+    residues = primes % m
+    y = order[residues]
+    y *= s
+    y *= log_p  # (f s) ln p, f = inf at the ramified residues
+    keep = np.flatnonzero(y < _EXP_UNDERFLOW)
+    x = np.exp(-y[keep])
+    terms = np.log1p(-x, out=x)  # in place, sparing one more prime-sized array
+    terms *= phi / order[residues[keep]]
+    value = math.exp(_ramified(m, s)[0] - float(np.sum(terms)))
 
-    tail1 = 1.3 * _prime_tail_integral(s, prime_limit)
-    tail2 = float(prime_limit) ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * math.log(prime_limit))
-    err_log = phi * (tail1 + tail2)
-    err = value * math.expm1(min(err_log, 700.0))
-    return Evaluation(value, err, int(mask.sum()) + len(_factorize(m)))
+    cutoff = float(prime_limit)
+    tail1 = _prime_sum_tail(s, prime_limit)
+    tail2 = cutoff ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * 2.0 * (1.0 - cutoff ** -s))
+    err = value * math.expm1(min(phi * (tail1 + tail2), 700.0))
+    # the primes <= P that do not divide m, plus every p | m
+    ramified_above = sum(p > prime_limit for p in _factorize(m))
+    return Evaluation(value, err, len(primes) + ramified_above)
 
 
 def _check_point(s: float) -> None:

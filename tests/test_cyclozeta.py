@@ -9,6 +9,7 @@ determinant for the zeta values and their log-derivative.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,11 +18,15 @@ import pytest
 from scipy.special import exp1
 
 from normeuclid.cyclozeta import (
+    _EXP_UNDERFLOW,
     ScanRow,
     _assert_real,
+    _factorize,
     _group_dft,
     _order_table,
+    _prime_sum_tail,
     _prime_tail_integral,
+    _ramified,
     _ramified_degrees,
     char_rotation,
     char_value,
@@ -345,6 +350,80 @@ def test_prime_tail_brackets_e1(s):
         tail = _prime_tail_integral(s, limit)
         assert lower < exp1(x) <= tail
     assert tail <= 1.21 * exp1(x)
+
+
+def _plain_primes(limit):
+    """Every prime <= limit, from a sieve over all integers."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def test_prime_sum_tail_bounds_the_primes_up_to_1e7():
+    primes = _plain_primes(10 ** 7).astype(np.float64)
+    for limit in (10 ** 3, 10 ** 4):
+        above = primes[primes > limit]
+        for s in (1.5, 2.0, 3.0):
+            assert _prime_sum_tail(s, limit) >= float(np.sum(above ** -s)), (limit, s)
+
+
+def test_odd_sieve_matches_a_plain_sieve():
+    from normeuclid import cyclozeta
+
+    sieve = cyclozeta._primes_up_to.__wrapped__  # leaves the shared entry alone
+    for limit in [*range(1000, 1101), 999_983, 10 ** 6, 10 ** 6 + 1]:
+        primes, log_p = sieve(limit)
+        want = _plain_primes(limit)
+        assert primes.dtype == np.int64 and np.array_equal(primes, want), limit
+        assert np.array_equal(log_p, np.log(want.astype(np.float64))), limit
+        assert not primes.flags.writeable and not log_p.flags.writeable
+    assert len(sieve(10 ** 6)[0]) == 78_498
+
+
+def _euler_unfiltered(m, s, primes):
+    """The Euler product as one pass over every prime <= P, none skipped:
+    value, terms counted, and y = (f s) ln p and x = e^{-y} per unramified p."""
+    phi = euler_phi(m)
+    fv = _order_table(m)[primes % m]
+    mask = fv > 0
+    f_arr = fv[mask].astype(np.float64)
+    g_arr = (phi // fv[mask]).astype(np.float64)
+    y = f_arr * s * np.log(primes[mask].astype(np.float64))
+    x = np.exp(-y)
+    value = math.exp(_ramified(m, s)[0] + float(np.sum(-g_arr * np.log1p(-x))))
+    return value, int(mask.sum()) + len(_factorize(m)), y, x
+
+
+def _large_moduli_points():
+    rng = random.Random(20240)
+    return [(rng.randint(400, 1100), rng.uniform(1.05, 2.0)) for _ in range(12)]
+
+
+@pytest.mark.parametrize(
+    "points,limit",
+    [
+        ([(m, s) for m in range(1, 61) for s in (1.1, 1.5, 2.0)], 10 ** 6),
+        (_large_moduli_points(), 10 ** 6),
+        ([(1009, 1.5), (2018, 1.5), (840, 1.2)], 1000),
+    ],
+    ids=["criterion-7-grid", "large-moduli", "ramified-above-limit"],
+)
+def test_underflow_filter_changes_only_the_summation_order(points, limit):
+    primes = _plain_primes(limit)
+    dropped_any = False
+    for m, s in points:
+        want, terms, y, x = _euler_unfiltered(m, s, primes)
+        got = zeta_cyclotomic(m, s, "euler", prime_limit=limit)
+        assert abs(got.value - want) <= 1e-15 * want, (m, s)
+        assert got.terms_used == terms, (m, s)
+        # every prime the filter skips had an Euler factor of exactly 1
+        skipped = y >= _EXP_UNDERFLOW
+        assert np.all(x[skipped] == 0.0), (m, s)
+        dropped_any |= bool(skipped.any())
+    assert dropped_any  # each set exercises the filter
 
 
 def test_zeta_above_one():

@@ -68,6 +68,20 @@ def test_package_loads_only_what_is_asked_for(code, loaded):
     assert out.stdout.strip() == str(loaded)
 
 
+def test_cli_import_builds_no_prime_sieve():
+    # the Euler route's sieve is built on its first call, not at import
+    code = (
+        "import normeuclid.cli\n"
+        "from normeuclid.cyclozeta import _primes_up_to\n"
+        "print(_primes_up_to.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
 def test_runtime_path_loads_no_scipy():
     # scipy is a test dependency only: the CLI and every library route run
     # on numpy alone
