@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Every computation in the package is reachable from a subcommand; scans can
-be written as CSV or JSON (plus an optional minimal SVG scatter), and
+The production routes are reachable from a subcommand; the exceptions are
+the check route ``cyclozeta.dirichlet_l`` (the group transform, one
+character at a time) and the one-point ``specfun.hurwitz_zeta`` and
+``hurwitz_zeta_ds``, which serve the tests and ``perfbench``.  Scans can be
+written as CSV or JSON (plus an optional minimal SVG scatter), and
 ``reproduce`` runs the acceptance checks and exits 0 only if all of them
 pass.  Floating-point output is rendered with 15 significant digits, CSV
 payloads with full round-trip precision, so identical flags give
@@ -304,9 +307,11 @@ def _crit_4_asymptotic_cap() -> tuple[bool, str]:
     identity_gap = abs((serre - limit) - (EULER_GAMMA + _LN2 - 1.0))
     ratio = 2.0 * math.exp(EULER_GAMMA - 1.0)
     ok = abs(cap - limit) <= 0.01 and identity_gap <= 1e-12 and ratio >= 1.31
+    # the unconditional main term ln(4 pi) + gamma + r/n tops ln(4 pi) + 1 iff r/n > 1 - gamma
     return ok, (
         f"cap(1e6)={cap:.6f} vs ln(4 pi e)={limit:.6f}, identity gap={identity_gap:.2e}, "
-        f"2e^(gamma-1)={ratio:.6f}"
+        f"2e^(gamma-1)={ratio:.6f}, "
+        f"unconditional bound beats the cap only for r/n > 1-gamma = {1.0 - EULER_GAMMA:.6f}"
     )
 
 

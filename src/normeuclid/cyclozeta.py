@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .specfun import (
+    _U,
     DomainError,
     Evaluation,
     hurwitz_zeta_array,
@@ -65,9 +65,6 @@ __all__ = [
     "euler_phi",
     "unit_group",
     "characters",
-    "char_rotation",
-    "char_value",
-    "conjugate_character",
     "dirichlet_l",
     "zeta_cyclotomic",
     "zeta_cyclotomic_logderiv",
@@ -280,31 +277,6 @@ def _rotation_indices(chi: DirichletCharacter, logs: np.ndarray) -> np.ndarray:
     return logs @ (np.array(chi.exponents, dtype=np.int64) * group.weights) % group.exponent
 
 
-def char_rotation(chi: DirichletCharacter, a: int) -> Fraction | None:
-    """Exact rotation index k/L of chi(a) = exp(2 pi i k/L) as a fraction
-    of a full turn, or None when chi(a) = 0 (a not coprime to the modulus)."""
-    m = chi.modulus
-    if math.gcd(a, m) != 1:
-        return None
-    group = unit_group(m)
-    return Fraction(int(_rotation_indices(chi, group.dlog(a))), group.exponent)
-
-
-def char_value(chi: DirichletCharacter, a: int) -> complex:
-    """chi(a) as a complex number (exactly 0 off the coprime residues)."""
-    turn = char_rotation(chi, a)
-    if turn is None:
-        return 0j
-    angle = _TWO_PI * float(turn)  # the correctly rounded k/L
-    return complex(math.cos(angle), math.sin(angle))
-
-
-def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
-    """The complex-conjugate character (negated exponent vector)."""
-    exps = tuple((-e) % o for e, (_, o) in zip(chi.exponents, unit_group(chi.modulus).generators))
-    return DirichletCharacter(chi.modulus, exps, chi.conductor)
-
-
 def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
     """table[a mod d] = chi(a) over the units a mod m, 0 elsewhere.
 
@@ -457,6 +429,19 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     the two, value <= zeta_K <= value e^E, and the truncation error is at
     most value (e^E - 1).  E is capped at 700 to keep the estimate finite;
     past the cap it flags a product with no correct digits, not a bound.
+
+    Rounding, to first order in u = 2^-53, with every log, exp, log1p and
+    pow within 1 ulp (2u; numpy's accuracy tests hold its float64 ones to
+    that).  In t = g ln(1 - x), y = (f s) ln p is off by 4u y and x by
+    (4y + 2)u, which ln(1 - x) at most doubles (x < 1/2); log1p, phi/f and
+    the product add 4u |t|.  With g x <= |t|, g <= phi, n the primes up to
+    P and g x y <= Y g x + g e^{-Y-1} at Y = ln(phi n), sum|dt| <=
+    8u ((1 + Y) sum|t| + 1/e).  numpy's pairwise sum adds at most log2 n +
+    21 roundings (15 in an accumulator, 3 to join 8 of them, 7 trailing, 1
+    per halving, 1 more), and R + sum|t| one: c = 30 + 8 ln(phi n).  In R,
+    f s and pow put (y + 2)u into x, giving u (s |R'| + 4 |R|); log1p,
+    times g, the k - 1 adds over the k primes of m and R + sum|t| add
+    (3 + k)u |R|: c' = 7 + k.  exp adds 2u, and 8/e + 2 < 5.
     """
     if prime_limit < _PRIME_LIMIT_MIN:
         raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
@@ -472,15 +457,19 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     x = np.exp(-y[keep])
     terms = np.log1p(-x, out=x)  # in place, sparing one more prime-sized array
     terms *= phi / order[residues[keep]]
-    value = math.exp(_ramified(m, s)[0] - float(np.sum(terms)))
+    log_r, dlog_r = _ramified(m, s)
+    abs_sum = -float(np.sum(terms))  # every term is <= 0
+    value = math.exp(log_r + abs_sum)
 
     cutoff = float(prime_limit)
     tail1 = _prime_sum_tail(s, prime_limit)
     tail2 = cutoff ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * 2.0 * (1.0 - cutoff ** -s))
     err = value * math.expm1(min(phi * (tail1 + tail2), 700.0))
+    n, ramified = len(primes), _factorize(m)
+    rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * dlog_r
+    err += _U * value * (rounding + (7 + len(ramified)) * log_r)
     # the primes <= P that do not divide m, plus every p | m
-    ramified_above = sum(p > prime_limit for p in _factorize(m))
-    return Evaluation(value, err, len(primes) + ramified_above)
+    return Evaluation(value, err, n + sum(p > prime_limit for p in ramified))
 
 
 def _check_point(s: float) -> None:
@@ -502,8 +491,8 @@ def zeta_cyclotomic(
     from one group DFT, plus the ramified Euler factors (accurate to
     roughly 1e-12 relative); ``terms_used`` is the number of Hurwitz-zeta
     evaluations, phi(m).  method="euler": truncated Euler product over
-    rational primes up to prime_limit >= 1000; its error estimate carries the
-    omitted-tail bound, which is large for s near 1, and ``terms_used``
+    rational primes up to prime_limit >= 1000, whose estimate adds the
+    rounding to the omitted-tail bound (large for s near 1); ``terms_used``
     counts the primes multiplied in.  Both deliver a real value > 1.
     """
     _check_point(s)

@@ -27,8 +27,6 @@ __all__ = [
     "delta2_star_log",
     "criterion_check",
     "poitou_grh_lower",
-    "uncond_lower_main",
-    "remark_condition",
     "lenstra_disc_cap",
     "main_gap",
     "find_crossing",
@@ -145,22 +143,6 @@ def poitou_grh_lower(n: int, r: int) -> float:
             + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln2_n) ** 2)
         )
     )
-
-
-def uncond_lower_main(n: int, r: int) -> float:
-    """Main term of the unconditional discriminant lower bound, as a log:
-
-    (1/n) ln|Delta| >= ln 4 pi + gamma + r/n + o(1).
-    """
-    if n < 1 or not (0 <= r <= n):
-        raise DomainError(f"bad (n, r) = ({n}, {r})")
-    return math.log(4.0 * math.pi) + EULER_GAMMA + r / n
-
-
-def remark_condition(r_over_n: float) -> bool:
-    """Whether the unconditional bound already contradicts the 4 pi e cap:
-    true iff r/n > 1 - gamma."""
-    return r_over_n > 1.0 - EULER_GAMMA
 
 
 def lenstra_disc_cap(n: int) -> float:

@@ -13,9 +13,6 @@ in which case the lower bound is vacuous.
 U and the central integral are closed forms: trigonometric Cardano and a
 deflated quadratic, and 32-node Gauss-Legendre on [0, min(kappa^theta, 5)]
 with a Bernstein-ellipse bound on its truncation.
-
-Also included: the classic log2 upper estimate of sigma_n due to Leech and
-Sloane, with the Stirling-level gap between the two upper bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ __all__ = [
     "f_lower",
     "sigma_upper_log",
     "sigma_lower_log",
-    "leech_gap",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -351,39 +347,3 @@ def sigma_lower_log(n: float, f: Evaluation) -> Evaluation | None:
         value += term
     err = f.err_estimate / f.value + 8.0 * _U * sum(map(abs, terms))
     return Evaluation(value, err, f.terms_used)
-
-
-def leech_gap(n: float) -> tuple[float, float, float]:
-    """Leech-Sloane log2 estimate of sigma_n and its gap to the closed form.
-
-    Returns (leech_log2, predicted_gap, actual_gap) where
-
-      leech_log2    = (n/2) log2(n/4e) + (3/2) log2(e/sqrt(pi))
-                      + 5.25/(n+2.5) - log2 Gamma(1+n/2),
-      predicted_gap = (3/2) log2 n + 1/2 - (3/2) log2 e + (5/4) log2 pi
-                      + 13 log2 e /(12n) - 5.25/(n+2.5),
-      actual_gap    = sigma_upper_log(n)/ln 2 - leech_log2.
-
-    The prediction is a Stirling-level identity: actual and predicted agree
-    up to O(1/n^2).
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    ln2 = math.log(2.0)
-    log2e = 1.0 / ln2
-    leech = (
-        0.5 * n * math.log2(n / (4.0 * math.e))
-        + 1.5 * math.log2(math.e / _SQRT_PI)
-        + 5.25 / (n + 2.5)
-        - math.lgamma(1.0 + 0.5 * n) / ln2
-    )
-    predicted = (
-        1.5 * math.log2(n)
-        + 0.5
-        - 1.5 * log2e
-        + 1.25 * math.log2(math.pi)
-        + 13.0 * log2e / (12.0 * n)
-        - 5.25 / (n + 2.5)
-    )
-    actual = sigma_upper_log(n) / ln2 - leech
-    return leech, predicted, actual

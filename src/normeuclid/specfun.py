@@ -39,7 +39,6 @@ __all__ = [
     "LAMBDA3",
     "BETA3",
     "digamma",
-    "riemann_zeta",
     "hurwitz_zeta",
     "hurwitz_zeta_ds",
     "hurwitz_zeta_array",
@@ -270,8 +269,3 @@ def hurwitz_zeta(s: float, a: float) -> Evaluation:
 def hurwitz_zeta_ds(s: float, a: float) -> Evaluation:
     """d/ds of hurwitz_zeta(s, a): a one-element :func:`hurwitz_zeta_ds_array` call."""
     return _first(hurwitz_zeta_ds_array(s, [a]))
-
-
-def riemann_zeta(s: float) -> Evaluation:
-    """Riemann zeta(s) for s > 1, via hurwitz_zeta(s, 1) (PoleError at s <= 1)."""
-    return hurwitz_zeta(s, 1.0)

@@ -21,6 +21,7 @@ from normeuclid.cyclozeta import (
     _EXP_UNDERFLOW,
     ScanRow,
     _assert_real,
+    _char_table,
     _factorize,
     _group_dft,
     _order_table,
@@ -28,10 +29,8 @@ from normeuclid.cyclozeta import (
     _prime_tail_integral,
     _ramified,
     _ramified_degrees,
-    char_rotation,
-    char_value,
+    _rotation_indices,
     characters,
-    conjugate_character,
     cyclo_disc_log,
     cyclo_signature,
     dirichlet_l,
@@ -43,7 +42,7 @@ from normeuclid.cyclozeta import (
     zeta_cyclotomic,
     zeta_cyclotomic_logderiv,
 )
-from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta_array, riemann_zeta
+from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta, hurwitz_zeta_array
 
 CATALAN = 0.91596559417721901505460351493238411
 
@@ -106,16 +105,18 @@ def test_characters_m1():
     chars = characters(1)
     assert len(chars) == 1
     assert chars[0].conductor == 1
+    table = _char_table(chars[0], 1)
     for a in (1, 2, 17):
-        assert char_value(chars[0], a) == 1
+        assert table[a % 1] == 1
 
 
 def test_characters_m4():
     chars = characters(4)
     assert len(chars) == 2
     nontrivial = next(c for c in chars if c.exponents != (0,) * len(c.exponents))
-    assert char_value(nontrivial, 3) == pytest.approx(-1.0, abs=1e-15)
-    assert char_value(nontrivial, 2) == 0j
+    table = _char_table(nontrivial, 4)
+    assert table[3] == pytest.approx(-1.0, abs=1e-15)
+    assert table[2] == 0j
     assert nontrivial.conductor == 4
 
 
@@ -179,7 +180,8 @@ def test_conductor_sum_matches_multiplicative_formula():
 
 def test_character_count_and_orthogonality_over_a():
     for chi in characters(8):
-        total = sum(char_value(chi, a) for a in range(1, 9))
+        table = _char_table(chi, 8)
+        total = sum(table[a % 8] for a in range(1, 9))
         if chi.exponents == (0, 0):
             assert total == pytest.approx(euler_phi(8))
         else:
@@ -190,8 +192,9 @@ def test_character_count_and_orthogonality_over_a():
 def test_character_orthogonality_over_chi(m):
     chars = characters(m)
     assert len(chars) == euler_phi(m)
+    tables = [_char_table(c, m) for c in chars]
     for a in range(1, m + 1):
-        total = sum(char_value(c, a) for c in chars)
+        total = sum(table[a % m] for table in tables)
         want = euler_phi(m) if a % m == 1 % m and math.gcd(a, m) == 1 else 0.0
         assert abs(total - want) <= 1e-10
 
@@ -199,11 +202,12 @@ def test_character_orthogonality_over_chi(m):
 def test_character_multiplicativity_samples():
     for m in (5, 8, 12, 35):
         for chi in characters(m):
+            table = _char_table(chi, m)
             for a in range(1, m):
                 for b in range(1, m):
                     if math.gcd(a, m) == 1 and math.gcd(b, m) == 1:
-                        lhs = char_value(chi, a * b)
-                        rhs = char_value(chi, a) * char_value(chi, b)
+                        lhs = table[a * b % m]
+                        rhs = table[a] * table[b]
                         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -212,26 +216,32 @@ def test_char_rotation_exact():
     orders = {c.exponents for c in chars}
     assert len(orders) == 4
     quartic = next(c for c in chars if c.exponents == (1,))
-    assert char_rotation(quartic, 2) == Fraction(1, 4)  # 2 generates (Z/5)*
-    assert char_rotation(quartic, 5) is None
+    group = unit_group(5)
+    turn = Fraction(int(_rotation_indices(quartic, group.dlog(2))), group.exponent)
+    assert turn == Fraction(1, 4)  # 2 generates (Z/5)*
+    assert _char_table(quartic, 5)[5 % 5] == 0
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)))
 def test_conjugate_character(m):
     chars = characters(m)
+    group = unit_group(m)
     by_exponents = {c.exponents: c for c in chars}
+
+    def conjugate(chi):
+        # the character with exponents -e mod o
+        return by_exponents[tuple(-e % o for e, o in zip(chi.exponents, group.orders.tolist()))]
+
     for chi in chars:
-        conj = conjugate_character(chi)
-        # conj chi is a character mod m with the conductor of chi
-        assert by_exponents[conj.exponents] == conj
+        conj = conjugate(chi)
         assert conj.conductor == chi.conductor
-        for a in range(m):
-            rot = char_rotation(chi, a)
-            if math.gcd(a, m) == 1:
-                assert char_rotation(conj, a) == -rot % 1
-            else:
-                assert char_rotation(conj, a) is None
-        assert conjugate_character(conj) == chi
+        rot = _rotation_indices(chi, group.logs)
+        assert np.array_equal(_rotation_indices(conj, group.logs), -rot % group.exponent)
+        table, conj_table = _char_table(chi, m), _char_table(conj, m)
+        assert np.array_equal(conj_table == 0, table == 0)
+        # each table's angles 2 pi k/L round to within about 2e-15
+        assert np.abs(np.conj(table) - conj_table).max() <= 1e-14
+        assert conjugate(conj) == chi
 
 
 @pytest.mark.parametrize("m", list(range(2, 61)))
@@ -260,7 +270,7 @@ def _primitive_value(chi, a):
     b = a
     while math.gcd(b, chi.modulus) != 1:
         b += d
-    return b, char_value(chi, b)
+    return b, _char_table(chi, chi.modulus)[b % chi.modulus]
 
 
 # ------------------------------------------------------------- L-values
@@ -285,7 +295,9 @@ def test_l_near_one_finite_and_matches_series():
     # 5^{-s} sum_a chi(a) zeta(s, a/5) with the exact chi(1..4) = 1, i, -i, -1
     s = 1.01
     chi = next(c for c in characters(5) if c.exponents == (1,))
-    quarter_turns = [char_rotation(chi, a) * 4 for a in range(1, 5)]
+    group = unit_group(5)
+    rotations = [int(_rotation_indices(chi, group.dlog(a))) for a in range(1, 5)]
+    quarter_turns = [4 * Fraction(k, group.exponent) for k in rotations]
     assert quarter_turns == [0, 1, 3, 2]
     lv = dirichlet_l(s, chi)
     assert isinstance(lv, Evaluation)
@@ -498,6 +510,22 @@ def test_zeta_within_error_of_oracle(m, s):
     assert abs(z.value - float(_zeta_oracle(m, s))) <= z.err_estimate
 
 
+def _euler_rounding_points():
+    # at large s the truncation bound is tiny and rounding is all the error
+    # there is; at the first four a tail-only estimate falls far below it
+    rng = random.Random(4417)
+    moduli = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21)
+    return [(12, 20.0), (1, 30.0), (4, 5.0), (7, 10.0)] + [
+        (rng.choice(moduli), rng.uniform(3.0, 40.0)) for _ in range(16)
+    ]
+
+
+@pytest.mark.parametrize("m,s", _euler_rounding_points())
+def test_euler_estimate_covers_rounding(m, s):
+    z = zeta_cyclotomic(m, s, "euler")
+    assert abs(mpmath.mpf(z.value) - _zeta_oracle(m, s, 40)) <= z.err_estimate
+
+
 @pytest.mark.parametrize("m,s", _ORACLE_GRID)
 def test_logderiv_within_error_of_oracle(m, s):
     with mpmath.workdps(80):
@@ -540,7 +568,7 @@ def test_logderiv_rational():
     got = zeta_cyclotomic_logderiv(1, 2.0).value
     from normeuclid.specfun import hurwitz_zeta_ds
 
-    want = hurwitz_zeta_ds(2.0, 1.0).value / riemann_zeta(2.0).value
+    want = hurwitz_zeta_ds(2.0, 1.0).value / hurwitz_zeta(2.0, 1.0).value
     assert got == pytest.approx(want, abs=1e-13)
     assert got == pytest.approx(-0.56996, abs=1e-5)
 
@@ -726,7 +754,7 @@ def test_scan_m3_value():
     row = scan_row(3, 0.75)
     assert row.s == pytest.approx(1.0 + 2.0 ** -0.75, abs=1e-15)
     chi = next(c for c in characters(3) if c.exponents != (0,))
-    want = riemann_zeta(row.s).value * dirichlet_l(row.s, chi).value.real
+    want = hurwitz_zeta(row.s, 1.0).value * dirichlet_l(row.s, chi).value.real
     assert row.zeta_value == pytest.approx(want, rel=1e-10)
 
 

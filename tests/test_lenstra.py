@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from normeuclid import lenstra
+from normeuclid import cli, lenstra
 from normeuclid.lenstra import (
     NotFoundError,
     _crossing,
@@ -17,8 +17,6 @@ from normeuclid.lenstra import (
     lenstra_disc_cap,
     main_gap,
     poitou_grh_lower,
-    remark_condition,
-    uncond_lower_main,
 )
 from normeuclid.rogers import RogersContext, f_lower
 from normeuclid.specfun import EULER_GAMMA as GAMMA, DomainError, Evaluation
@@ -173,13 +171,19 @@ def test_poitou_domain():
 
 
 def test_uncond_main_term():
-    assert uncond_lower_main(7, 7) == pytest.approx(
-        math.log(4.0 * math.pi * math.e ** (1.0 + GAMMA)), abs=1e-12
-    )
-    assert uncond_lower_main(8, 0) == pytest.approx(math.log(4.0 * math.pi) + GAMMA, abs=1e-12)
-    assert remark_condition(0.5)  # 0.5 > 1 - gamma ~ 0.4228
-    assert not remark_condition(0.42)
-    assert not remark_condition(1.0 - GAMMA)
+    # criterion 4 says where the unconditional main term ln(4 pi) + gamma + r/n
+    # passes the cap ln(4 pi e): only for r/n > 1 - gamma ~ 0.4228
+    ok, detail = cli._crit_4_asymptotic_cap()
+    assert ok
+    clause = detail.split(", ")[-1]
+    assert clause == "unconditional bound beats the cap only for r/n > 1-gamma = 0.422784"
+    threshold = float(clause.rsplit("= ", 1)[1])
+    assert threshold == pytest.approx(1.0 - GAMMA, abs=5e-7)
+    cap = math.log(4.0 * math.pi * math.e)
+    for r_over_n in (0.42, 1.0 - GAMMA - 1e-9):
+        assert math.log(4.0 * math.pi) + GAMMA + r_over_n < cap
+    for r_over_n in (0.5, 1.0 - GAMMA + 1e-9):
+        assert math.log(4.0 * math.pi) + GAMMA + r_over_n > cap
 
 
 def test_disc_cap():

@@ -20,7 +20,6 @@ from normeuclid.rogers import (
     central_integral,
     error_constants,
     f_lower,
-    leech_gap,
     sigma_lower_log,
     sigma_upper_log,
     u_threshold,
@@ -428,16 +427,3 @@ def test_sigma_lower_within_error_of_oracle():
         f = f_lower(RogersContext(float(n), 0.1))
         low = sigma_lower_log(n, f)
         assert abs(mpmath.mpf(low.value) - _sigma_lower_oracle(n, f.value)) <= low.err_estimate
-
-
-# ------------------------------------------------------------- leech gap
-
-def test_leech_gap_prediction():
-    _, predicted, actual = leech_gap(100)
-    # tolerance fixed by the exact-factorial evaluation: the prediction is
-    # Stirling-level, off by O(1/n^2)
-    assert abs(actual - predicted) <= 1e-4
-    _, p4, a4 = leech_gap(10 ** 4)
-    assert abs(a4 - p4) <= abs(actual - predicted)
-    leech1, pred1, act1 = leech_gap(1)
-    assert all(math.isfinite(v) for v in (leech1, pred1, act1))

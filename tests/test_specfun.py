@@ -27,7 +27,6 @@ from normeuclid.specfun import (
     hurwitz_zeta_array,
     hurwitz_zeta_ds,
     hurwitz_zeta_ds_array,
-    riemann_zeta,
 )
 
 
@@ -52,7 +51,7 @@ def test_constants():
     assert LAMBDA3 == 0.875 * ZETA3
     assert BETA3 == math.pi ** 3 / 32.0
     # zeta3 against the Euler-Maclaurin evaluation
-    assert abs(ZETA3 - riemann_zeta(3.0).value) <= 1e-14
+    assert abs(ZETA3 - hurwitz_zeta(3.0, 1.0).value) <= 1e-14
     # odd cubic series oracle for lambda3: direct sum plus integral tail
     k = np.arange(0, 10 ** 6, dtype=np.float64)
     lam = float(np.sum((2 * k + 1) ** -3.0)) + 1.0 / (16.0 * (10 ** 6) ** 2)
@@ -172,19 +171,19 @@ def test_digamma_within_error_of_oracle(x):
 # ------------------------------------------------------------------ zeta
 
 def test_riemann_zeta_known_values():
-    assert riemann_zeta(2.0).value == pytest.approx(math.pi ** 2 / 6.0, abs=1e-14)
-    assert riemann_zeta(4.0).value == pytest.approx(math.pi ** 4 / 90.0, abs=1e-14)
+    assert hurwitz_zeta(2.0, 1.0).value == pytest.approx(math.pi ** 2 / 6.0, abs=1e-14)
+    assert hurwitz_zeta(4.0, 1.0).value == pytest.approx(math.pi ** 4 / 90.0, abs=1e-14)
 
 
 def test_riemann_zeta_near_one():
-    z = riemann_zeta(1.0276)
+    z = hurwitz_zeta(1.0276, 1.0)
     assert _oracle_gap(z.value, 1.0276, 1.0, False) <= z.err_estimate
     assert z.value == pytest.approx(36.8, abs=0.1)
 
 
 def test_zeta_pole():
     with pytest.raises(PoleError):
-        riemann_zeta(1.0)
+        hurwitz_zeta(1.0, 1.0)
     with pytest.raises(PoleError):
         hurwitz_zeta(0.5, 0.3)
 
@@ -366,7 +365,8 @@ def test_hurwitz_ds_at_two():
 
 def test_hurwitz_ds_halves_identity():
     # zeta(s, 1/2) = (2^s - 1) zeta(s)  =>  d/ds at s=2
-    want = math.log(2.0) * 4.0 * riemann_zeta(2.0).value + 3.0 * hurwitz_zeta_ds(2.0, 1.0).value
+    zeta2 = hurwitz_zeta(2.0, 1.0).value
+    want = math.log(2.0) * 4.0 * zeta2 + 3.0 * hurwitz_zeta_ds(2.0, 1.0).value
     assert hurwitz_zeta_ds(2.0, 0.5).value == pytest.approx(want, abs=1e-12)
 
 
