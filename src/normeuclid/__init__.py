@@ -4,12 +4,12 @@ fields.
 
 Subpackages by theme:
 
-* specfun    foundation numerics (gamma-family functions, Hurwitz zeta)
+* specfun    foundation numerics (digamma, one-point Hurwitz zeta, constants)
 * rogers     two-sided explicit bounds for the Rogers packing constant
 * lenstra    criterion thresholds, GRH discriminant bounds, the crossing
              degree where they collide
-* cyclozeta  Dirichlet characters, L-functions, cyclotomic zeta values and
-             scans
+* cyclozeta  Hurwitz zeta array kernels, Dirichlet characters, L-functions,
+             cyclotomic zeta values and scans
 * zimmert    digamma series bounds and the minimal-ideal-norm inequalities
 * cli        command-line front end (``normeuclid ...``)
 

@@ -3,12 +3,16 @@
 The production routes are reachable from a subcommand; the exceptions are
 the check route ``cyclozeta.dirichlet_l`` (the group transform, one
 character at a time) and the one-point ``specfun.hurwitz_zeta`` and
-``hurwitz_zeta_ds``, which serve the tests and ``perfbench``.  Scans can be
-written as CSV or JSON (plus an optional minimal SVG scatter), and
-``reproduce`` runs the acceptance checks and exits 0 only if all of them
-pass.  Floating-point output is rendered with 15 significant digits, CSV
-payloads with full round-trip precision, so identical flags give
-byte-identical output.
+``hurwitz_zeta_ds``, one-element calls of the cyclozeta array kernels that
+serve the tests and ``perfbench``.  Only specfun, rogers and lenstra load
+with this module, so the explicit-bounds commands (``constants``,
+``rogers``, ``lenstra-check``, ``lenstra-crossing``) run without numpy;
+cyclozeta, zimmert and numpy are imported by the functions that use them.
+Scans can be written as CSV or JSON (plus an optional minimal SVG
+scatter), and ``reproduce`` runs the acceptance checks and exits 0 only if
+all of them pass.  Floating-point output is rendered with 15 significant
+digits, CSV payloads with full round-trip precision, so identical flags
+give byte-identical output.
 
 Exit codes: 0 success, 1 domain/convergence error, an integer argument too
 large for binary64 or an output file that cannot be written, 2 usage error.
@@ -21,11 +25,9 @@ import json
 import math
 import sys
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import cyclozeta, lenstra, rogers, zimmert
+from . import lenstra, rogers
 from .specfun import (
     BETA3,
     BracketError,
@@ -33,7 +35,11 @@ from .specfun import (
     DomainError,
     EULER_GAMMA,
     LAMBDA3,
+    ZETA_THRESHOLD,
 )
+
+if TYPE_CHECKING:
+    from .cyclozeta import ScanRow
 
 __all__ = ["main", "run_acceptance", "CriterionResult"]
 
@@ -46,6 +52,7 @@ def _fmt(x: float) -> str:
 
 def _prime_limit(text: str) -> int:
     """argparse type for --prime-limit: an integer >= the Euler route's minimum, 1000."""
+    from . import cyclozeta
     limit, low = int(text), cyclozeta._PRIME_LIMIT_MIN
     if limit < low:
         raise argparse.ArgumentTypeError(f"prime-limit must be >= {low}, got {limit}")
@@ -108,6 +115,7 @@ def _cmd_lenstra_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
+    from . import cyclozeta
     z = cyclozeta.zeta_cyclotomic(
         args.m, args.s, method=args.method, prime_limit=args.prime_limit
     )
@@ -129,19 +137,19 @@ _SCAN_COLUMNS = (
 )
 
 
-def _rows_csv(rows: list[cyclozeta.ScanRow]) -> str:
+def _rows_csv(rows: list[ScanRow]) -> str:
     lines = [",".join(name for name, _ in _SCAN_COLUMNS)]
     for r in rows:
         lines.append(",".join(repr(getattr(r, field)) for _, field in _SCAN_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(rows: list[cyclozeta.ScanRow]) -> str:
+def _rows_json(rows: list[ScanRow]) -> str:
     payload = [{name: getattr(r, field) for name, field in _SCAN_COLUMNS} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _rows_svg(rows: list[cyclozeta.ScanRow]) -> str:
+def _rows_svg(rows: list[ScanRow]) -> str:
     """Fixed 800x600 scatter of (phi, zeta), linear axes, one circle per row."""
     width, height, margin = 800, 600, 60
     xs = [float(r.phi_m) for r in rows]
@@ -185,6 +193,7 @@ def _rows_svg(rows: list[cyclozeta.ScanRow]) -> str:
 
 
 def _cmd_cyclo_scan(args: argparse.Namespace) -> int:
+    from . import cyclozeta
     rows = cyclozeta.scan(args.m_max, args.epsilon)
     text = _rows_json(rows) if args.format == "json" else _rows_csv(rows)
     if args.out:
@@ -201,6 +210,7 @@ def _cmd_cyclo_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_zimmert(args: argparse.Namespace) -> int:
+    from . import zimmert
     t = zimmert.f_terms(args.beta)
     f_ab = t.f_ab(args.a, args.b)
     print(f"beta = {_fmt(args.beta)}")
@@ -214,6 +224,7 @@ def _cmd_zimmert(args: argparse.Namespace) -> int:
 
 
 def _cmd_zimmert_verify(args: argparse.Namespace) -> int:
+    from . import zimmert
     l1, r1, h1 = zimmert.satz4_check(args.m, args.beta)
     l2, r2, h2 = zimmert.min_norm_check(args.m, args.beta)
     print(f"m = {args.m}, beta = {_fmt(args.beta)}")
@@ -228,8 +239,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     print(f"beta(3)            = {_fmt(BETA3)}   (= pi^3/32)")
     print(f"ln(4 pi e)         = {_fmt(math.log(4 * math.pi * math.e))}")
     print(f"ln(8 pi e^gamma)   = {_fmt(math.log(8 * math.pi) + EULER_GAMMA)}")
-    threshold, _ = zimmert.zeta_lenstra_threshold(0.5 * _LN2)
-    print(f"zeta threshold     = {_fmt(threshold)}   (= 2 ln 2/(2 ln 2 + gamma - 1))")
+    print(f"zeta threshold     = {_fmt(ZETA_THRESHOLD)}   (= 2 ln 2/(2 ln 2 + gamma - 1))")
     return 0
 
 
@@ -316,6 +326,7 @@ def _crit_4_asymptotic_cap() -> tuple[bool, str]:
 
 
 def _crit_5_zimmert_limits() -> tuple[bool, str]:
+    from . import zimmert
     t = zimmert.f_terms(1e-4)
     lim1 = EULER_GAMMA + math.log(4.0) + 1.0
     lim2 = EULER_GAMMA + math.log(4.0) - 1.0
@@ -330,6 +341,7 @@ def _odd_power_series(p: int, alternating: bool) -> float:
     terms, then minus half the last one if alternating, else plus the
     midpoint integral (2n)^{1-p}/(2(p-1)) of the rest.  The truncation
     left (1.25e-16 at p = 2) is under the sum's rounding."""
+    import numpy as np
     n = 100_000
     k = np.arange(n, dtype=np.float64)
     terms = (2.0 * k + 1.0) ** -p
@@ -340,15 +352,16 @@ def _odd_power_series(p: int, alternating: bool) -> float:
 
 
 def _crit_6_threshold_constant() -> tuple[bool, str]:
-    th, _ = zimmert.zeta_lenstra_threshold(0.5 * _LN2)
     # independent series oracles for the two Poitou constants
     d_lam = abs(LAMBDA3 - _odd_power_series(3, alternating=False))
     d_bet = abs(BETA3 - _odd_power_series(3, alternating=True))
+    th = ZETA_THRESHOLD
     ok = abs(th - 1.43879) <= 1e-5 and d_lam <= 1e-12 and d_bet <= 1e-12
     return ok, f"threshold={th:.7f}, |lambda3 - oracle|={d_lam:.2e}, |beta3 - oracle|={d_bet:.2e}"
 
 
 def _crit_7_zeta_engine() -> tuple[bool, str]:
+    from . import cyclozeta
     worst = 0.0
     worst_at = (0, 0.0)
     for m in range(1, 61):
@@ -385,6 +398,7 @@ def _crit_7_zeta_engine() -> tuple[bool, str]:
 
 
 def _crit_8_inequality_theorems() -> tuple[bool, str]:
+    from . import zimmert
     bad = []
     for m in range(1, 31):
         for beta in (0.05, 0.1, 0.2):
@@ -420,6 +434,7 @@ def _crit_9_rogers_sanity() -> tuple[bool, str]:
 
 
 def _crit_10_min_norms() -> tuple[bool, str]:
+    from . import cyclozeta
     anchors = (
         cyclozeta.min_proper_ideal_norm(8) == 2
         and cyclozeta.min_proper_ideal_norm(5) == 5

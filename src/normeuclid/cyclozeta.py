@@ -16,6 +16,19 @@ order as int64 arrays, so h is one array-kernel call over a = units/m,
 reshaped.  The log-derivative transforms m^{-s} times d/ds zeta(s, a/m)
 the same way.
 
+The array kernel for Hurwitz zeta and its s-derivative (the one-point
+``specfun.hurwitz_zeta`` and ``hurwitz_zeta_ds`` call it with one element)
+is an (N x len(a)) Euler-Maclaurin block whose direct terms are summed
+smallest first, with that sum's rounding, about N u sum|terms|, in the
+error estimate.  The cutoffs are N = 20 direct terms and J = 10 Bernoulli
+pairs for every s.  That N is enough: k -> (k+a)^{-s} is completely
+monotone, so for any N the remainder lies between zero and the first
+omitted Bernoulli term, which the estimate charges (for d/ds, its
+s-derivative).  At N = 20 both are below 1e-25 for every s > 1 and below
+1e-30 for s >= 10, far below every tolerance used downstream (the
+tightest acceptance margin in the package is about 5e-5).  A value or an
+estimate that binary64 cannot hold raises DomainError.
+
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
 order of p modulo the prime-to-p part of m and g = phi(.)/f.  Only the
@@ -50,13 +63,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .specfun import (
-    _U,
-    DomainError,
-    Evaluation,
-    hurwitz_zeta_array,
-    hurwitz_zeta_ds_array,
-)
+from .specfun import _BERNOULLI_2J, _U, DomainError, Evaluation, PoleError
 
 __all__ = [
     "UnitGroupStructure",
@@ -73,6 +80,8 @@ __all__ = [
     "min_proper_ideal_norm",
     "scan",
     "scan_row",
+    "hurwitz_zeta_array",
+    "hurwitz_zeta_ds_array",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -289,6 +298,101 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
     table = np.zeros(d, dtype=complex)
     table[group.units % d] = np.cos(angle) + 1j * np.sin(angle)
     return table
+
+
+# ----------------------------------------------------- Hurwitz zeta kernel
+
+# the Euler-Maclaurin coefficients B_2j/(2j)!, j = 1..J+1
+_BERNOULLI_OVER_FACTORIAL = np.array(
+    [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_2J, 1)]
+)
+
+# The one Euler-Maclaurin block, N direct terms and J Bernoulli pairs, and
+# the parts of it that do not depend on s: the descending k column (a sum
+# along axis 0 adds the smallest terms first), the exponents of x^{-2i} for
+# i = 0..J, and the offsets t = 0..2J of s + t.
+_EM_N = 20
+_EM_J = 10
+_EM_K = np.arange(_EM_N - 1, -1, -1, dtype=np.float64)[:, None]
+_EM_POWERS = -np.arange(_EM_J + 1.0)[:, None]
+_EM_OFFSETS = np.arange(2.0 * _EM_J + 1.0)
+
+
+def _em_block(name: str, s: float, a):
+    """(base, x, bern, harm) for the array kernels: the (N x len(a)) block
+    base[i] = k + a with k = N-1-i descending, x = N + a, and for
+    i = 1..J+1 (the last is the first omitted) the Bernoulli corrections of
+    zeta bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1} and the sums
+    harm[i-1] of 1/(s+t) over the same factors; those of d/ds are
+    bern[i-1] (harm[i-1] - ln x)."""
+    if not math.isfinite(s):
+        raise DomainError(f"{name} needs a finite s, got {s}")
+    if s <= 1.0:
+        raise PoleError(f"{name} requires s > 1, got {s}")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1 or not np.all((a > 0.0) & (a <= 1.0)):
+        raise DomainError(f"{name} requires 0 < a <= 1, got a={a}")
+    x = _EM_N + a
+    t = s + _EM_OFFSETS
+    coef = _BERNOULLI_OVER_FACTORIAL * np.cumprod(t)[::2]
+    xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
+    # for s above about 4e14 the product s(s+1)... overflows where the power
+    # has already underflowed; such a correction is 0, not inf * 0
+    bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+    return _EM_K + a, x, bern, np.cumsum(1.0 / t)[::2]
+
+
+def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
+    """value = direct sum + Euler-Maclaurin rest, with its error estimate:
+    the first omitted correction, the direct sum's rounding (N+2) u sum|terms|
+    (N - 1 additions plus the rounding of each term), about 5u for the few
+    operations of the rest, and u for the final additions.  A value or an
+    estimate that binary64 cannot hold raises DomainError."""
+    value = direct + rest
+    err = omitted + _U * ((_EM_N + 2) * abs_sum + 5.0 * np.abs(rest) + np.abs(value))
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(err))):
+        raise DomainError(f"{name} at s={s} leaves the binary64 range")
+    return value, err, _EM_N + _EM_J
+
+
+# an overflow surfaces as the DomainError of _em_result, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
+def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
+    """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^{-s} for s > 1 at every entry
+    of the 1-d array a, 0 < a <= 1.
+
+    Euler-Maclaurin over an (N x len(a)) block: the direct terms k < N,
+    summed smallest first, the integral tail (N+a)^{1-s}/(s-1), the
+    midpoint term (N+a)^{-s}/2, and Bernoulli corrections B_2j up to J
+    pairs.  Returns (values, error estimates, terms per value N + J).  The
+    error estimate is the first omitted Bernoulli term plus the rounding
+    of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
+    """
+    base, x, bern, _ = _em_block("hurwitz_zeta", s, a)
+    direct = (base ** -s).sum(axis=0)
+    xt = x ** (1.0 - s)
+    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
+    # the direct terms are positive, so sum|terms| is the direct sum itself
+    return _em_result("hurwitz_zeta", s, direct, rest, direct, np.abs(bern[-1]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
+    """d/ds of hurwitz_zeta_array(s, a), by term-wise differentiation of
+    the same Euler-Maclaurin scheme.  The direct terms -ln(k+a) (k+a)^{-s}
+    change sign at k + a = 1, so the rounding term uses sum|terms|."""
+    base, x, bern, harm = _em_block("hurwitz_zeta_ds", s, a)
+    terms = -np.log(base) * base ** -s
+    lx = np.log(x)
+    xt = x ** (1.0 - s)
+    tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
+    mid = -0.5 * lx * xt / x
+    corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
+    omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
+    abs_sum = np.abs(terms).sum(axis=0)
+    return _em_result(
+        "hurwitz_zeta_ds", s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted
+    )
 
 
 # ------------------------------------------------------------ L-functions

@@ -32,17 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import (
-    ConvergenceError,
-    DomainError,
-    EULER_GAMMA,
-    _BERNOULLI_2J,
-    _BERNOULLI_OVER_FACTORIAL,
-    _U,
-    _psi_tail,
-    digamma,
-)
+from .specfun import _BERNOULLI_2J, _U, ConvergenceError, DomainError, _psi_tail, digamma
 from .cyclozeta import (
+    _BERNOULLI_OVER_FACTORIAL,
     cyclo_disc_log,
     cyclo_signature,
     min_proper_ideal_norm,
@@ -55,7 +47,6 @@ __all__ = [
     "f_terms",
     "satz4_check",
     "min_norm_check",
-    "zeta_lenstra_threshold",
     "BETA_MIN",
     "BETA_MAX",
 ]
@@ -289,19 +280,3 @@ def min_norm_check(m: int, beta: float) -> tuple[float, float, bool]:
     )
     return lhs, rhs, lhs <= rhs
 
-
-def zeta_lenstra_threshold(c: float) -> tuple[float, float]:
-    """The zeta lower-bound threshold attached to a packing-exponent C:
-
-        2 ln 2 / (3 ln 2 + gamma - 1 - 2C)
-
-    Returns (threshold, denominator).  With Rogers' own C = (ln 2)/2 the
-    denominator is 2 ln 2 + gamma - 1 and the threshold is 1.43879...; the
-    denominator is exposed because its sign flips for larger C and the
-    hypothesis direction in the source material is ambiguous (we evaluate
-    the printed formula, we do not guess the intent).
-    """
-    den = 3.0 * math.log(2.0) + EULER_GAMMA - 1.0 - 2.0 * c
-    if abs(den) < 1e-300:
-        raise DomainError("threshold denominator vanishes")
-    return 2.0 * math.log(2.0) / den, den

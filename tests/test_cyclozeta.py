@@ -35,6 +35,7 @@ from normeuclid.cyclozeta import (
     cyclo_signature,
     dirichlet_l,
     euler_phi,
+    hurwitz_zeta_array,
     min_proper_ideal_norm,
     scan,
     scan_row,
@@ -42,7 +43,7 @@ from normeuclid.cyclozeta import (
     zeta_cyclotomic,
     zeta_cyclotomic_logderiv,
 )
-from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta, hurwitz_zeta_array
+from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta
 
 CATALAN = 0.91596559417721901505460351493238411
 

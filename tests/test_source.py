@@ -50,13 +50,18 @@ def test_public_surface_is_consistent():
 _UNREAD_BY_DESIGN = ["dirichlet_l"]
 
 
-def _loads(path):
-    """Every identifier a file reads, as a Name or as an attribute."""
+def _reads(tree):
+    """Every identifier a syntax tree reads, as a Name or as an attribute."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
+
+
+def _loads(path):
+    """Every identifier a file reads."""
+    return _reads(ast.parse(path.read_text(), filename=str(path)))
 
 
 def test_every_public_name_has_a_reader():
@@ -76,18 +81,26 @@ def test_every_public_name_has_a_reader():
 
 def test_no_unused_imports_in_package():
     # the project carries no linter: every module-level import, __future__
-    # aside, must be read somewhere in its module
+    # aside, must be read somewhere in its module, and every import inside a
+    # function somewhere in that function
     unused = []
     for path in sorted(SOURCE.glob("*.py")):
-        read = _loads(path)
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
-                getattr(node, "module", None) != "__future__"
-            ):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in read:
-                        unused.append(f"{path.name}:{node.lineno} {bound}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(tree, tree.body)] + [
+            (node, list(ast.walk(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for scope, statements in scopes:
+            read = _reads(scope)
+            for node in statements:
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"
+                ):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound not in read:
+                            unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
 
 
@@ -97,15 +110,16 @@ def test_no_unused_imports_in_package():
         ("import normeuclid", []),
         ("import normeuclid.lenstra", ["lenstra", "rogers", "specfun"]),
         ("from normeuclid import rogers", ["rogers", "specfun"]),
+        ("import normeuclid.cli", ["cli", "lenstra", "rogers", "specfun"]),
     ],
 )
 def test_package_loads_only_what_is_asked_for(code, loaded):
     # the package init imports no module, and a module brings only its own
-    # imports: neither of these loads cyclozeta or zimmert
+    # imports: none of these loads cyclozeta, zimmert or numpy
     code += (
         "\nimport sys\n"
         "print(sorted(m.removeprefix('normeuclid.') for m in sys.modules"
-        " if m.startswith('normeuclid.')))\n"
+        " if m.startswith('normeuclid.') or m == 'numpy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     out = subprocess.run(
@@ -145,3 +159,59 @@ def test_runtime_path_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_bounds_commands_load_no_numpy():
+    # the explicit-bounds commands run on the standard library alone: numpy
+    # comes with cyclozeta and zimmert, and none of these commands needs them
+    commands = [
+        "constants",
+        "rogers --n 62238",
+        "lenstra-check --n 100 --r 20 --log-disc 250.5 --log-m 69.3",
+        "lenstra-crossing",
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from normeuclid import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *commands],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines() == ["0 False"] * len(commands)
+
+
+def test_names_perfbench_reads_resolve(monkeypatch, tmp_path):
+    # perfbench binds its ops by these names, probes the one-point specfun
+    # functions, and wraps cyclozeta.scan_row as a module global to time each
+    # row of the CLI scan; a counting wrapper stands in for its wrappers here
+    monkeypatch.syspath_prepend(str(SOURCE.parents[1]))
+    from perfbench import workloads
+
+    from normeuclid import cyclozeta, specfun
+
+    calls = workloads.bind_calls()
+    for workload in workloads.WORKLOADS:
+        ops = {name for name, _ in workloads.make_inputs(workload, 1)["ops"]}
+        assert ops <= calls.keys(), workload
+    for fn, args in (
+        (specfun.hurwitz_zeta, (1.5, 0.25)),
+        (specfun.hurwitz_zeta_ds, (1.5, 0.25)),
+        (specfun.digamma, (0.3,)),
+    ):
+        assert isinstance(fn(*args), specfun.Evaluation)
+    real, rows = cyclozeta.scan_row, []
+
+    def scan_row(*args, **kwargs):
+        rows.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cyclozeta, "scan_row", scan_row)
+    argv = ["cyclo-scan", "--m-max", "5", "--epsilon", "0.75", "--out", str(tmp_path / "s.csv")]
+    assert calls["cli.main"](argv) == 0
+    assert rows == [1, 2, 3, 4, 5]

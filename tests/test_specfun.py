@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from normeuclid import specfun
+from normeuclid import cyclozeta, specfun
+from normeuclid.cyclozeta import hurwitz_zeta_array, hurwitz_zeta_ds_array
 from normeuclid.specfun import (
     BETA3,
     EULER_GAMMA as GAMMA,
@@ -24,9 +25,7 @@ from normeuclid.specfun import (
     PoleError,
     digamma,
     hurwitz_zeta,
-    hurwitz_zeta_array,
     hurwitz_zeta_ds,
-    hurwitz_zeta_ds_array,
 )
 
 
@@ -288,7 +287,7 @@ def test_scalar_kernel_is_a_one_element_array_call():
 def test_one_block_shape_for_every_s(s):
     # N = 20 direct terms and J = 10 Bernoulli pairs, whatever s is
     a = np.array([0.25, 0.5, 1.0])
-    base, x, bern, harm = specfun._em_block("hurwitz_zeta", s, a)
+    base, x, bern, harm = cyclozeta._em_block("hurwitz_zeta", s, a)
     assert base.shape == (20, a.size)
     assert bern.shape == (11, a.size) and harm.shape == (11,)
     assert np.array_equal(x, 20.0 + a)

@@ -9,15 +9,14 @@ import pytest
 from scipy.special import polygamma
 
 from normeuclid import zimmert
-from normeuclid.specfun import EULER_GAMMA as GAMMA, ConvergenceError, DomainError, digamma
-from normeuclid.zimmert import (
-    _polygammas,
-    _series,
-    f_terms,
-    min_norm_check,
-    satz4_check,
-    zeta_lenstra_threshold,
+from normeuclid.specfun import (
+    EULER_GAMMA as GAMMA,
+    ZETA_THRESHOLD,
+    ConvergenceError,
+    DomainError,
+    digamma,
 )
+from normeuclid.zimmert import _polygammas, _series, f_terms, min_norm_check, satz4_check
 
 LN2 = math.log(2.0)
 LIMIT_1 = GAMMA + math.log(4.0) + 1.0  # F1 + f1 at beta -> 0
@@ -194,23 +193,10 @@ def test_check_outputs_are_consistent():
 # ------------------------------------------------------------ thresholds
 
 def test_threshold_rogers_exponent():
-    th, den = zeta_lenstra_threshold(0.5 * LN2)
-    assert th == pytest.approx(1.43879, abs=1e-5)
-    assert den == pytest.approx(2.0 * LN2 + GAMMA - 1.0, abs=1e-14)
-    assert den > 0.0
-
-
-def test_threshold_other_exponents():
-    th, _ = zeta_lenstra_threshold(0.599 * LN2)
-    assert th == pytest.approx(2.0 * LN2 / (LN2 * (3.0 - 2.0 * 0.599) + GAMMA - 1.0), abs=1e-14)
-    assert th == pytest.approx(1.6778, abs=1e-3)
-    th0, _ = zeta_lenstra_threshold(0.0)
-    assert th0 == pytest.approx(0.8368, abs=1e-3)
-
-
-def test_threshold_denominator_sign_flip():
-    # any C satisfying 2C > 1 - gamma + 3 ln 2 makes the printed
-    # denominator negative; the sign is reported, not hidden
-    c_big = 0.5 * (1.0 - GAMMA + 3.0 * LN2) + 0.05
-    _, den = zeta_lenstra_threshold(c_big)
-    assert den < 0.0
+    # 2 ln 2/(3 ln 2 + gamma - 1 - 2C) at Rogers' C = (ln 2)/2, which is
+    # 2 ln 2/(2 ln 2 + gamma - 1); the constant keeps the first form's rounding
+    assert ZETA_THRESHOLD == 1.4387959893310616
+    general = 2.0 * LN2 / (3.0 * LN2 + GAMMA - 1.0 - 2.0 * (0.5 * LN2))
+    assert ZETA_THRESHOLD == pytest.approx(general, abs=1e-15)
+    assert ZETA_THRESHOLD == pytest.approx(2.0 * LN2 / (2.0 * LN2 + GAMMA - 1.0), abs=1e-15)
+    assert ZETA_THRESHOLD == pytest.approx(1.43879, abs=1e-5)
