@@ -420,12 +420,6 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Ev
 
 # --------------------------------------------------------- zeta assembly
 
-def _assert_real(z: complex, what: str) -> float:
-    if abs(z.imag) > 1e-10 * max(1.0, abs(z.real)):
-        raise ArithmeticError(f"{what}: residual imaginary part {z.imag} too large")
-    return z.real
-
-
 def _group_dft(
     m: int, s: float, kernel: Callable[..., tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[np.ndarray, float]:
@@ -458,9 +452,9 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
 
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
-    log_l = _assert_real(complex(np.sum(np.log(l_vals))), f"sum of ln L_m(s, chi) for m={m}")
-    value = math.exp(log_l + _ramified(m, s)[0])
-    rel_err = float(np.sum(err / np.abs(l_vals)))
+    l_abs = np.abs(l_vals)
+    value = math.exp(float(np.sum(np.log(l_abs))) + _ramified(m, s)[0])
+    rel_err = float(np.sum(err / l_abs))
     return Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
 
 
@@ -505,7 +499,7 @@ def _prime_sum_tail(s: float, limit: int) -> float:
     return _PI_UPPER * s * _prime_tail_integral(s, limit)
 
 
-# the smallest prime cutoff the Euler route accepts, from the library and the CLI
+# the smallest prime cutoff zeta_cyclotomic accepts, whichever the method
 _PRIME_LIMIT_MIN = 1000
 
 # np.exp(-y) is exactly 0.0 once y > 745.1332, where e^{-y} rounds below
@@ -547,8 +541,6 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     times g, the k - 1 adds over the k primes of m and R + sum|t| add
     (3 + k)u |R|: c' = 7 + k.  exp adds 2u, and 8/e + 2 < 5.
     """
-    if prime_limit < _PRIME_LIMIT_MIN:
-        raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     phi = euler_phi(m)
     primes, log_p = _primes_up_to(prime_limit)
     order = _order_table(m).astype(np.float64)
@@ -591,15 +583,20 @@ def zeta_cyclotomic(
 ) -> Evaluation:
     """Dedekind zeta of the m-th cyclotomic field at real s > 1.
 
-    method="hurwitz": exp of the summed ln L_m(s, chi), all phi(m) values
+    method="hurwitz": exp of the summed ln|L_m(s, chi)|, all phi(m) values
     from one group DFT, plus the ramified Euler factors (accurate to
-    roughly 1e-12 relative); ``terms_used`` is the number of Hurwitz-zeta
-    evaluations, phi(m).  method="euler": truncated Euler product over
-    rational primes up to prime_limit >= 1000, whose estimate adds the
-    rounding to the omitted-tail bound (large for s near 1); ``terms_used``
-    counts the primes multiplied in.  Both deliver a real value > 1.
+    roughly 1e-12 relative).  The transformed h is real, so the L-values
+    come in conjugate pairs and sum ln|L| = sum ln L exactly.
+    ``terms_used`` is the number of Hurwitz-zeta evaluations, phi(m).
+    method="euler": truncated Euler product over rational primes up to
+    prime_limit, whose estimate adds the rounding to the omitted-tail
+    bound (large for s near 1); ``terms_used`` counts the primes
+    multiplied in.  Both methods need prime_limit >= 1000 and deliver a
+    real value > 1.
     """
     _check_point(s)
+    if prime_limit < _PRIME_LIMIT_MIN:
+        raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     if method == "hurwitz":
         return _zeta_hurwitz(m, s)
     if method == "euler":
@@ -613,14 +610,14 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     With F and F' the group DFTs of m^{-s} zeta(s, a/m) and of m^{-s} times
     its s-derivative, L_m'/L_m = F'/F - ln m for every character, so the
     value is sum F'/F - phi(m) ln m plus the ramified Euler factors'
-    log-derivative.  ``terms_used`` is the number of Hurwitz-zeta
-    evaluations, 2 phi(m)."""
+    log-derivative.  The ratios come in conjugate pairs, as the L-values
+    do, so sum F'/F = sum Re(F'/F).  ``terms_used`` is the number of
+    Hurwitz-zeta evaluations, 2 phi(m)."""
     _check_point(s)
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
-    total = _assert_real(complex(np.sum(ratio)), f"zeta log-derivative for m={m}")
-    value = total - l_vals.size * math.log(m) + _ramified(m, s)[1]
+    value = float(np.sum(ratio.real)) - l_vals.size * math.log(m) + _ramified(m, s)[1]
     err_sum = float(np.sum((derr + np.abs(ratio) * err) / np.abs(l_vals)))
     return Evaluation(value, err_sum + 1e-14, 2 * l_vals.size)
 

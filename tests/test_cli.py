@@ -1,6 +1,9 @@
 """Command-line surface: subcommand output, exit codes, and deterministic
 scan emission."""
 
+import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -89,7 +92,7 @@ def test_cyclo_zeta(capsys):
 
 def test_cyclo_zeta_euler(capsys):
     code, out, _ = _run(
-        ["--prime-limit", "100000", "cyclo-zeta", "--m", "4", "--s", "2", "--method", "euler"],
+        ["cyclo-zeta", "--m", "4", "--s", "2", "--method", "euler", "--prime-limit", "100000"],
         capsys,
     )
     assert code == 0
@@ -119,8 +122,8 @@ def test_scan_csv_deterministic(tmp_path, capsys):
 def test_scan_json(tmp_path, capsys):
     p = tmp_path / "scan.json"
     code, _, _ = _run(
-        ["--format", "json", "cyclo-scan", "--m-max", "5", "--epsilon", "0.5",
-         "--out", str(p)],
+        ["cyclo-scan", "--m-max", "5", "--epsilon", "0.5", "--out", str(p),
+         "--format", "json"],
         capsys,
     )
     assert code == 0
@@ -275,10 +278,12 @@ def test_usage_error_exits_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--prime-limit", "10", "cyclo-zeta", "--m", "4", "--s", "2"],
+        # options live on the one command that reads them
+        ["constants", "--prime-limit", "5000"],
+        ["--format", "json", "cyclo-scan", "--m-max", "5", "--epsilon", "0.5"],
         ["--tol", "1e-8", "cyclo-zeta", "--m", "4", "--s", "2"],  # flag removed
     ],
-    ids=["prime-limit", "tol"],
+    ids=["prime-limit", "format", "tol"],
 )
 def test_bad_global_flag_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -288,19 +293,43 @@ def test_bad_global_flag_exits_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["rogers", "--n", "62238", "--theta", "0.5"],
-        ["lenstra-crossing", "--theta", "0"],
-        ["lenstra-crossing", "--theta", "nan"],
+        (["rogers", "--n", "62238", "--theta", "0.5"], "need theta in (0, 1/3)"),
+        (["lenstra-crossing", "--theta", "0"], "need theta in (0, 1/3)"),
+        (["lenstra-crossing", "--theta", "nan"], "need theta in (0, 1/3)"),
+        (["cyclo-zeta", "--m", "4", "--s", "2", "--method", "hurwitz", "--prime-limit", "10"],
+         ">= 1000"),
+        (["cyclo-zeta", "--m", "4", "--s", "2", "--method", "euler", "--prime-limit", "10"],
+         ">= 1000"),
     ],
-    ids=["rogers", "lenstra-crossing", "nan"],
+    ids=["rogers", "lenstra-crossing", "nan", "prime-limit-hurwitz", "prime-limit-euler"],
 )
-def test_bad_theta_exits_two(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "theta must lie in (0, 1/3)" in capsys.readouterr().err
+def test_out_of_range_argument_exits_one(argv, message, capsys):
+    # the library checks every value; the CLI only reports its message
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_every_option_is_read_by_its_command():
+    # no dead flags: the top level has no option but -h, and each
+    # subcommand's handler reads every option of that subcommand
+    parser = cli._build_parser()
+    assert [a.dest for a in parser._actions if a.option_strings] == ["help"]
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in commands.choices.items():
+        fn = command.get_default("fn")
+        read = {
+            node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        options = {a.dest for a in command._actions if a.option_strings} - {"help"}
+        assert options <= read, f"{name} never reads {sorted(options - read)}"
 
 
 def test_console_entry_point():

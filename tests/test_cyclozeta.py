@@ -20,7 +20,6 @@ from scipy.special import exp1
 from normeuclid.cyclozeta import (
     _EXP_UNDERFLOW,
     ScanRow,
-    _assert_real,
     _char_table,
     _factorize,
     _group_dft,
@@ -348,10 +347,11 @@ def test_zeta_euler_improves_with_prime_limit():
 
 
 def test_zeta_euler_rejects_a_prime_limit_the_cli_rejects():
-    # the library and --prime-limit share one minimum, 1000
-    with pytest.raises(DomainError, match=">= 1000"):
-        zeta_cyclotomic(12, 1.5, "euler", prime_limit=999)
-    assert zeta_cyclotomic(12, 1.5, "euler", prime_limit=1000).value > 1.0
+    # the one check of --prime-limit, for either method
+    for method in ("hurwitz", "euler"):
+        with pytest.raises(DomainError, match=">= 1000"):
+            zeta_cyclotomic(12, 1.5, method, prime_limit=999)
+        assert zeta_cyclotomic(12, 1.5, method, prime_limit=1000).value > 1.0
 
 
 @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 3.0])
@@ -474,11 +474,6 @@ def test_characters_are_distinct_hashable_values():
     assert len(set(characters(15))) == 8
 
 
-def test_assert_real_raises_arithmetic_error():
-    with pytest.raises(ArithmeticError):
-        _assert_real(complex(1.0, 1e-3), "x")
-
-
 def test_terms_used_counts_hurwitz_evaluations():
     assert zeta_cyclotomic(1009, 1.2).terms_used == 1008
     assert zeta_cyclotomic_logderiv(12, 1.5).terms_used == 8
@@ -551,7 +546,8 @@ def test_group_dft_matches_l_values_in_character_order(m):
             assert abs(entry - lv.value.conjugate()) <= err + lv.err_estimate
 
 
-@pytest.mark.parametrize("m", list(range(1, 61)))
+# up to 60, then scan-sized moduli: the primes 101 and 349 and 2^8
+@pytest.mark.parametrize("m", list(range(1, 61)) + [101, 256, 349])
 def test_conductor_route_matches_group_transform(m):
     for s in (1.1, 2.0):
         product, rel_err = 1.0 + 0j, 0.0
