@@ -16,8 +16,9 @@ exits 0 only if all of them pass.  Floating-point output is rendered with
 15 significant digits, CSV payloads with full round-trip precision, so
 identical flags give byte-identical output.
 
-Exit codes: 0 success, 1 domain/convergence error, an integer argument too
-large for binary64 or an output file that cannot be written, 2 usage error.
+Exit codes: 0 success, 1 domain error, no crossing in range, an integer
+argument too large for binary64 or an output file that cannot be written,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import lenstra, rogers
-from .specfun import (
-    BETA3,
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    EULER_GAMMA,
-    LAMBDA3,
-    ZETA_THRESHOLD,
-)
+from .specfun import BETA3, DomainError, EULER_GAMMA, LAMBDA3, ZETA_THRESHOLD
 
 if TYPE_CHECKING:
     from .cyclozeta import ScanRow
@@ -85,9 +78,9 @@ def _cmd_rogers(args: argparse.Namespace) -> int:
 
 
 def _cmd_lenstra_crossing(args: argparse.Namespace) -> int:
-    n, gap = lenstra._crossing(args.theta, args.n_min, args.n_max)
+    n = lenstra.find_crossing(args.theta, args.n_min, args.n_max)
     print(f"crossing = {n}")
-    print(f"gap at crossing (r=0) = {_fmt(gap.value)}")
+    print(f"gap at crossing (r=0) = {_fmt(lenstra.main_gap(n, 0, args.theta).value)}")
     return 0
 
 
@@ -527,8 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, BracketError, ConvergenceError, lenstra.NotFoundError, OSError,
-            OverflowError) as exc:
+    except (DomainError, lenstra.NotFoundError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

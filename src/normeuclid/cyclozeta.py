@@ -404,10 +404,9 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Ev
 
     With primitive=True (the default) the L-value of the inducing
     primitive character is returned (d the conductor); this is the factor
-    that enters the cyclotomic zeta product.  The value is complex.
+    that enters the cyclotomic zeta product.  The value is complex.  The
+    kernel raises PoleError for s <= 1 and DomainError for a non-finite s.
     """
-    if s <= 1.0:
-        raise DomainError(f"dirichlet_l requires s > 1, got {s}")
     d = chi.conductor if primitive else chi.modulus
     table = _char_table(chi, d)
     # entry a of the table meets zeta(s, (a or d)/d)
@@ -525,8 +524,8 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     sum to at most ``_prime_sum_tail``, and sum_{p > P} p^{-2s} <=
     int_P^oo x^{-2s} dx = P^{1-2s}/(2s - 1).  With E phi times the sum of
     the two, value <= zeta_K <= value e^E, and the truncation error is at
-    most value (e^E - 1).  E is capped at 700 to keep the estimate finite;
-    past the cap it flags a product with no correct digits, not a bound.
+    most value (e^E - 1).  From E = 709 on, where e^E leaves binary64, the
+    estimate is +inf: the product has no correct digits there.
 
     Rounding, to first order in u = 2^-53, with every log, exp, log1p and
     pow within 1 ulp (2u; numpy's accuracy tests hold its float64 ones to
@@ -560,7 +559,8 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     cutoff = float(prime_limit)
     tail1 = _prime_sum_tail(s, prime_limit)
     tail2 = cutoff ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * 2.0 * (1.0 - cutoff ** -s))
-    err = value * math.expm1(min(phi * (tail1 + tail2), 700.0))
+    log_tail = phi * (tail1 + tail2)
+    err = value * math.expm1(log_tail) if log_tail < 709.0 else math.inf
     n, ramified = len(primes), _factorize(m)
     rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * dlog_r
     err += _U * value * (rounding + (7 + len(ramified)) * log_r)

@@ -114,13 +114,6 @@ def criterion_check(n: int, r: int, log_disc: float, log_m: float) -> CriterionV
 
 # ------------------------------------------------- discriminant bounds
 
-def _r_coefficient(n: float) -> float:
-    """Coefficient of r/n in the Poitou bound, and so in the gap;
-    nonnegative for n >= 33."""
-    ln2_n = math.log(n) ** 2
-    return 0.5 * math.pi - (2.0 * math.pi ** 2 / ln2_n) * BETA3
-
-
 def poitou_grh_lower(n: int, r: int) -> float:
     """Poitou's explicit GRH lower bound for (1/n) ln|Delta|:
 
@@ -137,7 +130,7 @@ def poitou_grh_lower(n: int, r: int) -> float:
     return (
         EULER_GAMMA
         + math.log(8.0 * math.pi)
-        + (r / n) * _r_coefficient(n)
+        + (r / n) * (0.5 * math.pi - a * BETA3)
         - a * (
             LAMBDA3
             + (8.0 + 8.0 / n) / (ln_n * (1.0 + math.pi ** 2 / ln2_n) ** 2)
@@ -187,22 +180,42 @@ def main_gap(n: int, r: int, theta: float = 0.1) -> Evaluation | None:
     return Evaluation(gap, err, f.terms_used)
 
 
-def _crossing(theta: float, n_min: int, n_max: int) -> tuple[int, Evaluation]:
-    """``find_crossing`` and the gap at the crossing (r = 0), from one
-    search that evaluates the gap at most once per degree."""
+def find_crossing(theta: float, n_min: int, n_max: int) -> int:
+    """Smallest n in [n_min, n_max] past which the gap stays positive for
+    every signature.
+
+    The all-r quantifier reduces to r = 0: the coefficient
+    pi/2 - (2 pi^2/ln^2 n) beta(3) of r/n in the gap increases with n and
+    is nonnegative from n = 33 on (-0.0216 at 32, +0.0064 at 33), and
+    every degree searched is >= 1152.  The gap is checked positive at n_max
+    first.  The crossing is then located by the Illinois method (Dowell
+    and Jarratt, BIT 11, 1971) on integers: regula falsi
+    inside a bracket [lo, hi] with gap(lo) <= 0 < gap(hi), halving the
+    secant weight of an end that stays put for two steps in a row.  The
+    search ends on a bracket of width one, which proves
+    gap(c - 1) <= 0 < gap(c) for the returned c (or c = n_min with
+    gap(n_min) > 0).  The gap is then checked positive at c + 1 and
+    c + 10 (capped at n_max).  Each degree is evaluated at most once, so a
+    crossing costs about nine gap evaluations.  The gap is assumed to
+    change sign once on the range; the checkpoints test that only at
+    {c, c + 1, c + 10, n_max}.
+
+    Raises DomainError unless n_min >= 1152 (kappa >= 24, where f is
+    defined) and n_max > n_min, or when theta is outside (0, 1/3) or f <= 0
+    somewhere the gap is evaluated; NotFoundError when the gap never turns
+    positive in range or is not positive at a checkpoint.
+    """
     if n_min < 2 * KAPPA_MIN_LOWER ** 2 or n_max <= n_min:
         raise DomainError(f"bad range [{n_min}, {n_max}]")
-    if _r_coefficient(n_min) < 0.0:
-        raise DomainError("r-coefficient sign guard failed; all-r reduction invalid")
-    gaps: dict[int, Evaluation] = {}
+    gaps: dict[int, float] = {}
 
     def gap(n: int) -> float:
         if n not in gaps:
             g = main_gap(n, 0, theta)
             if g is None:
                 raise DomainError(f"f(kappa, theta) <= 0 at n={n}; range outside f-positivity")
-            gaps[n] = g
-        return gaps[n].value
+            gaps[n] = g.value
+        return gaps[n]
 
     g_max = gap(n_max)
     if g_max <= 0.0:
@@ -234,30 +247,4 @@ def _crossing(theta: float, n_min: int, n_max: int) -> tuple[int, Evaluation]:
         n = min(m, n_max)
         if gap(n) <= 0.0:
             raise NotFoundError(f"gap not positive at checkpoint n = {n}")
-    return crossing, gaps[crossing]
-
-
-def find_crossing(theta: float, n_min: int, n_max: int) -> int:
-    """Smallest n in [n_min, n_max] past which the gap stays positive for
-    every signature.
-
-    The all-r quantifier reduces to r = 0 because the r coefficient is
-    nonnegative for n >= 33 (checked at n_min).  The gap is checked
-    positive at n_max first.  The crossing is then located by the Illinois
-    method (Dowell and Jarratt, BIT 11, 1971) on integers: regula falsi
-    inside a bracket [lo, hi] with gap(lo) <= 0 < gap(hi), halving the
-    secant weight of an end that stays put for two steps in a row.  The
-    search ends on a bracket of width one, which proves
-    gap(c - 1) <= 0 < gap(c) for the returned c (or c = n_min with
-    gap(n_min) > 0).  The gap is then checked positive at c + 1 and
-    c + 10 (capped at n_max).  Each degree is evaluated at most once, so a
-    crossing costs about nine gap evaluations.  The gap is assumed to
-    change sign once on the range; the checkpoints test that only at
-    {c, c + 1, c + 10, n_max}.
-
-    Raises DomainError unless n_min >= 1152 (kappa >= 24, where f is
-    defined) and n_max > n_min, or when theta is outside (0, 1/3) or f <= 0
-    somewhere the gap is evaluated; NotFoundError when the gap never turns
-    positive in range or is not positive at a checkpoint.
-    """
-    return _crossing(theta, n_min, n_max)[0]
+    return crossing

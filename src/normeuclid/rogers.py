@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .specfun import _U, BracketError, DomainError, Evaluation
+from .specfun import _U, DomainError, Evaluation
 
 __all__ = [
     "RogersContext",
@@ -159,7 +159,7 @@ def u_threshold(ctx: RogersContext) -> float:
     Computes the error constants at ctx and solves the cubic they give;
     ``f_lower`` solves the same cubic from the constants it already has.
     Uniqueness (and the bracketing sign change) holds for kappa >= 24; a
-    BracketError signals kappa/theta outside that validity range.  The
+    DomainError signals kappa/theta outside that validity range.  The
     cubic c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
     r2 > kappa^theta by the sign change, and r0 in (-U, 0) since g(0) > 0
     > g(-U).  r2 comes from trigonometric Cardano, which is stable for the
@@ -174,7 +174,7 @@ def u_threshold(ctx: RogersContext) -> float:
 def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> float:
     # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
     if c.c1 <= 0.0 or _majorant(c, hi) - 0.5 * k * hi * hi >= 0.0:
-        raise BracketError(
+        raise DomainError(
             f"no sign change for the threshold root on [0, {hi}] "
             f"(kappa={k}, theta={theta}; validity needs kappa >= 24)"
         )
@@ -200,6 +200,12 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     exp(E), E = -u^2 + n log1p(-u^2/(2 kappa^2)), so large n does not lose
     accuracy.  The value lies in (0, sqrt(pi)).
 
+    The base 1 - u^2/(2 kappa^2) is positive on [0, h] for every valid
+    context (n >= 1, 0 < theta < 1/3): for kappa >= 1,
+    h^2 <= kappa^{2/3} < 2 kappa^2; for kappa < 1, h <= 1 while the float
+    product (2 kappa) kappa is at least 1.0000000000000002, its value at
+    n = 1.
+
     The error estimate is a bound on the truncation plus a count of the
     roundings.  The integrand is at most e^{-2u^2} on the real line, so the
     cut at 5 omits less than e^{-50}/20.  It is analytic off the real
@@ -221,11 +227,8 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     S2 = sum of term_i t_i.
     """
     k, n = ctx.kappa, ctx.n
-    hi = k ** ctx.theta
     two_k2 = 2.0 * k * k
-    if hi * hi >= two_k2:
-        raise DomainError("integrand base not positive on the range")
-    h = min(hi, _CUT)
+    h = min(k ** ctx.theta, _CUT)
     neg_two_k2 = -two_k2
     exp = math.exp
     log1p = math.log1p

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "DomainError",
     "PoleError",
-    "BracketError",
-    "ConvergenceError",
     "Evaluation",
     "EULER_GAMMA",
     "ZETA3",
@@ -45,14 +43,6 @@ class PoleError(DomainError):
     """Evaluation requested at (or beyond) a pole."""
 
 
-class BracketError(ValueError):
-    """Root bracket does not enclose a sign change."""
-
-
-class ConvergenceError(RuntimeError):
-    """Requested accuracy unreachable within the configured budget."""
-
-
 # ------------------------------------------------------------------ types
 
 @dataclass(frozen=True)
@@ -61,7 +51,9 @@ class Evaluation:
 
     ``value`` is real except for L-values of non-real characters.
     ``err_estimate`` is an a-posteriori estimate, not a certified bound,
-    except where the producing routine documents otherwise.
+    except where the producing routine documents otherwise; +inf means
+    no correct digits.  A non-finite value, or a NaN or negative estimate,
+    raises ValueError.
     """
 
     value: float | complex
@@ -71,7 +63,7 @@ class Evaluation:
     def __post_init__(self) -> None:
         if not cmath.isfinite(self.value):
             raise ValueError(f"non-finite value {self.value!r}")
-        if not (math.isfinite(self.err_estimate) and self.err_estimate >= 0.0):
+        if not self.err_estimate >= 0.0:
             raise ValueError(f"bad error estimate {self.err_estimate!r}")
 
 

@@ -99,6 +99,12 @@ def test_cyclo_zeta_euler(capsys):
     assert "value = 1.5067" in out
 
 
+def test_cyclo_zeta_euler_without_correct_digits_prints_inf(capsys):
+    code, out, _ = _run(["cyclo-zeta", "--m", "1009", "--s", "1.01", "--method", "euler"], capsys)
+    assert code == 0
+    assert "err   = inf\n" in out
+
+
 def test_scan_csv_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

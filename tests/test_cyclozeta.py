@@ -346,6 +346,13 @@ def test_zeta_euler_improves_with_prime_limit():
     assert d2 < d1
 
 
+def test_zeta_euler_estimate_is_inf_once_the_tail_bound_leaves_binary64():
+    # at m = 1009, s = 1.01 the log of the omitted factors is bounded only
+    # by E >> 709, where e^E - 1 overflows: no correct digits, said as inf
+    z = zeta_cyclotomic(1009, 1.01, "euler")
+    assert z.err_estimate == math.inf and z.value > 1.0
+
+
 def test_zeta_euler_rejects_a_prime_limit_the_cli_rejects():
     # the one check of --prime-limit, for either method
     for method in ("hurwitz", "euler"):

@@ -9,7 +9,6 @@ import pytest
 from normeuclid import cli, lenstra
 from normeuclid.lenstra import (
     NotFoundError,
-    _crossing,
     criterion_check,
     delta1_star_log,
     delta2_star_log,
@@ -158,7 +157,9 @@ def test_poitou_totally_real_limit():
 
 
 def test_poitou_monotone_in_r():
-    for n in (33, 100, 62238):
+    # the r coefficient is positive from n = 33 on, so find_crossing's
+    # reduction to r = 0 holds at its smallest degree 1152 and far beyond
+    for n in (33, 100, 1152, 62238, 10 ** 15):
         vals = [poitou_grh_lower(n, r) for r in range(0, n + 1, max(1, n // 4))]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -292,8 +293,6 @@ def test_find_crossing_window():
     assert 62138 <= crossing <= 62338
     # smallest such n: the gap flips sign exactly there
     assert main_gap(crossing - 1, 0, 0.1).value <= 0.0 < main_gap(crossing, 0, 0.1).value
-    # the private form also hands back the gap it found there
-    assert _crossing(0.1, 55000, 70000) == (crossing, main_gap(crossing, 0, 0.1))
 
 
 def test_find_crossing_returns_nmin_when_already_positive():

@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -24,7 +24,7 @@ from normeuclid.rogers import (
     sigma_upper_log,
     u_threshold,
 )
-from normeuclid.specfun import BracketError, DomainError
+from normeuclid.specfun import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -170,7 +170,7 @@ def test_u_threshold_against_brentq(kappa):
 
 
 def test_u_threshold_bracket_error_outside_validity():
-    with pytest.raises(BracketError):
+    with pytest.raises(DomainError, match="no sign change"):
         u_threshold(RogersContext.from_kappa(2.0, 0.1))
 
 
@@ -273,6 +273,20 @@ def test_central_integral_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     ci = central_integral(ctx)
     assert abs(mpmath.mpf(ci.value) - _central_oracle(ctx.n, theta)) <= ci.err_estimate <= 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=_log_uniform(1.0, 1e15), theta=_THETA)
+@example(n=1.0, theta=1e-300)
+@example(n=1.0, theta=math.nextafter(1.0 / 3.0, 0.0))
+@example(n=math.nextafter(1.0, 2.0), theta=1e-300)
+@example(n=1e15, theta=1e-300)
+@example(n=1e15, theta=math.nextafter(1.0 / 3.0, 0.0))
+def test_central_integral_defined_on_every_context(n, theta):
+    # the base 1 - u^2/(2 kappa^2) stays positive for every valid context,
+    # so the quadrature needs no guard: a finite value in (0, sqrt(pi)]
+    ci = central_integral(RogersContext(n, theta))
+    assert 0.0 < ci.value <= SQRT_PI and math.isfinite(ci.err_estimate)
 
 
 # f_lower is defined from kappa = 24 up

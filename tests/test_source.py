@@ -1,6 +1,7 @@
 """Properties of the package source itself and of what it loads."""
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -102,6 +103,50 @@ def test_no_unused_imports_in_package():
                         if bound not in read:
                             unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _resolve(node, module):
+    """The object a name or dotted attribute expression names in a module."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, module), node.attr)
+    return vars(module).get(node.id) or getattr(builtins, node.id)
+
+
+def test_every_package_error_is_raised_and_caught_by_the_cli():
+    # each exception class the package defines is raised somewhere in it,
+    # and cli.main catches every such raise and exits 1 with its message;
+    # a builtin such as ValueError or RuntimeError signals a defect in the
+    # package, and the CLI leaves it uncaught on purpose
+    modules = {
+        path.stem: (
+            importlib.import_module(f"normeuclid.{path.stem}".removesuffix(".__init__")),
+            ast.parse(path.read_text(), filename=str(path)),
+        )
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    defined = {
+        cls
+        for module, tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(cls := getattr(module, node.name), BaseException)
+    }
+    raised = {}
+    for stem, (module, tree) in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(_resolve(exc, module), []).append(f"{stem}.py:{node.lineno}")
+    cli_module, cli_tree = modules["cli"]
+    main = next(
+        node for node in cli_tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    (handler,) = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    caught = tuple(_resolve(node, cli_module) for node in handler.type.elts)
+    assert len(defined) >= 3
+    assert sorted(cls.__name__ for cls in defined - raised.keys()) == []
+    uncaught = [where for cls in defined for where in raised[cls] if not issubclass(cls, caught)]
+    assert uncaught == []
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,11 @@ def test_evaluation_rejects_nonfinite():
         Evaluation(1.0, -1e-9, 1)
     with pytest.raises(ValueError):
         Evaluation(math.inf, 0.0, 1)
+    # an infinite estimate says "no correct digits"; a NaN one says nothing
+    assert Evaluation(1.0, math.inf, 1).err_estimate == math.inf
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="bad error estimate"):
+            Evaluation(1.0, bad, 1)
     # a complex value (an L-value of a non-real character) is checked too
     assert Evaluation(1.0 - 2.0j, 0.0, 1).value == 1.0 - 2.0j
     for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
