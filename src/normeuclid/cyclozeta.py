@@ -49,16 +49,19 @@ from integer rotation indices k mod L (L = exponent of the unit group);
 this also serves as a check on the transform.  Conductors are closed-form
 products of local conductors (Washington, Ch. 3; see ``characters``).
 
-Multiplicative orders, and with them every residue degree f, come from the
-same discrete logs: a unit with exponent vector v over generators of
-orders o_i has order lcm_i o_i/gcd(v_i, o_i).
+The Euler route reads the residue degrees of the unramified primes from
+the discrete logs: a unit with exponent vector v over generators of
+orders o_i has order lcm_i o_i/gcd(v_i, o_i).  The ramified primes p | m
+get theirs, f = ord_q(p) with q the prime-to-p part of m, from integer
+arithmetic alone (``_ramified_degrees``), so the Hurwitz route needs
+only the units and never builds the logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -127,14 +130,16 @@ def _smallest_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True, eq=False)  # numpy arrays have no dataclass equality
 class UnitGroupStructure:
-    """CRT generator data for (Z/mZ)*, with the discrete-log grid as
-    read-only int64 arrays.
+    """CRT generator data for (Z/mZ)*, with the units and their discrete
+    logs as read-only int64 arrays.
 
     ``generators`` holds (residue mod m, order) with one entry per cyclic
-    factor, and ``orders`` the orders alone.  Row i of ``logs`` (shape
-    (phi, #generators)) is the exponent vector of the unit ``units[i]``,
-    and the rows run through the grid of exponent vectors in C order, so
-    an array of phi values over ``units`` reshapes directly onto the grid.
+    factor, and ``orders`` the orders alone.  ``units`` runs through the
+    grid of exponent vectors in C order, so an array of phi values over
+    ``units`` reshapes directly onto the grid; row i of ``logs`` (shape
+    (phi, #generators)) is the exponent vector of ``units[i]``.  A group
+    DFT reads only ``units`` and ``orders``, so ``logs`` is built on its
+    first read (by ``characters``, ``dlog`` or ``_order_table``).
     ``exponent`` is the group exponent L = lcm of the orders (1 for the
     trivial group) and ``weights[i]`` = L // orders[i]: the character with
     exponent vector e takes exp(2 pi i k/L) at the unit with exponent
@@ -144,14 +149,54 @@ class UnitGroupStructure:
     modulus: int
     generators: tuple[tuple[int, int], ...]
     units: np.ndarray
-    logs: np.ndarray
     orders: np.ndarray
     exponent: int
     weights: np.ndarray
 
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """The exponent grid in C order, one row per unit."""
+        orders = self.orders.tolist()
+        logs = np.indices(orders, dtype=np.int64).reshape(len(orders), self.units.size).T.copy()
+        logs.flags.writeable = False
+        return logs
+
     def dlog(self, r: int) -> np.ndarray:
         """Exponent vector of r mod m, which must be a unit."""
-        return self.logs[np.flatnonzero(self.units == r % self.modulus)[0]]
+        hit = np.flatnonzero(self.units == r % self.modulus)
+        if hit.size == 0:
+            raise DomainError(f"{r} is not a unit mod {self.modulus}")
+        return self.logs[hit[0]]
+
+
+# numpy's set-up for one block costs about as much as 50 Python products
+# mod m, so a run of up to this many powers is a single block, multiplied
+# out in Python; the unit groups' cost is flat for cut-offs from 32 to 128
+_SHORT_RUN = 64
+
+
+def _power_grid(seeds: list[int] | np.ndarray, g: int, n: int, m: int) -> np.ndarray:
+    """s g^e mod m for each seed s (outer) and e < n (inner), as one int64
+    array, by blocks: g^i for i < b and s g^{bj} for j < n/b in Python,
+    b about sqrt(n), then all their products mod m in one vectorised pass
+    (each below m^2 < 2^63 while m < 3e9).  A run of at most _SHORT_RUN
+    powers is one block, b = n."""
+    b = math.isqrt(n - 1) + 1 if n > _SHORT_RUN else n
+    low = [1]
+    for _ in range(b - 1):
+        low.append(low[-1] * g % m)
+    if b == n:
+        return np.array([x * y % m for x in map(int, seeds) for y in low], dtype=np.int64)
+    step = low[-1] * g % m
+    rows = -(-n // b)
+    high = []
+    for x in map(int, seeds):
+        for _ in range(rows):
+            high.append(x)
+            x = x * step % m
+    block = np.multiply.outer(high, low)
+    block %= m
+    return block.reshape(-1, rows * b)[:, :n].ravel()
 
 
 # every caller works through one modulus at a time (one scan row, one sweep
@@ -164,13 +209,16 @@ def unit_group(m: int) -> UnitGroupStructure:
     Odd prime powers p^k get the smallest primitive root of p, lifted to
     p^k when needed; 2 contributes nothing, 4 gives <3>, and 2^k (k >= 3)
     gives <-1> x <5> with orders (2, 2^{k-2}).  Generators are lifted to
-    residues mod m by CRT, and the units are the products of their powers
-    over the whole exponent grid.
+    residues mod m by CRT, and so are the units: with c_q = 1 mod q,
+    0 mod m/q for each prime power q || m, the unit whose q-part is x_q (a
+    product of powers of the local generators mod q) is sum_q c_q x_q
+    mod m.  The grid is thus one broadcast sum per prime power, of terms
+    c_q x_q mod m from ``_power_grid``, and one reduction mod m at the end.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     generators: list[tuple[int, int]] = []
-    units = np.array([1 % m], dtype=np.int64)
+    units = np.zeros(1, dtype=np.int64)
     for p, k in sorted(_factorize(m).items()):
         q = p ** k
         if p > 2:
@@ -181,23 +229,23 @@ def unit_group(m: int) -> UnitGroupStructure:
         else:
             local = {1: [], 2: [(3, 2)]}.get(k, [(q - 1, 2), (5, q // 4)])
         rest = m // q
+        c = rest * pow(rest, -1, q)  # c_q, below m
+        terms = [c]  # c_q x_q mod m over this factor's grid
         for g, order in local:
-            lifted = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % m  # g mod q, 1 mod rest
+            lifted = (1 + c * (g - 1)) % m  # g mod q, 1 mod rest
             generators.append((lifted, order))
-            powers = [1]  # lifted^e mod m for e < order
-            for _ in range(order - 1):
-                powers.append(powers[-1] * lifted % m)
-            units = (units[:, None] * np.array(powers) % m).ravel()
+            terms = _power_grid(terms, lifted, order, m)
+        units = np.add.outer(units, terms).ravel()
+    units %= m
     orders = [o for _, o in generators]
-    logs = np.indices(orders, dtype=np.int64).reshape(len(orders), units.size).T.copy()
     if units.size != euler_phi(m) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
     exponent = math.lcm(*orders)
     order_array = np.array(orders, dtype=np.int64)
     weights = np.array([exponent // o for o in orders], dtype=np.int64)
-    for a in (units, logs, order_array, weights):
+    for a in (units, order_array, weights):
         a.flags.writeable = False
-    return UnitGroupStructure(m, tuple(generators), units, logs, order_array, exponent, weights)
+    return UnitGroupStructure(m, tuple(generators), units, order_array, exponent, weights)
 
 
 def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -215,17 +263,22 @@ def _order_table(m: int) -> np.ndarray:
 
 
 def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
-    """(p, f, g) for each prime p | m = p^k q: f is the order of p mod q,
-    read as the order mod m of the unit u = p mod q, u = 1 mod p^k; and
-    g = phi(q)/f."""
-    group = unit_group(m)
+    """(p, f, g) for each prime p | m = p^k q: f = ord_q(p) and
+    g = phi(q)/f.  The order comes from integers alone (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.4.3): p^f = 1 (mod q) at
+    f = phi(q), and each prime r of phi(q) is stripped from f while
+    p^(f/r) = 1 (mod q) still holds.  phi(q) divides phi(m), so the primes
+    of phi(m) cover those of every phi(q); m < 1 raises DomainError."""
+    phi = euler_phi(m)
+    primes = list(_factorize(phi))
     out = []
     for p, k in _factorize(m).items():
-        pk = p ** k
-        q = m // pk
-        u = (1 + pk * ((p - 1) * pow(pk, -1, q) % q)) % m
-        f = int(_unit_orders(group.dlog(u), group.orders))
-        out.append((p, f, euler_phi(q) // f))
+        q = m // p ** k
+        f = phi_q = phi // (p ** (k - 1) * (p - 1))
+        for r in primes:
+            while f % r == 0 and pow(p, f // r, q) == 1:  # q > 2 once f > 1
+                f //= r
+        out.append((p, f, phi_q // f))
     return out
 
 
@@ -330,16 +383,16 @@ def _em_block(name: str, s: float, a):
     if s <= 1.0:
         raise PoleError(f"{name} requires s > 1, got {s}")
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or not np.all((a > 0.0) & (a <= 1.0)):
+    if a.ndim != 1 or not ((a > 0.0) & (a <= 1.0)).all():
         raise DomainError(f"{name} requires 0 < a <= 1, got a={a}")
     x = _EM_N + a
     t = s + _EM_OFFSETS
-    coef = _BERNOULLI_OVER_FACTORIAL * np.cumprod(t)[::2]
+    coef = _BERNOULLI_OVER_FACTORIAL * t.cumprod()[::2]
     xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
     # for s above about 4e14 the product s(s+1)... overflows where the power
     # has already underflowed; such a correction is 0, not inf * 0
     bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
-    return _EM_K + a, x, bern, np.cumsum(1.0 / t)[::2]
+    return _EM_K + a, x, bern, (1.0 / t).cumsum()[::2]
 
 
 def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
@@ -350,7 +403,8 @@ def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
     estimate that binary64 cannot hold raises DomainError."""
     value = direct + rest
     err = omitted + _U * ((_EM_N + 2) * abs_sum + 5.0 * np.abs(rest) + np.abs(value))
-    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(err))):
+    # err carries |value|, so a non-finite value leaves err non-finite too
+    if not np.isfinite(err).all():
         raise DomainError(f"{name} at s={s} leaves the binary64 range")
     return value, err, _EM_N + _EM_J
 
@@ -424,17 +478,19 @@ def _group_dft(
 ) -> tuple[np.ndarray, float]:
     """The phi(m) character sums sum_a conj(chi(a)) h(a) of
     h(a) = m^{-s} kernel(s, a/m), as ``np.fft.fftn`` over the discrete-log
-    grid of (Z/mZ)* (m = 1 and 2 give one cell, a = 1), with the error
-    bound shared by every entry: the kernel errors plus the FFT rounding
-    2.2e-16 (1 + log2 phi) ||h||_1.  One kernel call covers every unit, and
-    the units already run through the grid in C order."""
+    grid of (Z/mZ)* (m = 1 and 2 give one cell; m = 1 lists its unit as 0
+    and takes a = 1), with the error bound shared by every entry: the
+    kernel errors plus the FFT rounding 2.2e-16 (1 + log2 phi) ||h||_1.
+    One kernel call covers every unit, and the units already run through
+    the grid in C order."""
     group = unit_group(m)
     scale = float(m) ** -s
-    values, errs, _ = kernel(s, np.where(group.units == 0, m, group.units) / m)
+    values, errs, _ = kernel(s, group.units / m if m > 1 else np.ones(1))
     h = (scale * values).reshape(tuple(group.orders) or (1,))
     err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
-    return np.fft.fftn(h).ravel(), err
+    # fftn on one axis is fft behind two more layers of argument handling
+    return (np.fft.fft(h) if h.ndim == 1 else np.fft.fftn(h).ravel()), err
 
 
 def _ramified(m: int, s: float) -> tuple[float, float]:
@@ -452,8 +508,8 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     l_abs = np.abs(l_vals)
-    value = math.exp(float(np.sum(np.log(l_abs))) + _ramified(m, s)[0])
-    rel_err = float(np.sum(err / l_abs))
+    value = math.exp(float(np.log(l_abs).sum()) + _ramified(m, s)[0])
+    rel_err = float((err / l_abs).sum())
     return Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
 
 
@@ -617,8 +673,8 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
-    value = float(np.sum(ratio.real)) - l_vals.size * math.log(m) + _ramified(m, s)[1]
-    err_sum = float(np.sum((derr + np.abs(ratio) * err) / np.abs(l_vals)))
+    value = float(ratio.real.sum()) - l_vals.size * math.log(m) + _ramified(m, s)[1]
+    err_sum = float(((derr + np.abs(ratio) * err) / np.abs(l_vals)).sum())
     return Evaluation(value, err_sum + 1e-14, 2 * l_vals.size)
 
 

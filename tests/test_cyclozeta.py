@@ -71,7 +71,11 @@ def test_unit_group_anchors():
     assert g1.generators == () and g1.units.tolist() == [0] and g1.logs.shape == (1, 0)
 
 
-@pytest.mark.parametrize("m", list(range(1, 61)))
+@pytest.mark.parametrize(
+    "m",
+    # 2^11 and 2^9 7: the <5> run of 2^k is long enough to be built by blocks
+    list(range(1, 61)) + sorted(random.Random(21).sample(range(61, 10 ** 4), 12)) + [2 ** 11, 3584],
+)
 def test_unit_group_invariants(m):
     g = unit_group(m)
     prod = 1
@@ -97,6 +101,23 @@ def test_unit_group_arrays_are_int64_grid(m):
     # the rows run through the exponent grid in C order
     assert g.logs.tolist() == [list(v) for v in np.ndindex(*orders)]
     assert not (g.units.flags.writeable or g.logs.flags.writeable)
+
+
+def test_dlog_of_a_non_unit_is_a_domain_error_naming_it():
+    with pytest.raises(DomainError, match="4 is not a unit mod 12"):
+        unit_group(12).dlog(4)
+
+
+def test_scan_row_leaves_the_logs_unbuilt():
+    # a group DFT reads units and orders only; logs are built on first read
+    for m in (1, 12, 101, 360):
+        unit_group.cache_clear()  # so the row builds its own group
+        scan_row(m, 0.75)
+        group = unit_group(m)
+        assert "logs" not in vars(group), m
+        logs = group.logs
+        assert group.logs is logs and not logs.flags.writeable
+        assert logs.tolist() == [list(v) for v in np.ndindex(*group.orders.tolist())]
 
 
 # ------------------------------------------------------------ characters
@@ -624,6 +645,12 @@ def test_min_norm_anchors():
     assert min_proper_ideal_norm(1) == 2
 
 
+@pytest.mark.parametrize("m", [0, -5])
+def test_min_norm_domain(m):
+    with pytest.raises(DomainError, match=f"got {m}"):
+        min_proper_ideal_norm(m)
+
+
 def test_min_norm_brute_force_small():
     # oracle: factor small primes directly via residue degrees
     def oracle(m):
@@ -684,6 +711,21 @@ def test_ramified_degrees_match_naive_stepping():
             phi_rest = sum(1 for a in range(1, rest + 1) if math.gcd(a, rest) == 1)
             want.append((p, f, phi_rest // f))
         assert sorted(_ramified_degrees(m)) == want, m
+
+
+def test_ramified_degrees_match_naive_stepping_up_to_1e5():
+    # m = p^k q beyond the exhaustive range: 2^k q with k >= 3, odd p^k
+    # with k >= 3, q in {1, 2}, and a seeded sample of m up to 1e5
+    ms = [2 ** 16, 2 ** 5 * 3 ** 2 * 7, 2 ** 9 * 195, 3 ** 10, 2 * 3 ** 10, 5 ** 7, 2 * 7 ** 5]
+    ms += [3 ** 4 * 11 * 13, 2 ** 3 * 12497, 99991, 2 * 49999, 4 * 24989]
+    ms += random.Random(1009).sample(range(401, 10 ** 5), 40)
+    for m in ms:
+        want = []
+        for p, k in _factorize(m).items():
+            q = m // p ** k
+            f = _naive_order(p, q) if q > 1 else 1
+            want.append((p, f, euler_phi(q) // f))
+        assert _ramified_degrees(m) == want, m
 
 
 def test_cyclozeta_caches_are_bounded():
