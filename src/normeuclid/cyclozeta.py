@@ -169,36 +169,6 @@ class UnitGroupStructure:
         return self.logs[hit[0]]
 
 
-# numpy's set-up for one block costs about as much as 50 Python products
-# mod m, so a run of up to this many powers is a single block, multiplied
-# out in Python; the unit groups' cost is flat for cut-offs from 32 to 128
-_SHORT_RUN = 64
-
-
-def _power_grid(seeds: list[int] | np.ndarray, g: int, n: int, m: int) -> np.ndarray:
-    """s g^e mod m for each seed s (outer) and e < n (inner), as one int64
-    array, by blocks: g^i for i < b and s g^{bj} for j < n/b in Python,
-    b about sqrt(n), then all their products mod m in one vectorised pass
-    (each below m^2 < 2^63 while m < 3e9).  A run of at most _SHORT_RUN
-    powers is one block, b = n."""
-    b = math.isqrt(n - 1) + 1 if n > _SHORT_RUN else n
-    low = [1]
-    for _ in range(b - 1):
-        low.append(low[-1] * g % m)
-    if b == n:
-        return np.array([x * y % m for x in map(int, seeds) for y in low], dtype=np.int64)
-    step = low[-1] * g % m
-    rows = -(-n // b)
-    high = []
-    for x in map(int, seeds):
-        for _ in range(rows):
-            high.append(x)
-            x = x * step % m
-    block = np.multiply.outer(high, low)
-    block %= m
-    return block.reshape(-1, rows * b)[:, :n].ravel()
-
-
 # every caller works through one modulus at a time (one scan row, one sweep
 # point), so the last group holds all the reuse there is, and memory stays
 # flat over long sweeps
@@ -213,7 +183,7 @@ def unit_group(m: int) -> UnitGroupStructure:
     0 mod m/q for each prime power q || m, the unit whose q-part is x_q (a
     product of powers of the local generators mod q) is sum_q c_q x_q
     mod m.  The grid is thus one broadcast sum per prime power, of terms
-    c_q x_q mod m from ``_power_grid``, and one reduction mod m at the end.
+    c_q x_q mod m listed in Python, and one reduction mod m at the end.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
@@ -234,7 +204,12 @@ def unit_group(m: int) -> UnitGroupStructure:
         for g, order in local:
             lifted = (1 + c * (g - 1)) % m  # g mod q, 1 mod rest
             generators.append((lifted, order))
-            terms = _power_grid(terms, lifted, order, m)
+            grid = []  # t lifted^e mod m for each t in terms, e < order
+            for x in terms:
+                for _ in range(order):
+                    grid.append(x)
+                    x = x * lifted % m
+            terms = grid
         units = np.add.outer(units, terms).ravel()
     units %= m
     orders = [o for _, o in generators]
@@ -489,8 +464,7 @@ def _group_dft(
     h = (scale * values).reshape(tuple(group.orders) or (1,))
     err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
-    # fftn on one axis is fft behind two more layers of argument handling
-    return (np.fft.fft(h) if h.ndim == 1 else np.fft.fftn(h).ravel()), err
+    return np.fft.fftn(h).ravel(), err
 
 
 def _ramified(m: int, s: float) -> tuple[float, float]:

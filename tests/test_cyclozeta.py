@@ -73,7 +73,7 @@ def test_unit_group_anchors():
 
 @pytest.mark.parametrize(
     "m",
-    # 2^11 and 2^9 7: the <5> run of 2^k is long enough to be built by blocks
+    # 2^11 and 2^9 7: a long <5> run of 2^k after <-1>, then a second factor
     list(range(1, 61)) + sorted(random.Random(21).sample(range(61, 10 ** 4), 12)) + [2 ** 11, 3584],
 )
 def test_unit_group_invariants(m):
