@@ -106,14 +106,16 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
+def _phi(factors: dict[int, int]) -> int:
+    """Euler totient from a factorization."""
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in factors.items())
+
+
 def euler_phi(m: int) -> int:
     """Euler totient of m >= 1."""
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    phi = 1
-    for p, k in _factorize(m).items():
-        phi *= p ** (k - 1) * (p - 1)
-    return phi
+    return _phi(_factorize(m))
 
 
 def _smallest_primitive_root(p: int) -> int:
@@ -189,7 +191,8 @@ def unit_group(m: int) -> UnitGroupStructure:
         raise DomainError(f"need m >= 1, got {m}")
     generators: list[tuple[int, int]] = []
     units = np.zeros(1, dtype=np.int64)
-    for p, k in sorted(_factorize(m).items()):
+    factors = _factorize(m)
+    for p, k in sorted(factors.items()):
         q = p ** k
         if p > 2:
             g = _smallest_primitive_root(p)
@@ -213,7 +216,7 @@ def unit_group(m: int) -> UnitGroupStructure:
         units = np.add.outer(units, terms).ravel()
     units %= m
     orders = [o for _, o in generators]
-    if units.size != euler_phi(m) or np.bincount(units).max() > 1:
+    if units.size != _phi(factors) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
     exponent = math.lcm(*orders)
     order_array = np.array(orders, dtype=np.int64)
@@ -244,10 +247,13 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
     f = phi(q), and each prime r of phi(q) is stripped from f while
     p^(f/r) = 1 (mod q) still holds.  phi(q) divides phi(m), so the primes
     of phi(m) cover those of every phi(q); m < 1 raises DomainError."""
-    phi = euler_phi(m)
+    if m < 1:
+        raise DomainError(f"need m >= 1, got {m}")
+    factors = _factorize(m)
+    phi = _phi(factors)
     primes = list(_factorize(phi))
     out = []
-    for p, k in _factorize(m).items():
+    for p, k in factors.items():
         q = m // p ** k
         f = phi_q = phi // (p ** (k - 1) * (p - 1))
         for r in primes:
@@ -347,12 +353,10 @@ _EM_OFFSETS = np.arange(2.0 * _EM_J + 1.0)
 
 
 def _em_block(name: str, s: float, a):
-    """(base, x, bern, harm) for the array kernels: the (N x len(a)) block
+    """(base, x, bern) for the array kernels: the (N x len(a)) block
     base[i] = k + a with k = N-1-i descending, x = N + a, and for
     i = 1..J+1 (the last is the first omitted) the Bernoulli corrections of
-    zeta bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1} and the sums
-    harm[i-1] of 1/(s+t) over the same factors; those of d/ds are
-    bern[i-1] (harm[i-1] - ln x)."""
+    zeta bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1}."""
     if not math.isfinite(s):
         raise DomainError(f"{name} needs a finite s, got {s}")
     if s <= 1.0:
@@ -367,7 +371,13 @@ def _em_block(name: str, s: float, a):
     # for s above about 4e14 the product s(s+1)... overflows where the power
     # has already underflowed; such a correction is 0, not inf * 0
     bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
-    return _EM_K + a, x, bern, (1.0 / t).cumsum()[::2]
+    return _EM_K + a, x, bern
+
+
+def _em_harm(s: float) -> np.ndarray:
+    """harm[i-1] = sum of 1/(s+t) over the factors s(s+1)...(s+2i-2) of
+    bern[i-1], i = 1..J+1; the d/ds corrections are bern[i-1] (harm[i-1] - ln x)."""
+    return (1.0 / (s + _EM_OFFSETS)).cumsum()[::2]
 
 
 def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
@@ -397,7 +407,7 @@ def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     error estimate is the first omitted Bernoulli term plus the rounding
     of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
     """
-    base, x, bern, _ = _em_block("hurwitz_zeta", s, a)
+    base, x, bern = _em_block("hurwitz_zeta", s, a)
     direct = (base ** -s).sum(axis=0)
     xt = x ** (1.0 - s)
     rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
@@ -410,7 +420,8 @@ def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     """d/ds of hurwitz_zeta_array(s, a), by term-wise differentiation of
     the same Euler-Maclaurin scheme.  The direct terms -ln(k+a) (k+a)^{-s}
     change sign at k + a = 1, so the rounding term uses sum|terms|."""
-    base, x, bern, harm = _em_block("hurwitz_zeta_ds", s, a)
+    base, x, bern = _em_block("hurwitz_zeta_ds", s, a)
+    harm = _em_harm(s)
     terms = -np.log(base) * base ** -s
     lx = np.log(x)
     xt = x ** (1.0 - s)

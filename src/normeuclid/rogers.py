@@ -11,8 +11,9 @@ printed, with no hidden slack: the resulting f(kappa, theta) may be negative,
 in which case the lower bound is vacuous.
 
 U and the central integral are closed forms: trigonometric Cardano and a
-deflated quadratic, and 32-node Gauss-Legendre on [0, min(kappa^theta, 5)]
-with a Bernstein-ellipse bound on its truncation.
+deflated quadratic, and Gauss-Legendre on [0, min(kappa^theta, 5)] with a
+Bernstein-ellipse bound on its truncation: 16 nodes wherever that bound for
+16 nodes is at most the unit roundoff u = 2^-53, 32 nodes elsewhere.
 """
 
 from __future__ import annotations
@@ -40,9 +41,27 @@ _SQRT_PI = math.sqrt(math.pi)
 # from kappa = 24 up.  f_lower is the one place that checks it.
 KAPPA_MIN_LOWER = 24.0
 
-# The 32-node Gauss-Legendre rule of the central integral as (node, weight)
-# pairs, numpy's leggauss(32) mapped from [-1, 1] to [0, 1] by
+# The Gauss-Legendre rules of the central integral as (node, weight) pairs,
+# numpy's leggauss(16) and leggauss(32) mapped from [-1, 1] to [0, 1] by
 # t = (x + 1)/2, w/2 (a test checks every digit)
+_GL_RULE_16 = (
+    (0.005299532504175031, 0.013576229705877088),
+    (0.0277124884633837, 0.031126761969323728),
+    (0.06718439880608412, 0.0475792558412463),
+    (0.1222977958224985, 0.062314485627767036),
+    (0.19106187779867811, 0.07479799440828835),
+    (0.2709916111713863, 0.08457825969750132),
+    (0.35919822461037054, 0.09130170752246182),
+    (0.4524937450811813, 0.09472530522753432),
+    (0.5475062549188188, 0.09472530522753432),
+    (0.6408017753896295, 0.09130170752246182),
+    (0.7290083888286136, 0.08457825969750132),
+    (0.8089381222013219, 0.07479799440828835),
+    (0.8777022041775016, 0.062314485627767036),
+    (0.9328156011939159, 0.0475792558412463),
+    (0.9722875115366163, 0.031126761969323728),
+    (0.994700467495825, 0.013576229705877088),
+)
 _GL_RULE = (
     (0.001368069075259215, 0.003509305004735253),
     (0.007194244227365809, 0.008137197365452872),
@@ -77,7 +96,6 @@ _GL_RULE = (
     (0.9928057557726342, 0.008137197365452872),
     (0.9986319309247408, 0.003509305004735253),
 )
-_GL_NODES = len(_GL_RULE)
 # The integrand is at most e^{-2u^2}, so the range is cut at u = 5: the
 # half-range integral beyond is below e^{-50}/20.
 _CUT = 5.0
@@ -195,7 +213,7 @@ def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> fl
 def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
-    Twice the half-range integral by symmetry, as 32-node Gauss-Legendre on
+    Twice the half-range integral by symmetry, as N-node Gauss-Legendre on
     [0, h], h = min(kappa^theta, 5), with the integrand written
     exp(E), E = -u^2 + n log1p(-u^2/(2 kappa^2)), so large n does not lose
     accuracy.  The value lies in (0, sqrt(pi)).
@@ -215,6 +233,8 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     most (h/2) (64/15) M rho^{-2N}/(rho^2 - 1) (Trefethen, Approximation
     Theory and Approximation Practice, Thm 19.3).  rho = sqrt(8N)/h
     about minimises that, capped so the ellipse stays inside |u| < sqrt(n).
+    N, which ``terms_used`` reports, is 16 where that bound for N = 16 is at
+    most u = 2^-53 (h up to about 2.38, kappa not near 1), and 32 elsewhere.
 
     The terms h w_i e^{E_i} are added in node order.  Roundings of term i,
     in units of the unit roundoff u: N - 1 for the additions (every term is
@@ -223,17 +243,27 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     own roundings come to about 3|E_i| since E ~ -2u^2; and 6 h u_i for the
     node u_i = h t_i, whose two roundings move E through dE/du ~ -4u.
     E <= 0 at every node, so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2)
-    with the running sums S0 = sum of the terms, S1 = sum of term_i E_i and
-    S2 = sum of term_i t_i.
+    with the N used and the running sums S0 = sum of the terms,
+    S1 = sum of term_i E_i and S2 = sum of term_i t_i.
     """
     k, n = ctx.kappa, ctx.n
     two_k2 = 2.0 * k * k
     h = min(k ** ctx.theta, _CUT)
+    cap = math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
+    for rule in (_GL_RULE_16, _GL_RULE):
+        nodes = len(rule)
+        rho = min(math.sqrt(8.0 * nodes) / h, cap)
+        truncation = (
+            (h / 2.0) * (64.0 / 15.0) * math.exp(h * h * (rho - 1.0 / rho) ** 2 / 8.0)
+            * rho ** (-2.0 * nodes) / (rho * rho - 1.0)
+        )
+        if truncation <= _U:
+            break
     neg_two_k2 = -two_k2
     exp = math.exp
     log1p = math.log1p
     half = s1 = s2 = 0.0
-    for t, w in _GL_RULE:
+    for t, w in rule:
         u = h * t
         u2 = u * u
         e = n * log1p(u2 / neg_two_k2) - u2
@@ -241,15 +271,8 @@ def central_integral(ctx: RogersContext) -> Evaluation:
         half += term
         s1 += term * e
         s2 += term * t
-    rho = min(
-        math.sqrt(8.0 * _GL_NODES) / h, math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
-    )
-    truncation = (
-        (h / 2.0) * (64.0 / 15.0) * math.exp(h * h * (rho - 1.0 / rho) ** 2 / 8.0)
-        * rho ** (-2.0 * _GL_NODES) / (rho * rho - 1.0)
-    )
-    rounding = _U * ((_GL_NODES + 4.0) * half - 6.0 * s1 + 6.0 * h * h * s2)
-    return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), _GL_NODES)
+    rounding = _U * ((nodes + 4.0) * half - 6.0 * s1 + 6.0 * h * h * s2)
+    return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), nodes)
 
 
 class _Chain(NamedTuple):

@@ -651,6 +651,14 @@ def test_min_norm_domain(m):
         min_proper_ideal_norm(m)
 
 
+@pytest.mark.parametrize("m", [0, -5])
+def test_unit_group_and_ramified_degrees_domain(m):
+    # both take phi(m) from their own factorization, which is empty for m < 1
+    for f in (unit_group, _ramified_degrees):
+        with pytest.raises(DomainError, match=f"got {m}"):
+            f(m)
+
+
 def test_min_norm_brute_force_small():
     # oracle: factor small primes directly via residue degrees
     def oracle(m):

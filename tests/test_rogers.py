@@ -4,6 +4,7 @@ QUADPACK integral as check routes, and a 30-digit mpmath oracle for the
 error estimates."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.optimize import brentq
 
 from normeuclid.rogers import (
     _GL_RULE,
+    _GL_RULE_16,
     RogersContext,
     _chain,
     _majorant,
@@ -24,7 +26,7 @@ from normeuclid.rogers import (
     sigma_upper_log,
     u_threshold,
 )
-from normeuclid.specfun import DomainError
+from normeuclid.specfun import _U, DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -267,8 +269,30 @@ def _log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
+# the 16-node truncation bound crosses u between these neighbouring kappas
+# at theta = 0.1: 16 nodes at the first of each pair, 32 at the second
+_SWITCH_LOW = (1.2417992325965943, 1.241799232596594)
+_SWITCH_HIGH = (5797.274430598614, 5797.274430598615)
+
+
+def _truncation_bound(ctx, nodes):
+    """The Bernstein-ellipse bound on the nodes-point Gauss error over
+    [0, h], as the docstring states it (Trefethen's Thm 19.3), in the same
+    floating-point operations, so that it agrees at neighbouring kappas."""
+    k = ctx.kappa
+    two_k2 = 2 * k * k
+    h = min(k ** ctx.theta, 5.0)
+    rho = min(math.sqrt(8 * nodes) / h, math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1))
+    big_m = math.exp(h * h * (rho - 1 / rho) ** 2 / 8)
+    return (h / 2) * (64 / 15) * big_m * rho ** (-2 * nodes) / (rho * rho - 1)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(kappa=_log_uniform(1.0, 1e8), theta=_THETA)
+@example(kappa=_SWITCH_LOW[0], theta=0.1)
+@example(kappa=_SWITCH_LOW[1], theta=0.1)
+@example(kappa=_SWITCH_HIGH[0], theta=0.1)
+@example(kappa=_SWITCH_HIGH[1], theta=0.1)
 def test_central_integral_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     ci = central_integral(ctx)
@@ -359,6 +383,22 @@ def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
     x, w = np.polynomial.legendre.leggauss(32)
     want = [(float(t).hex(), float(v).hex()) for t, v in zip(0.5 * (x + 1.0), 0.5 * w)]
     assert [(t.hex(), v.hex()) for t, v in _GL_RULE] == want
+    x, w = np.polynomial.legendre.leggauss(16)
+    want = [(float(t).hex(), float(v).hex()) for t, v in zip(0.5 * (x + 1.0), 0.5 * w)]
+    assert [(t.hex(), v.hex()) for t, v in _GL_RULE_16] == want
+
+
+def test_sixteen_nodes_exactly_where_their_bound_is_below_u():
+    rng = random.Random(22)
+    switches, log_max = (*_SWITCH_LOW, *_SWITCH_HIGH), math.log(1e8)
+    contexts = [RogersContext.from_kappa(k, 0.1) for k in switches] + [
+        RogersContext.from_kappa(math.exp(rng.uniform(0.0, log_max)), rng.uniform(1e-9, 0.33))
+        for _ in range(400)
+    ]
+    used = [central_integral(ctx).terms_used for ctx in contexts]
+    assert used[:4] == [16, 32, 16, 32]
+    assert used == [16 if _truncation_bound(ctx, 16) <= _U else 32 for ctx in contexts]
+    assert 100 < used.count(16) < 300  # both sides of the switch are sampled
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
