@@ -24,6 +24,7 @@ argument too large for binary64 or an output file that cannot be written,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -104,33 +105,21 @@ def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
     return 0
 
 
-# the scan's columns, each as (name, ScanRow field)
-_SCAN_COLUMNS = (
-    ("m", "m"),
-    ("phi", "phi_m"),
-    ("epsilon", "epsilon"),
-    ("s", "s"),
-    ("zeta_value", "zeta_value"),
-    ("err_estimate", "err_estimate"),
-)
-
-
 def _rows_csv(rows: list[ScanRow]) -> str:
-    lines = [",".join(name for name, _ in _SCAN_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(repr(getattr(r, field)) for _, field in _SCAN_COLUMNS))
+    """The ScanRow fields are the columns; ``scan`` returns at least one row."""
+    lines = [",".join(f.name for f in dataclasses.fields(rows[0]))]
+    lines += [",".join(map(repr, dataclasses.astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_json(rows: list[ScanRow]) -> str:
-    payload = [{name: getattr(r, field) for name, field in _SCAN_COLUMNS} for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
 
 
 def _rows_svg(rows: list[ScanRow]) -> str:
     """Fixed 800x600 scatter of (phi, zeta), linear axes, one circle per row."""
     width, height, margin = 800, 600, 60
-    xs = [float(r.phi_m) for r in rows]
+    xs = [float(r.phi) for r in rows]
     ys = [r.zeta_value for r in rows]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
@@ -163,7 +152,7 @@ def _rows_svg(rows: list[ScanRow]) -> str:
     ]
     for r in rows:
         parts.append(
-            f'<circle cx="{px(float(r.phi_m)):.2f}" cy="{py(r.zeta_value):.2f}" '
+            f'<circle cx="{px(float(r.phi)):.2f}" cy="{py(r.zeta_value):.2f}" '
             f'r="3" fill="steelblue" fill-opacity="0.7"/>'
         )
     parts.append("</svg>")
@@ -356,7 +345,7 @@ def _crit_7_zeta_engine() -> tuple[bool, str]:
     t_scan = time.monotonic()
     rows = cyclozeta.scan(350, 0.75)
     scan_dt = time.monotonic() - t_scan
-    pattern_ok = all(r.zeta_value >= 1.44 for r in rows if r.phi_m >= 40)
+    pattern_ok = all(r.zeta_value >= 1.44 for r in rows if r.phi >= 40)
     scan_ok = scan_dt <= 120.0 and pattern_ok
 
     dual_note = (

@@ -12,7 +12,7 @@ all phi(m) L-values are one discrete Fourier transform over (Z/mZ)*: on
 the discrete-log grid of the unit group the character sum is
 ``np.fft.fftn`` of h[v] = m^{-s} zeta(s, a/m) (Washington, Introduction to
 Cyclotomic Fields, Ch. 4).  ``unit_group`` lists the units in the grid's C
-order as int64 arrays, so h is one array-kernel call over a = units/m,
+order as an int64 array, so h is one array-kernel call over a = units/m,
 reshaped.  The log-derivative transforms m^{-s} times d/ds zeta(s, a/m)
 the same way.
 
@@ -49,19 +49,20 @@ from integer rotation indices k mod L (L = exponent of the unit group);
 this also serves as a check on the transform.  Conductors are closed-form
 products of local conductors (Washington, Ch. 3; see ``characters``).
 
-The Euler route reads the residue degrees of the unramified primes from
-the discrete logs: a unit with exponent vector v over generators of
-orders o_i has order lcm_i o_i/gcd(v_i, o_i).  The ramified primes p | m
-get theirs, f = ord_q(p) with q the prime-to-p part of m, from integer
-arithmetic alone (``_ramified_degrees``), so the Hurwitz route needs
-only the units and never builds the logs.
+A per-unit quantity that is a function of the exponent vector v, such
+as a unit's order lcm_i o_i/gcd(v_i, o_i) (the residue degrees of the
+unramified primes, for the Euler route), is an outer product of one short
+column per generator axis, raveled in the units' C order.  The ramified
+primes p | m get their degrees, f = ord_q(p) with q the prime-to-p part
+of m, from integer arithmetic alone (``_ramified_degrees``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,43 +133,23 @@ def _smallest_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True, eq=False)  # numpy arrays have no dataclass equality
 class UnitGroupStructure:
-    """CRT generator data for (Z/mZ)*, with the units and their discrete
-    logs as read-only int64 arrays.
+    """CRT generator data for (Z/mZ)*, with the units as a read-only int64
+    array.
 
     ``generators`` holds (residue mod m, order) with one entry per cyclic
     factor, and ``orders`` the orders alone.  ``units`` runs through the
-    grid of exponent vectors in C order, so an array of phi values over
-    ``units`` reshapes directly onto the grid; row i of ``logs`` (shape
-    (phi, #generators)) is the exponent vector of ``units[i]``.  A group
-    DFT reads only ``units`` and ``orders``, so ``logs`` is built on its
-    first read (by ``characters``, ``dlog`` or ``_order_table``).
-    ``exponent`` is the group exponent L = lcm of the orders (1 for the
-    trivial group) and ``weights[i]`` = L // orders[i]: the character with
-    exponent vector e takes exp(2 pi i k/L) at the unit with exponent
-    vector v, where k = v . (e weights) mod L.
+    grid of exponent vectors in C order (``np.ndindex(*orders)``), so an
+    array of phi values over ``units`` reshapes directly onto the grid.  A
+    per-unit table f(v) = f_1(v_1) op ... op f_k(v_k) is therefore
+    ``np.ravel(reduce(op, np.ix_(*columns), start))`` over one column
+    f_i(0..o_i - 1) per generator; with no generators (m = 1, 2) it is the
+    one entry ``start``.
     """
 
     modulus: int
     generators: tuple[tuple[int, int], ...]
     units: np.ndarray
-    orders: np.ndarray
-    exponent: int
-    weights: np.ndarray
-
-    @cached_property
-    def logs(self) -> np.ndarray:
-        """The exponent grid in C order, one row per unit."""
-        orders = self.orders.tolist()
-        logs = np.indices(orders, dtype=np.int64).reshape(len(orders), self.units.size).T.copy()
-        logs.flags.writeable = False
-        return logs
-
-    def dlog(self, r: int) -> np.ndarray:
-        """Exponent vector of r mod m, which must be a unit."""
-        hit = np.flatnonzero(self.units == r % self.modulus)
-        if hit.size == 0:
-            raise DomainError(f"{r} is not a unit mod {self.modulus}")
-        return self.logs[hit[0]]
+    orders: tuple[int, ...]
 
 
 # every caller works through one modulus at a time (one scan row, one sweep
@@ -215,28 +196,21 @@ def unit_group(m: int) -> UnitGroupStructure:
             terms = grid
         units = np.add.outer(units, terms).ravel()
     units %= m
-    orders = [o for _, o in generators]
     if units.size != _phi(factors) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
-    exponent = math.lcm(*orders)
-    order_array = np.array(orders, dtype=np.int64)
-    weights = np.array([exponent // o for o in orders], dtype=np.int64)
-    for a in (units, order_array, weights):
-        a.flags.writeable = False
-    return UnitGroupStructure(m, tuple(generators), units, order_array, exponent, weights)
-
-
-def _unit_orders(logs: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Multiplicative orders lcm_i o_i/gcd(v_i, o_i) of the units with
-    exponent vectors v (one vector, or one per row of ``logs``)."""
-    return np.lcm.reduce(orders // np.gcd(logs, orders), axis=-1, initial=1)
+    units.flags.writeable = False
+    return UnitGroupStructure(m, tuple(generators), units, tuple(o for _, o in generators))
 
 
 def _order_table(m: int) -> np.ndarray:
-    """table[r] = multiplicative order of r mod m for r coprime to m, else 0."""
+    """table[r] = multiplicative order of r mod m for r coprime to m, else 0.
+
+    The unit with exponent vector v has order lcm_i o_i/gcd(v_i, o_i): the
+    lcm over the generator axes of the columns o_i/gcd(0..o_i - 1, o_i)."""
     group = unit_group(m)
+    columns = [o // np.gcd(np.arange(o), o) for o in group.orders]
     table = np.zeros(m, dtype=np.int64)
-    table[group.units] = _unit_orders(group.logs, group.orders)
+    table[group.units] = np.ravel(reduce(np.lcm, np.ix_(*columns), 1))
     return table
 
 
@@ -268,7 +242,7 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
 class DirichletCharacter(NamedTuple):
     """A character of (Z/mZ)* as an exponent vector over the generators.
 
-    The value at a residue a with dlog vector v is the rotation
+    The value at a unit with exponent vector v is the rotation
     sum_i exponents[i] * v[i] / order_i (mod 1); ``conductor`` is the
     smallest d | m through which the character factors.  A named tuple,
     because ``characters`` builds phi(m) of them per modulus.
@@ -281,43 +255,49 @@ class DirichletCharacter(NamedTuple):
 
 def characters(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, trivial character first,
-    with exponent vectors in the C order of the discrete-log grid.
+    with exponent vectors in the C order of the exponent grid.
 
     The conductor is the product of local conductors over the prime
     powers p^k || m (Washington, Introduction to Cyclotomic Fields, Ch. 3):
     on a cyclic factor (p odd, or 4) a component of order n has conductor
     p^{1 + v_p(n)}, or 1 when trivial; on <-1> x <5> mod 2^k (k >= 3) it
-    is 4 n_5 with n_5 the order on <5>, or 1 when trivial.
+    is 4 n_5 with n_5 the order on <5>, or 1 when trivial.  Each prime
+    power's generators are adjacent axes of the grid, so the conductors
+    are the product over one block of local conductors per prime power,
+    the 2 x o_5 block of <-1> x <5> raveled into one axis.
     """
     group = unit_group(m)
-    exps, orders = group.logs, group.orders
-    conductor = np.ones(len(exps), dtype=np.int64)
-    col = 0
+    orders = iter(group.orders)
+    blocks = []
     for p, k in sorted(_factorize(m).items()):
         if p == 2 and k >= 3:
-            o = orders[col + 1]
-            local = 4 * (o // np.gcd(exps[:, col + 1], o))
-            trivial = ~exps[:, col : col + 2].any(axis=1)
-            col += 2
+            next(orders)  # the <-1> axis, which leaves the conductor 4 n_5
+            o = next(orders)
+            local = np.tile(4 * (o // np.gcd(np.arange(o), o)), 2)
         elif p > 2 or k == 2:
-            o = orders[col]  # p^{v_p(n)} = gcd(n, p^{k-1}), as n | p^{k-1}(p-1)
-            local = p * np.gcd(o // np.gcd(exps[:, col], o), p ** (k - 1))
-            trivial = exps[:, col] == 0
-            col += 1
+            o = next(orders)  # p^{v_p(n)} = gcd(n, p^{k-1}), as n | p^{k-1}(p-1)
+            local = p * np.gcd(o // np.gcd(np.arange(o), o), p ** (k - 1))
         else:
             continue
-        conductor *= np.where(trivial, 1, local)
+        local[0] = 1  # the trivial component
+        blocks.append(local)
+    conductors = np.ravel(reduce(np.multiply, np.ix_(*blocks), 1))
     return tuple(
-        DirichletCharacter(m, tuple(e), c)
-        for e, c in zip(exps.tolist(), conductor.tolist())
+        DirichletCharacter(m, e, c)
+        for e, c in zip(itertools.product(*map(range, group.orders)), conductors.tolist())
     )
 
 
-def _rotation_indices(chi: DirichletCharacter, logs: np.ndarray) -> np.ndarray:
-    """The integers k with chi = exp(2 pi i k/L) at the units whose
-    exponent vectors are ``logs`` (one vector, or one per row)."""
-    group = unit_group(chi.modulus)
-    return logs @ (np.array(chi.exponents, dtype=np.int64) * group.weights) % group.exponent
+def _rotation_indices(chi: DirichletCharacter) -> tuple[int, np.ndarray]:
+    """L = the group exponent (lcm of the orders, 1 for the trivial group)
+    and, at every unit in the order of ``units``, the integer k with
+    chi = exp(2 pi i k/L): the character with exponent vector e has
+    k = sum_i e_i (L/o_i) v_i mod L at the unit with exponent vector v."""
+    modulus, exponents, _ = chi
+    orders = unit_group(modulus).orders
+    big_l = math.lcm(*orders)
+    columns = [e * (big_l // o) * np.arange(o) for e, o in zip(exponents, orders)]
+    return big_l, np.ravel(reduce(np.add, np.ix_(*columns), 0)) % big_l
 
 
 def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
@@ -328,7 +308,8 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
     class of every unit a mod m.
     """
     group = unit_group(chi.modulus)
-    angle = _TWO_PI * (_rotation_indices(chi, group.logs) / group.exponent)
+    big_l, k = _rotation_indices(chi)
+    angle = _TWO_PI * (k / big_l)
     table = np.zeros(d, dtype=complex)
     table[group.units % d] = np.cos(angle) + 1j * np.sin(angle)
     return table
@@ -470,9 +451,9 @@ def _group_dft(
     One kernel call covers every unit, and the units already run through
     the grid in C order."""
     group = unit_group(m)
-    scale = float(m) ** -s
     values, errs, _ = kernel(s, group.units / m if m > 1 else np.ones(1))
-    h = (scale * values).reshape(tuple(group.orders) or (1,))
+    scale = float(m) ** -s  # after the kernel has checked s
+    h = (scale * values).reshape(group.orders or (1,))
     err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
     return np.fft.fftn(h).ravel(), err
@@ -482,12 +463,12 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
     """ln of the exact Euler factors prod_{p | m} (1 - p^{-f s})^{-g} at the
     ramified primes, and its derivative in s."""
     log_f = 0.0
-    dlog_f = 0.0
+    d_log_f = 0.0
     for p, f, g in _ramified_degrees(m):
         x = float(p) ** (-f * s)
         log_f += -g * math.log1p(-x)
-        dlog_f += -g * f * math.log(p) * x / (1.0 - x)
-    return log_f, dlog_f
+        d_log_f += -g * f * math.log(p) * x / (1.0 - x)
+    return log_f, d_log_f
 
 
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
@@ -593,7 +574,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     x = np.exp(-y[keep])
     terms = np.log1p(-x, out=x)  # in place, sparing one more prime-sized array
     terms *= phi / order[residues[keep]]
-    log_r, dlog_r = _ramified(m, s)
+    log_r, d_log_r = _ramified(m, s)
     abs_sum = -float(np.sum(terms))  # every term is <= 0
     value = math.exp(log_r + abs_sum)
 
@@ -603,17 +584,10 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     log_tail = phi * (tail1 + tail2)
     err = value * math.expm1(log_tail) if log_tail < 709.0 else math.inf
     n, ramified = len(primes), _factorize(m)
-    rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * dlog_r
+    rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * d_log_r
     err += _U * value * (rounding + (7 + len(ramified)) * log_r)
     # the primes <= P that do not divide m, plus every p | m
     return Evaluation(value, err, n + sum(p > prime_limit for p in ramified))
-
-
-def _check_point(s: float) -> None:
-    if not math.isfinite(s):
-        raise DomainError(f"need a finite s, got {s}")
-    if s <= 1.0:
-        raise DomainError(f"need s > 1, got {s}")
 
 
 def zeta_cyclotomic(
@@ -635,7 +609,10 @@ def zeta_cyclotomic(
     multiplied in.  Both methods need prime_limit >= 1000 and deliver a
     real value > 1.
     """
-    _check_point(s)
+    if not math.isfinite(s):
+        raise DomainError(f"need a finite s, got {s}")
+    if s <= 1.0:
+        raise DomainError(f"need s > 1, got {s}")
     if prime_limit < _PRIME_LIMIT_MIN:
         raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     if method == "hurwitz":
@@ -653,8 +630,8 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     value is sum F'/F - phi(m) ln m plus the ramified Euler factors'
     log-derivative.  The ratios come in conjugate pairs, as the L-values
     do, so sum F'/F = sum Re(F'/F).  ``terms_used`` is the number of
-    Hurwitz-zeta evaluations, 2 phi(m)."""
-    _check_point(s)
+    Hurwitz-zeta evaluations, 2 phi(m).  The kernel raises PoleError for
+    s <= 1 and DomainError for a non-finite s."""
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
     ratio = d_vals / l_vals
@@ -711,7 +688,7 @@ class ScanRow:
     """One point of the cyclotomic scan: zeta at s = 1 + phi(m)^{-epsilon}."""
 
     m: int
-    phi_m: int
+    phi: int
     epsilon: float
     s: float
     zeta_value: float

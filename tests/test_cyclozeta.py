@@ -7,7 +7,7 @@ the conductor route against the group transform, and an mpmath group
 determinant for the zeta values and their log-derivative.
 """
 
-import itertools
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,6 +20,7 @@ from scipy.special import exp1
 from normeuclid.cyclozeta import (
     _EXP_UNDERFLOW,
     ScanRow,
+    UnitGroupStructure,
     _char_table,
     _factorize,
     _group_dft,
@@ -68,7 +69,7 @@ def test_unit_group_anchors():
     g5 = unit_group(5)
     assert [(r, o) for r, o in g5.generators] == [(2, 4)]
     g1 = unit_group(1)
-    assert g1.generators == () and g1.units.tolist() == [0] and g1.logs.shape == (1, 0)
+    assert g1.generators == () and g1.units.tolist() == [0] and g1.orders == ()
 
 
 @pytest.mark.parametrize(
@@ -84,40 +85,29 @@ def test_unit_group_invariants(m):
     assert prod == euler_phi(m)
     coprime = {r % m for r in range(m) if math.gcd(r, m) == 1} or {0}
     assert set(g.units.tolist()) == coprime and len(g.units) == len(coprime)
-    # re-exponentiating each vector reproduces the residue, and dlog inverts units
-    for r, vec in zip(g.units.tolist(), g.logs.tolist()):
+    # the units run through the exponent grid in C order: re-exponentiating
+    # each vector reproduces the residue
+    for r, vec in zip(g.units.tolist(), np.ndindex(*g.orders)):
         x = 1 % m
         for (gen, _), e in zip(g.generators, vec):
             x = x * pow(gen, e, m) % m
-        assert x == r and g.dlog(r + m).tolist() == vec
+        assert x == r
 
 
 @pytest.mark.parametrize("m", [1, 2, 8, 12, 35, 1009, 3000])
 def test_unit_group_arrays_are_int64_grid(m):
     g = unit_group(m)
-    phi, orders = euler_phi(m), [o for _, o in g.generators]
-    assert g.units.dtype == g.logs.dtype == np.int64
-    assert g.units.shape == (phi,) and g.logs.shape == (phi, len(orders))
-    # the rows run through the exponent grid in C order
-    assert g.logs.tolist() == [list(v) for v in np.ndindex(*orders)]
-    assert not (g.units.flags.writeable or g.logs.flags.writeable)
+    assert g.units.dtype == np.int64 and g.units.shape == (euler_phi(m),)
+    assert not g.units.flags.writeable
+    assert g.orders == tuple(o for _, o in g.generators)
 
 
-def test_dlog_of_a_non_unit_is_a_domain_error_naming_it():
-    with pytest.raises(DomainError, match="4 is not a unit mod 12"):
-        unit_group(12).dlog(4)
-
-
-def test_scan_row_leaves_the_logs_unbuilt():
-    # a group DFT reads units and orders only; logs are built on first read
-    for m in (1, 12, 101, 360):
-        unit_group.cache_clear()  # so the row builds its own group
-        scan_row(m, 0.75)
-        group = unit_group(m)
-        assert "logs" not in vars(group), m
-        logs = group.logs
-        assert group.logs is logs and not logs.flags.writeable
-        assert logs.tolist() == [list(v) for v in np.ndindex(*group.orders.tolist())]
+def test_unit_group_keeps_only_what_the_transform_reads():
+    # per-unit tables are outer products over the generator axes, so the
+    # group keeps no discrete-log grid and no derived members
+    names = [f.name for f in dataclasses.fields(UnitGroupStructure)]
+    assert names == ["modulus", "generators", "units", "orders"]
+    assert set(vars(unit_group(360))) == set(names)
 
 
 # ------------------------------------------------------------ characters
@@ -149,30 +139,21 @@ def test_characters_mod8_conductors():
 def _conductors_by_kernel_scan(m):
     """Conductors of the characters mod m in exponent-grid order, by the
     definition: the least divisor d of m such that chi is trivial on the
-    units = 1 mod d (the rotation index of every such unit is 0 mod L)."""
-    g = unit_group(m)
-    orders = [o for _, o in g.generators]
-    big_l = math.lcm(*orders) if orders else 1
-    weights = [big_l // o for o in orders]
+    units = 1 mod d (the rotation index at each such unit's position is 0)."""
+    units = unit_group(m).units
     divisors = [d for d in range(1, m + 1) if m % d == 0]
-    kernels = {
-        d: [v for r, v in zip(g.units.tolist(), g.logs.tolist()) if r % d == 1 % d]
-        for d in divisors
-    }
-    return [
-        next(
-            d for d in divisors
-            if all(sum(map(math.prod, zip(exps, v, weights))) % big_l == 0 for v in kernels[d])
-        )
-        for exps in itertools.product(*(range(o) for o in orders))
-    ]
+    kernels = {d: units % d == 1 % d for d in divisors}
+    conductors = []
+    for chi in characters(m):
+        rotation = _rotation_indices(chi)[1]
+        conductors.append(next(d for d in divisors if not rotation[kernels[d]].any()))
+    return conductors
 
 
 def test_closed_form_conductors_match_kernel_scan():
     for m in range(1, 401):
         chars = characters(m)
-        orders = [o for _, o in unit_group(m).generators]
-        assert [c.exponents for c in chars] == list(itertools.product(*(range(o) for o in orders)))
+        assert [c.exponents for c in chars] == list(np.ndindex(*unit_group(m).orders))
         assert [c.conductor for c in chars] == _conductors_by_kernel_scan(m), m
 
 
@@ -237,8 +218,8 @@ def test_char_rotation_exact():
     orders = {c.exponents for c in chars}
     assert len(orders) == 4
     quartic = next(c for c in chars if c.exponents == (1,))
-    group = unit_group(5)
-    turn = Fraction(int(_rotation_indices(quartic, group.dlog(2))), group.exponent)
+    big_l, rotation = _rotation_indices(quartic)
+    turn = Fraction(int(rotation[unit_group(5).units.tolist().index(2)]), big_l)
     assert turn == Fraction(1, 4)  # 2 generates (Z/5)*
     assert _char_table(quartic, 5)[5 % 5] == 0
 
@@ -251,13 +232,13 @@ def test_conjugate_character(m):
 
     def conjugate(chi):
         # the character with exponents -e mod o
-        return by_exponents[tuple(-e % o for e, o in zip(chi.exponents, group.orders.tolist()))]
+        return by_exponents[tuple(-e % o for e, o in zip(chi.exponents, group.orders))]
 
     for chi in chars:
         conj = conjugate(chi)
         assert conj.conductor == chi.conductor
-        rot = _rotation_indices(chi, group.logs)
-        assert np.array_equal(_rotation_indices(conj, group.logs), -rot % group.exponent)
+        big_l, rot = _rotation_indices(chi)
+        assert np.array_equal(_rotation_indices(conj)[1], -rot % big_l)
         table, conj_table = _char_table(chi, m), _char_table(conj, m)
         assert np.array_equal(conj_table == 0, table == 0)
         # each table's angles 2 pi k/L round to within about 2e-15
@@ -316,9 +297,9 @@ def test_l_near_one_finite_and_matches_series():
     # 5^{-s} sum_a chi(a) zeta(s, a/5) with the exact chi(1..4) = 1, i, -i, -1
     s = 1.01
     chi = next(c for c in characters(5) if c.exponents == (1,))
-    group = unit_group(5)
-    rotations = [int(_rotation_indices(chi, group.dlog(a))) for a in range(1, 5)]
-    quarter_turns = [4 * Fraction(k, group.exponent) for k in rotations]
+    big_l, rotation = _rotation_indices(chi)
+    units = unit_group(5).units.tolist()
+    quarter_turns = [4 * Fraction(int(rotation[units.index(a)]), big_l) for a in range(1, 5)]
     assert quarter_turns == [0, 1, 3, 2]
     lv = dirichlet_l(s, chi)
     assert isinstance(lv, Evaluation)
@@ -480,6 +461,9 @@ def test_zeta_domain():
         zeta_cyclotomic(4, 2.0, method="mystery")
     with pytest.raises(DomainError):
         zeta_cyclotomic(0, 2.0)
+    # the log-derivative leaves the check of s to the Hurwitz kernel
+    with pytest.raises(DomainError):
+        zeta_cyclotomic_logderiv(4, 1.0)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf])
@@ -694,15 +678,29 @@ def _naive_order(a, m):
     return order
 
 
+def _naive_orders(m):
+    """Order of every a mod m coprime to m, 0 elsewhere, by stepping
+    a, a^2, ... one product at a time, for all a at once."""
+    a = np.arange(m, dtype=np.int64)
+    unit = np.gcd(a, m) == 1
+    orders = np.zeros(m, dtype=np.int64)
+    x, step = a % m, 1
+    while (pending := unit & (orders == 0)).any():
+        orders[pending & (x == 1 % m)] = step
+        x = x * a % m
+        step += 1
+    return orders
+
+
 def test_mult_order_matches_naive_stepping():
-    for m in range(2, 400):
+    # every m below 400 and a seeded sample up to 1e4; 2^11, 2^9 7, 8p and 4p
+    # reach the two-axis <-1> x <5> block; m = 1 and 2 have no generators
+    ms = [*range(1, 400), *random.Random(2300).sample(range(400, 10 ** 4), 12)]
+    ms += [2 ** 11, 2 ** 9 * 7, 8 * 1249, 4 * 2477]
+    for m in ms:
         table = _order_table(m)
-        assert table.shape == (m,)
-        for a in range(m):
-            if math.gcd(a, m) == 1:
-                assert table[a] == _naive_order(a, m), (a, m)
-            else:
-                assert table[a] == 0, (a, m)
+        assert table.shape == (m,) and np.array_equal(table, _naive_orders(m)), m
+    assert _order_table(1).tolist() == [1] and _order_table(2).tolist() == [0, 1]
 
 
 def test_ramified_degrees_match_naive_stepping():
