@@ -106,14 +106,17 @@ def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
 
 
 def _rows_csv(rows: list[ScanRow]) -> str:
-    """The ScanRow fields are the columns; ``scan`` returns at least one row."""
-    lines = [",".join(f.name for f in dataclasses.fields(rows[0]))]
-    lines += [",".join(map(repr, dataclasses.astuple(r))) for r in rows]
+    """The ScanRow fields are the columns, read with getattr (``astuple``
+    deep-copies every row); ``scan`` returns at least one row."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(r, n)) for n in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_json(rows: list[ScanRow]) -> str:
-    return json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    return json.dumps([{n: getattr(r, n) for n in names} for r in rows], indent=2) + "\n"
 
 
 def _rows_svg(rows: list[ScanRow]) -> str:

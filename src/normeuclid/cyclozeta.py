@@ -55,6 +55,10 @@ unramified primes, for the Euler route), is an outer product of one short
 column per generator axis, raveled in the units' C order.  The ramified
 primes p | m get their degrees, f = ord_q(p) with q the prime-to-p part
 of m, from integer arithmetic alone (``_ramified_degrees``).
+
+A scan evaluates each field once: Q(zeta_2m) = Q(zeta_m) for odd m, so
+``scan`` takes the row of 2m right after that of m, and the Hurwitz route
+keeps its last zeta in a one-entry cache, which that row reads.
 """
 
 from __future__ import annotations
@@ -93,8 +97,11 @@ _TWO_PI = 2.0 * math.pi
 
 # ------------------------------------------------------- basic arithmetic
 
-def _factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division."""
+# a scan row asks for m, phi(m) and each p - 1 (odd p | m) from several places
+@lru_cache(maxsize=16)
+def _factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by trial division: (p, k) pairs, p ascending, in
+    a tuple, as every caller of a cached entry shares it."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= m:
@@ -104,12 +111,12 @@ def _factorize(m: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
-    return out
+    return tuple(out.items())
 
 
-def _phi(factors: dict[int, int]) -> int:
+def _phi(factors: tuple[tuple[int, int], ...]) -> int:
     """Euler totient from a factorization."""
-    return math.prod(p ** (k - 1) * (p - 1) for p, k in factors.items())
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in factors)
 
 
 def euler_phi(m: int) -> int:
@@ -121,7 +128,7 @@ def euler_phi(m: int) -> int:
 
 def _smallest_primitive_root(p: int) -> int:
     """Smallest primitive root of an odd prime p."""
-    qs = list(_factorize(p - 1))
+    qs = [q for q, _ in _factorize(p - 1)]
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
@@ -173,7 +180,7 @@ def unit_group(m: int) -> UnitGroupStructure:
     generators: list[tuple[int, int]] = []
     units = np.zeros(1, dtype=np.int64)
     factors = _factorize(m)
-    for p, k in sorted(factors.items()):
+    for p, k in factors:
         q = p ** k
         if p > 2:
             g = _smallest_primitive_root(p)
@@ -225,9 +232,9 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
         raise DomainError(f"need m >= 1, got {m}")
     factors = _factorize(m)
     phi = _phi(factors)
-    primes = list(_factorize(phi))
+    primes = [r for r, _ in _factorize(phi)]
     out = []
-    for p, k in factors.items():
+    for p, k in factors:
         q = m // p ** k
         f = phi_q = phi // (p ** (k - 1) * (p - 1))
         for r in primes:
@@ -269,7 +276,7 @@ def characters(m: int) -> tuple[DirichletCharacter, ...]:
     group = unit_group(m)
     orders = iter(group.orders)
     blocks = []
-    for p, k in sorted(_factorize(m).items()):
+    for p, k in _factorize(m):
         if p == 2 and k >= 3:
             next(orders)  # the <-1> axis, which leaves the conductor 4 n_5
             o = next(orders)
@@ -471,6 +478,8 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
     return log_f, d_log_f
 
 
+# one entry, as for unit_group; the scan row of 2m (m odd) asks for m's again
+@lru_cache(maxsize=1)
 def _zeta_hurwitz(m: int, s: float) -> Evaluation:
     l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
     l_abs = np.abs(l_vals)
@@ -587,7 +596,7 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * d_log_r
     err += _U * value * (rounding + (7 + len(ramified)) * log_r)
     # the primes <= P that do not divide m, plus every p | m
-    return Evaluation(value, err, n + sum(p > prime_limit for p in ramified))
+    return Evaluation(value, err, n + sum(p > prime_limit for p, _ in ramified))
 
 
 def zeta_cyclotomic(
@@ -652,7 +661,7 @@ def cyclo_disc_log(m: int) -> float:
     if m == 1:
         return 0.0
     return phi * math.log(m) - sum(
-        (phi / (p - 1)) * math.log(p) for p in _factorize(m)
+        (phi / (p - 1)) * math.log(p) for p, _ in _factorize(m)
     )
 
 
@@ -704,8 +713,8 @@ class ScanRow:
 
 def scan_row(m: int, epsilon: float) -> ScanRow:
     """A single scan point, on the group-DFT route.  m = 2 mod 4 is
-    evaluated through m/2 (same field, same degree), making duplicate rows
-    bit-identical."""
+    evaluated through m/2 (same field, same degree, same s), making duplicate
+    rows bit-identical; right after the row of m/2 that zeta is cached."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"need epsilon in (0, 1), got {epsilon}")
     phi = euler_phi(m)
@@ -717,8 +726,15 @@ def scan_row(m: int, epsilon: float) -> ScanRow:
 
 def scan(m_max: int, epsilon: float) -> list[ScanRow]:
     """Scan rows for m = 1..m_max at s = 1 + phi(m)^{-epsilon}, one row per
-    m; moduli congruent to 2 mod 4 name the same field as their half and
-    repeat its row."""
+    m, in m order.  The walk is by field: each m not 2 mod 4, then 2m right
+    after an odd m, which repeats m's row from the cached zeta.  Every m
+    goes once through the module-global ``scan_row``."""
     if m_max < 1:
         raise DomainError(f"need m_max >= 1, got {m_max}")
-    return [scan_row(m, epsilon) for m in range(1, m_max + 1)]
+    rows = {}
+    for m in range(1, m_max + 1):
+        if m % 4 != 2:
+            rows[m] = scan_row(m, epsilon)
+            if m % 2 and 2 * m <= m_max:
+                rows[2 * m] = scan_row(2 * m, epsilon)
+    return [rows[m] for m in range(1, m_max + 1)]

@@ -3,6 +3,7 @@ scan emission."""
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -136,6 +137,19 @@ def test_scan_json(tmp_path, capsys):
     rows = json.loads(p.read_text())
     assert [r["m"] for r in rows] == [1, 2, 3, 4, 5]
     assert set(rows[0]) == {"m", "phi", "epsilon", "s", "zeta_value", "err_estimate"}
+
+
+def test_scan_writers_match_the_dataclass_readers():
+    # the writers read the fields with getattr; the dataclasses helpers are
+    # the reference for what they must produce
+    from normeuclid import cyclozeta
+
+    rows = cyclozeta.scan(30, 0.6)
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    csv = [",".join(names)] + [",".join(map(repr, dataclasses.astuple(r))) for r in rows]
+    assert cli._rows_csv(rows) == "\n".join(csv) + "\n"
+    want = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
+    assert cli._rows_json(rows) == want
 
 
 def test_scan_svg(tmp_path, capsys):

@@ -727,7 +727,7 @@ def test_ramified_degrees_match_naive_stepping_up_to_1e5():
     ms += random.Random(1009).sample(range(401, 10 ** 5), 40)
     for m in ms:
         want = []
-        for p, k in _factorize(m).items():
+        for p, k in _factorize(m):
             q = m // p ** k
             f = _naive_order(p, q) if q > 1 else 1
             want.append((p, f, euler_phi(q) // f))
@@ -742,7 +742,19 @@ def test_cyclozeta_caches_are_bounded():
         for name, obj in vars(cyclozeta).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert cached == {"unit_group": 1, "_primes_up_to": 1}
+    assert cached == {"unit_group": 1, "_primes_up_to": 1, "_zeta_hurwitz": 1, "_factorize": 16}
+
+
+def test_scan_row_factorizes_each_number_once():
+    # m, phi(m) and p - 1 for each odd p | m, each computed once per row
+    from normeuclid import cyclozeta
+
+    m = 3 * 5 * 7 * 11
+    for cached in (cyclozeta._factorize, cyclozeta._zeta_hurwitz, unit_group):
+        cached.cache_clear()
+    scan_row(m, 0.75)
+    assert cyclozeta._factorize.cache_info().misses == len({m, euler_phi(m), 2, 4, 6, 10})
+    assert _factorize(m) == ((3, 1), (5, 1), (7, 1), (11, 1))
 
 
 def test_min_norm_leaves_the_euler_sieve_cached():
@@ -815,6 +827,31 @@ def test_scan_duplicate_rows_identical():
     assert rows[6].zeta_value == rows[3].zeta_value
     assert rows[10].zeta_value == rows[5].zeta_value
     assert rows[6].s == rows[3].s
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.75])
+def test_scan_walks_fields_and_returns_each_rows_own_values(epsilon):
+    # the field walk reorders the calls and reuses the half's zeta; each row
+    # must still be scan_row's own, bit for bit and in m order
+    got = scan(60, epsilon)
+    want = [scan_row(m, epsilon) for m in range(1, 61)]
+    assert [r.m for r in got] == list(range(1, 61))
+    assert [repr(dataclasses.astuple(r)) for r in got] == [
+        repr(dataclasses.astuple(r)) for r in want
+    ]
+
+
+def test_scan_evaluates_each_field_once():
+    # 88 of the moduli up to 350 are 2 mod 4, and each finds its half's zeta
+    # in the one-entry cache
+    from normeuclid import cyclozeta
+
+    cyclozeta._zeta_hurwitz.cache_clear()
+    cyclozeta.unit_group.cache_clear()
+    cyclozeta._factorize.cache_clear()
+    scan(350, 0.75)
+    info = cyclozeta._zeta_hurwitz.cache_info()
+    assert (info.misses, info.hits) == (262, 88)
 
 
 def test_scan_row_invariant():

@@ -260,3 +260,22 @@ def test_names_perfbench_reads_resolve(monkeypatch, tmp_path):
     argv = ["cyclo-scan", "--m-max", "5", "--epsilon", "0.75", "--out", str(tmp_path / "s.csv")]
     assert calls["cli.main"](argv) == 0
     assert rows == [1, 2, 3, 4, 5]
+
+
+def test_cli_scan_sends_every_modulus_through_the_module_global_scan_row(
+    monkeypatch, capsys
+):
+    # the scan walks the fields (m, then 2m for odd m), but each m still
+    # reaches the patchable scan_row exactly once, in any order
+    from normeuclid import cli, cyclozeta
+
+    real, rows = cyclozeta.scan_row, []
+
+    def scan_row(*args, **kwargs):
+        rows.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cyclozeta, "scan_row", scan_row)
+    assert cli.main(["cyclo-scan", "--m-max", "12", "--epsilon", "0.75"]) == 0
+    assert sorted(rows) == list(range(1, 13))
+    assert capsys.readouterr().out.count("\n") == 13
