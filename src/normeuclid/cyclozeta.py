@@ -493,15 +493,19 @@ def _zeta_hurwitz(m: int, s: float) -> Evaluation:
 @lru_cache(maxsize=1)
 def _primes_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes up to limit >= 2 (int64) and their natural logs, both
-    read-only.  The sieve holds the odd numbers only: index i is 2i + 1."""
+    read-only.  The sieve holds the odd numbers only: index i is 2i + 1.
+    Index 0, the number 1, stays set as the slot for 2, so the primes are
+    built in place in the array flatnonzero returns."""
     odd = np.ones((limit + 1) // 2, dtype=bool)
-    odd[0] = False
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
-    log_p = np.log(primes.astype(np.float64))
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    log_p = np.log(primes)
     for a in (primes, log_p):
         a.flags.writeable = False
     return primes, log_p
@@ -535,6 +539,7 @@ _PRIME_LIMIT_MIN = 1000
 # np.exp(-y) is exactly 0.0 once y > 745.1332, where e^{-y} rounds below
 # 2^-1074; such a prime's Euler factor is exactly 1
 _EXP_UNDERFLOW = 745.2
+_BLOCK = 8192  # primes per block of the Euler pass: 64 KiB of float64
 
 
 def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
@@ -546,6 +551,11 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     the primes with y < 745.2 go through exp and log1p: beyond that x is
     exactly 0.0 and the term exactly 0.  The ramified residues carry
     f = inf in a float copy of the table, so the same test drops them.
+    One pass over blocks of ``_BLOCK`` primes takes p mod m as
+    p - (p // m) m and gathers f s and g from per-residue tables, so only
+    the kept terms grow with P.  The kept terms of all blocks are summed by
+    one np.sum over their concatenation, in prime order: the same pairwise
+    sum over the same terms as one pass, so the rounding count stands.
     ``terms_used`` counts every unramified p <= P plus the ramified p.
 
     The omitted log is sum_{p > P} g sum_k p^{-f k s}/k.  Since f g = phi,
@@ -575,16 +585,21 @@ def _zeta_euler(m: int, s: float, prime_limit: int) -> Evaluation:
     primes, log_p = _primes_up_to(prime_limit)
     order = _order_table(m).astype(np.float64)
     order[order == 0.0] = np.inf
-    residues = primes % m
-    y = order[residues]
-    y *= s
-    y *= log_p  # (f s) ln p, f = inf at the ramified residues
-    keep = np.flatnonzero(y < _EXP_UNDERFLOW)
-    x = np.exp(-y[keep])
-    terms = np.log1p(-x, out=x)  # in place, sparing one more prime-sized array
-    terms *= phi / order[residues[keep]]
+    fs, g = order * s, phi / order  # per residue: f s and phi/f
+    kept = []
+    for start in range(0, len(primes), _BLOCK):
+        b = primes[start : start + _BLOCK]
+        r = b // m  # b mod m as b - (b // m) m: int64 % by a scalar is slower
+        r *= m
+        np.subtract(b, r, out=r)
+        y = fs[r] * log_p[start : start + _BLOCK]  # f = inf at the ramified residues
+        keep = np.flatnonzero(y < _EXP_UNDERFLOW)
+        x = np.exp(-y[keep])
+        terms = np.log1p(-x, out=x)
+        terms *= g[r[keep]]
+        kept.append(terms)
     log_r, d_log_r = _ramified(m, s)
-    abs_sum = -float(np.sum(terms))  # every term is <= 0
+    abs_sum = -float(np.sum(np.concatenate(kept)))  # every term is <= 0
     value = math.exp(log_r + abs_sum)
 
     cutoff = float(prime_limit)

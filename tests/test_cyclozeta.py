@@ -10,6 +10,7 @@ determinant for the zeta values and their log-derivative.
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -43,7 +44,7 @@ from normeuclid.cyclozeta import (
     zeta_cyclotomic,
     zeta_cyclotomic_logderiv,
 )
-from normeuclid.specfun import DomainError, Evaluation, hurwitz_zeta
+from normeuclid.specfun import _U, DomainError, Evaluation, hurwitz_zeta
 
 CATALAN = 0.91596559417721901505460351493238411
 
@@ -392,17 +393,25 @@ def test_prime_sum_tail_bounds_the_primes_up_to_1e7():
             assert _prime_sum_tail(s, limit) >= float(np.sum(above ** -s)), (limit, s)
 
 
+# prime limits where pi = _BLOCK, _BLOCK + 1 and 2 _BLOCK
+_BLOCK_EDGES = (84_017, 84_047, 180_503)
+
+
 def test_odd_sieve_matches_a_plain_sieve():
     from normeuclid import cyclozeta
 
     sieve = cyclozeta._primes_up_to.__wrapped__  # leaves the shared entry alone
-    for limit in [*range(1000, 1101), 999_983, 10 ** 6, 10 ** 6 + 1]:
+    limits = [*range(2, 201), *range(1000, 1101), *_BLOCK_EDGES, 999_983, 10 ** 6, 10 ** 6 + 1]
+    for limit in limits:
         primes, log_p = sieve(limit)
         want = _plain_primes(limit)
         assert primes.dtype == np.int64 and np.array_equal(primes, want), limit
         assert np.array_equal(log_p, np.log(want.astype(np.float64))), limit
         assert not primes.flags.writeable and not log_p.flags.writeable
     assert len(sieve(10 ** 6)[0]) == 78_498
+    # one full block, one prime into the second, two full blocks
+    block = cyclozeta._BLOCK
+    assert [len(sieve(limit)[0]) for limit in _BLOCK_EDGES] == [block, block + 1, 2 * block]
 
 
 def _euler_unfiltered(m, s, primes):
@@ -425,27 +434,95 @@ def _large_moduli_points():
 
 
 @pytest.mark.parametrize(
-    "points,limit",
+    "points,limits",
     [
-        ([(m, s) for m in range(1, 61) for s in (1.1, 1.5, 2.0)], 10 ** 6),
-        (_large_moduli_points(), 10 ** 6),
-        ([(1009, 1.5), (2018, 1.5), (840, 1.2)], 1000),
+        ([(m, s) for m in range(1, 61) for s in (1.1, 1.5, 2.0)], [10 ** 6]),
+        (_large_moduli_points(), [10 ** 6]),
+        ([(1009, 1.5), (2018, 1.5), (840, 1.2)], [1000]),
+        ([(m, s) for m in (1, 12, 607) for s in (1.1, 1.98)], _BLOCK_EDGES),
     ],
-    ids=["criterion-7-grid", "large-moduli", "ramified-above-limit"],
+    ids=["criterion-7-grid", "large-moduli", "ramified-above-limit", "block-edges"],
 )
-def test_underflow_filter_changes_only_the_summation_order(points, limit):
-    primes = _plain_primes(limit)
+def test_underflow_filter_changes_only_the_summation_order(points, limits):
     dropped_any = False
-    for m, s in points:
-        want, terms, y, x = _euler_unfiltered(m, s, primes)
-        got = zeta_cyclotomic(m, s, "euler", prime_limit=limit)
-        assert abs(got.value - want) <= 1e-15 * want, (m, s)
-        assert got.terms_used == terms, (m, s)
-        # every prime the filter skips had an Euler factor of exactly 1
-        skipped = y >= _EXP_UNDERFLOW
-        assert np.all(x[skipped] == 0.0), (m, s)
-        dropped_any |= bool(skipped.any())
+    for limit in limits:
+        primes = _plain_primes(limit)
+        for m, s in points:
+            want, terms, y, x = _euler_unfiltered(m, s, primes)
+            got = zeta_cyclotomic(m, s, "euler", prime_limit=limit)
+            assert abs(got.value - want) <= 1e-15 * want, (m, s, limit)
+            assert got.terms_used == terms, (m, s, limit)
+            # every prime the filter skips had an Euler factor of exactly 1
+            skipped = y >= _EXP_UNDERFLOW
+            assert np.all(x[skipped] == 0.0), (m, s, limit)
+            dropped_any |= bool(skipped.any())
     assert dropped_any  # each set exercises the filter
+
+
+def _euler_one_pass(m, s, limit):
+    """_zeta_euler as one pass over every prime at once: residues by %, one
+    gather per table, the kept terms summed by one np.sum."""
+    phi = euler_phi(m)
+    primes = _plain_primes(limit)
+    log_p = np.log(primes.astype(np.float64))
+    order = _order_table(m).astype(np.float64)
+    order[order == 0.0] = np.inf
+    residues = primes % m
+    y = order[residues] * s * log_p
+    keep = y < _EXP_UNDERFLOW
+    terms = np.log1p(-np.exp(-y[keep])) * (phi / order[residues[keep]])
+    log_r, d_log_r = _ramified(m, s)
+    abs_sum = -float(np.sum(terms))
+    value = math.exp(log_r + abs_sum)
+    cutoff = float(limit)
+    tail2 = cutoff ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * 2.0 * (1.0 - cutoff ** -s))
+    log_tail = phi * (_prime_sum_tail(s, limit) + tail2)
+    err = value * math.expm1(log_tail) if log_tail < 709.0 else math.inf
+    n, ramified = len(primes), _factorize(m)
+    rounding = (30.0 + math.log2(n) + 8.0 * math.log(phi * n)) * abs_sum + 5.0 - s * d_log_r
+    err += _U * value * (rounding + (7 + len(ramified)) * log_r)
+    return value, err, n + sum(p > limit for p, _ in ramified)
+
+
+@pytest.mark.parametrize(
+    "m,s,limit",
+    [
+        (1, 1.1, 10 ** 6),
+        (2, 1.1, 10 ** 6),
+        (12, 1.1, 10 ** 6),
+        (12, 1.5, 10 ** 6),
+        (60, 3.0, 10 ** 6),
+        (431, 1.3362134720414145, 10 ** 6),
+        (607, 1.98, 10 ** 6),
+        (750, 1.8324837485051382, 10 ** 6),
+        (840, 1.01, 10 ** 6),
+        (2018, 1.5, 1000),
+        (12, 1.1, 84_017),
+        (607, 1.98, 84_047),
+        (1009, 1.2, 180_503),
+    ],
+)
+def test_block_pass_is_bit_identical_to_one_pass(m, s, limit):
+    from normeuclid import cyclozeta
+
+    got = cyclozeta._zeta_euler(m, s, limit)
+    assert (got.value, got.err_estimate, got.terms_used) == _euler_one_pass(m, s, limit)
+
+
+@pytest.mark.parametrize("m,s,bound_kib", [(607, 1.98, 512), (12, 1.1, 1536)])
+def test_euler_pass_memory_is_bounded(m, s, bound_kib):
+    # (607, 1.98) keeps 767 terms and (12, 1.1) nearly all 78,498: no
+    # temporary but the kept terms may grow with the prime count
+    from normeuclid import cyclozeta
+
+    cyclozeta._zeta_euler(m, s, 10 ** 6)  # the sieve and the unit group cached
+    tracemalloc.start()
+    try:
+        cyclozeta._zeta_euler(m, s, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_kib * 1024, peak
 
 
 def test_zeta_above_one():
