@@ -11,7 +11,10 @@ Subpackages by theme:
 * cyclozeta  Hurwitz zeta array kernels, Dirichlet characters, L-functions,
              cyclotomic zeta values and scans
 * zimmert    digamma series bounds and the minimal-ideal-norm inequalities
-* cli        command-line front end (``normeuclid ...``)
+* acceptance the ten acceptance criteria that ``normeuclid reproduce`` runs
+* cli        command-line front end (``normeuclid ...``); its import loads
+             specfun, rogers and lenstra, and neither numpy, dataclasses,
+             json nor the acceptance suite
 
 Nothing is imported up front: ``normeuclid.<module>`` and
 ``normeuclid.<name>``, for any name in a module's ``__all__``, load on
@@ -24,7 +27,7 @@ from importlib import import_module as _import
 __version__ = "0.1.0"
 
 # in dependency order, so a name resolves after loading only what it needs
-_MODULES = ("specfun", "rogers", "lenstra", "cyclozeta", "zimmert", "cli")
+_MODULES = ("specfun", "rogers", "lenstra", "cyclozeta", "zimmert", "acceptance", "cli")
 
 
 def __getattr__(name: str):

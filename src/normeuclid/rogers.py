@@ -19,7 +19,6 @@ Bernstein-ellipse bound on its truncation: 16 nodes wherever that bound for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .specfun import _U, DomainError, Evaluation
@@ -102,23 +101,27 @@ _CUT = 5.0
 _CUT_TAIL = math.exp(-2.0 * _CUT * _CUT) / (4.0 * _CUT)
 
 
-@dataclass(frozen=True)
-class RogersContext:
+class _RogersContextFields(NamedTuple):
+    n: float
+    theta: float
+
+
+class RogersContext(_RogersContextFields):
     """Dimension data for the sigma_n bounds: n = 2 kappa^2, theta in (0, 1/3).
 
     ``n`` is the packing dimension; integer in the criterion application,
     but any real n >= 2 is accepted so contexts can be built directly from
-    kappa.
+    kappa.  A validated named tuple, like ``specfun.Evaluation``.
     """
 
-    n: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.n >= 1.0 and math.isfinite(self.n)):
-            raise DomainError(f"need n >= 1, got {self.n}")
-        if not (0.0 < self.theta < 1.0 / 3.0):
-            raise DomainError(f"need theta in (0, 1/3), got {self.theta}")
+    def __new__(cls, n: float, theta: float):
+        if not (n >= 1.0 and math.isfinite(n)):
+            raise DomainError(f"need n >= 1, got {n}")
+        if not (0.0 < theta < 1.0 / 3.0):
+            raise DomainError(f"need theta in (0, 1/3), got {theta}")
+        return tuple.__new__(cls, (n, theta))
 
     @property
     def kappa(self) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "DomainError",
@@ -45,26 +45,31 @@ class PoleError(DomainError):
 
 # ------------------------------------------------------------------ types
 
-@dataclass(frozen=True)
-class Evaluation:
+class _EvaluationFields(NamedTuple):
+    value: float | complex
+    err_estimate: float
+    terms_used: int
+
+
+class Evaluation(_EvaluationFields):
     """A numeric result with an absolute error estimate.
 
     ``value`` is real except for L-values of non-real characters.
     ``err_estimate`` is an a-posteriori estimate, not a certified bound,
     except where the producing routine documents otherwise; +inf means
     no correct digits.  A non-finite value, or a NaN or negative estimate,
-    raises ValueError.
+    raises ValueError.  A validated named tuple: the bounds chain builds
+    several per call, and a dataclass would load ``inspect`` with the CLI.
     """
 
-    value: float | complex
-    err_estimate: float
-    terms_used: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not cmath.isfinite(self.value):
-            raise ValueError(f"non-finite value {self.value!r}")
-        if not self.err_estimate >= 0.0:
-            raise ValueError(f"bad error estimate {self.err_estimate!r}")
+    def __new__(cls, value: float | complex, err_estimate: float, terms_used: int):
+        if not cmath.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        if not err_estimate >= 0.0:
+            raise ValueError(f"bad error estimate {err_estimate!r}")
+        return tuple.__new__(cls, (value, err_estimate, terms_used))
 
 
 EULER_GAMMA = 0.57721566490153286060651209008240243

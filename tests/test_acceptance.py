@@ -21,15 +21,15 @@ import mpmath
 import pytest
 
 import normeuclid
-from normeuclid import cli
+from normeuclid import acceptance
 
-CRITERION_IDS = [cid for cid, _, _ in cli._CRITERIA]
-CRITERION_NAMES = {cid: name for cid, name, _ in cli._CRITERIA}
+CRITERION_IDS = [cid for cid, _, _ in acceptance._CRITERIA]
+CRITERION_NAMES = {cid: name for cid, name, _ in acceptance._CRITERIA}
 
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.cid: r for r in cli.run_acceptance()}
+    return {r.cid: r for r in acceptance.run_acceptance()}
 
 
 @pytest.mark.parametrize("cid", CRITERION_IDS)
@@ -51,7 +51,7 @@ def test_criterion(results, cid):
 def test_odd_power_series_against_mpmath(p, alternating, exact):
     # the oracle of criteria 6 and 7, at its 1e5 terms, against 40 digits
     with mpmath.workdps(40):
-        gap = abs(mpmath.mpf(cli._odd_power_series(p, alternating)) - exact())
+        gap = abs(mpmath.mpf(acceptance._odd_power_series(p, alternating)) - exact())
     assert gap <= 1e-15
 
 

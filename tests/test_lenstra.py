@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from normeuclid import cli, lenstra
+from normeuclid import acceptance, lenstra
 from normeuclid.lenstra import (
     NotFoundError,
     criterion_check,
@@ -174,7 +174,7 @@ def test_poitou_domain():
 def test_uncond_main_term():
     # criterion 4 says where the unconditional main term ln(4 pi) + gamma + r/n
     # passes the cap ln(4 pi e): only for r/n > 1 - gamma ~ 0.4228
-    ok, detail = cli._crit_4_asymptotic_cap()
+    ok, detail = acceptance._crit_4_asymptotic_cap()
     assert ok
     clause = detail.split(", ")[-1]
     assert clause == "unconditional bound beats the cap only for r/n > 1-gamma = 0.422784"

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import normeuclid
+from normeuclid.rogers import RogersContext
+from normeuclid.specfun import DomainError, Evaluation
 
 SOURCE = Path(normeuclid.__file__).parent
 
@@ -206,29 +209,66 @@ def test_runtime_path_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_bounds_commands_load_no_numpy():
-    # the explicit-bounds commands run on the standard library alone: numpy
-    # comes with cyclozeta and zimmert, and none of these commands needs them
-    commands = [
-        "constants",
-        "rogers --n 62238",
-        "lenstra-check --n 100 --r 20 --log-disc 250.5 --log-m 69.3",
-        "lenstra-crossing",
-    ]
+# the explicit-bounds commands: each runs on specfun, rogers and lenstra
+_BOUNDS_COMMANDS = [
+    "constants",
+    "rogers --n 62238",
+    "lenstra-check --n 100 --r 20 --log-disc 250.5 --log-m 69.3",
+    "lenstra-crossing",
+]
+
+
+def _run_cli_commands(body, commands):
+    """Stdout of a child that runs ``body`` after ``from normeuclid import
+    cli``, once per command, with ``argv`` bound and the command's own
+    output discarded."""
     code = (
         "import contextlib, io, sys\n"
         "from normeuclid import cli\n"
         "for argv in sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(argv.split())\n"
-        "    print(code, 'numpy' in sys.modules)\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     out = subprocess.run(
         [sys.executable, "-c", code, *commands],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines() == ["0 False"] * len(commands)
+    return out.stdout.splitlines()
+
+
+def test_bounds_commands_load_no_numpy():
+    # the explicit-bounds commands run on the standard library alone: numpy
+    # comes with cyclozeta and zimmert, and none of these commands needs them
+    lines = _run_cli_commands("print(code, 'numpy' in sys.modules)", _BOUNDS_COMMANDS)
+    assert lines == ["0 False"] * len(_BOUNDS_COMMANDS)
+
+
+def test_cli_import_and_bounds_commands_load_no_dataclasses_or_json():
+    # dataclasses (with inspect, ast, dis and tokenize) and json cost about
+    # 6 ms of a cold start, and only the scan writers read them; typing,
+    # enum and re are not listed, because site loads them first
+    body = "print(argv, [m for m in ('dataclasses', 'json', 'inspect') if m in sys.modules])"
+    lines = _run_cli_commands(body, _BOUNDS_COMMANDS)
+    assert lines == [f"{argv} []" for argv in _BOUNDS_COMMANDS]
+    code = (
+        "import sys, normeuclid.cli\n"
+        "print([m for m in ('dataclasses', 'json', 'inspect') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_reproduce_loads_the_acceptance_suite():
+    # the suite loads with the one command that runs it, not with the CLI
+    lines = _run_cli_commands(
+        "print(code in (0, 1), 'normeuclid.acceptance' in sys.modules)", ["constants", "reproduce"]
+    )
+    assert lines == ["True False", "True True"]
 
 
 def test_names_perfbench_reads_resolve(monkeypatch, tmp_path):
@@ -279,3 +319,54 @@ def test_cli_scan_sends_every_modulus_through_the_module_global_scan_row(
     assert cli.main(["cyclo-scan", "--m-max", "12", "--epsilon", "0.75"]) == 0
     assert sorted(rows) == list(range(1, 13))
     assert capsys.readouterr().out.count("\n") == 13
+
+
+@pytest.mark.parametrize(
+    "record, fields, args, other, text, error, bad",
+    [
+        (
+            Evaluation, ("value", "err_estimate", "terms_used"), (1.5, 2e-16, 7), (1.5, 2e-16, 8),
+            "Evaluation(value=1.5, err_estimate=2e-16, terms_used=7)",
+            ValueError,
+            [
+                ((math.inf, 0.0, 1), "non-finite value inf"),
+                ((complex(math.nan, 1.0), 0.0, 1), "non-finite value (nan+1j)"),
+                ((1.0, math.nan, 1), "bad error estimate nan"),
+                ((1.0, -1e-9, 1), "bad error estimate -1e-09"),
+            ],
+        ),
+        (
+            RogersContext, ("n", "theta"), (62238.0, 0.1), (62238.0, 0.2),
+            "RogersContext(n=62238.0, theta=0.1)",
+            DomainError,
+            [
+                ((0.5, 0.1), "need n >= 1, got 0.5"),
+                ((math.inf, 0.1), "need n >= 1, got inf"),
+                ((100.0, 0.0), "need theta in (0, 1/3), got 0.0"),
+                ((100.0, 0.34), "need theta in (0, 1/3), got 0.34"),
+            ],
+        ),
+    ],
+)
+def test_validated_records_keep_their_contract(
+    monkeypatch, record, fields, args, other, text, error, bad
+):
+    # the records of the bounds chain: fields in order, repr, messages,
+    # immutability, value equality, and the field list perfbench records
+    monkeypatch.syspath_prepend(str(SOURCE.parents[1]))
+    from perfbench import child
+
+    r = record(*args)
+    assert record._fields == fields
+    assert [getattr(r, name) for name in fields] == list(args)
+    assert repr(r) == text
+    for bad_args, message in bad:
+        with pytest.raises(error) as info:
+            record(*bad_args)
+        assert str(info.value) == message
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 2.0)
+    assert r == record(*args) and hash(r) == hash(record(*args))
+    assert r != record(*other)
+    assert child._encode(r) == list(args)
