@@ -19,10 +19,8 @@ Subpackages by theme:
 Nothing is imported up front: ``normeuclid.<module>`` and
 ``normeuclid.<name>``, for any name in a module's ``__all__``, load on
 first use, so ``from normeuclid import lenstra`` loads only lenstra and
-what it imports.
+what it imports.  A private name never loads a module.
 """
-
-from importlib import import_module as _import
 
 __version__ = "0.1.0"
 
@@ -32,12 +30,15 @@ _MODULES = ("specfun", "rogers", "lenstra", "cyclozeta", "zimmert", "acceptance"
 
 def __getattr__(name: str):
     # submodules first: ``from normeuclid import x`` asks for x here before
-    # it would import the submodule itself; dunders are protocol probes
+    # it would import the submodule itself; private names, dunder protocol
+    # probes among them, never load anything
     if name in _MODULES:
-        return _import(f"{__name__}.{name}")
-    if not name.startswith("__"):
+        # the import statement's own route, which ``-X importtime`` reports
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if not name.startswith("_"):
         for module in _MODULES:
-            mod = _import(f"{__name__}.{module}")
+            mod = __getattr__(module)
             if name in mod.__all__:
                 return getattr(mod, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,9 @@ import math
 import time
 from typing import NamedTuple
 
-from . import lenstra, rogers
+import numpy as np
+
+from . import cyclozeta, lenstra, rogers, zimmert
 from .specfun import BETA3, EULER_GAMMA, LAMBDA3, ZETA_THRESHOLD
 
 __all__ = ["run_acceptance", "CriterionResult"]
@@ -92,7 +94,6 @@ def _crit_4_asymptotic_cap() -> tuple[bool, str]:
 
 
 def _crit_5_zimmert_limits() -> tuple[bool, str]:
-    from . import zimmert
     t = zimmert.f_terms(1e-4)
     lim1 = EULER_GAMMA + math.log(4.0) + 1.0
     lim2 = EULER_GAMMA + math.log(4.0) - 1.0
@@ -107,7 +108,6 @@ def _odd_power_series(p: int, alternating: bool) -> float:
     terms, then minus half the last one if alternating, else plus the
     midpoint integral (2n)^{1-p}/(2(p-1)) of the rest.  The truncation
     left (1.25e-16 at p = 2) is under the sum's rounding."""
-    import numpy as np
     n = 100_000
     k = np.arange(n, dtype=np.float64)
     terms = (2.0 * k + 1.0) ** -p
@@ -127,7 +127,6 @@ def _crit_6_threshold_constant() -> tuple[bool, str]:
 
 
 def _crit_7_zeta_engine() -> tuple[bool, str]:
-    from . import cyclozeta
     worst = 0.0
     worst_at = (0, 0.0)
     for m in range(1, 61):
@@ -164,7 +163,6 @@ def _crit_7_zeta_engine() -> tuple[bool, str]:
 
 
 def _crit_8_inequality_theorems() -> tuple[bool, str]:
-    from . import zimmert
     bad = []
     for m in range(1, 31):
         for beta in (0.05, 0.1, 0.2):
@@ -200,7 +198,6 @@ def _crit_9_rogers_sanity() -> tuple[bool, str]:
 
 
 def _crit_10_min_norms() -> tuple[bool, str]:
-    from . import cyclozeta
     anchors = (
         cyclozeta.min_proper_ideal_norm(8) == 2
         and cyclozeta.min_proper_ideal_norm(5) == 5

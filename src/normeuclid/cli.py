@@ -8,15 +8,14 @@ serve the tests and ``perfbench``.  Only specfun, rogers and lenstra load
 with this module, so the explicit-bounds commands (``constants``,
 ``rogers``, ``lenstra-check``, ``lenstra-crossing``) run without numpy;
 cyclozeta, zimmert and numpy are imported by the functions that use them,
-json and dataclasses (which brings inspect and ast) by the scan writers,
-and the acceptance suite by ``reproduce``.  Each subcommand carries only
-the options its handler reads, and the library checks every value: an
-out-of-range argument exits 1 with the library's message.  Scans can be
-written as CSV or JSON (plus an optional minimal SVG scatter), and
-``reproduce`` runs ``acceptance`` and exits 0 only if every criterion
-passes.  Floating-point output is rendered with 15 significant digits,
-CSV payloads with full round-trip precision, so identical flags give
-byte-identical output.
+json by the JSON scan writer, and the acceptance suite by ``reproduce``.
+Each subcommand carries only the options its handler reads, and the
+library checks every value: an out-of-range argument exits 1 with the
+library's message.  Scans can be written as CSV or JSON (plus an
+optional minimal SVG scatter), and ``reproduce`` runs ``acceptance`` and
+exits 0 only if every criterion passes.  Floating-point output is
+rendered with 15 significant digits, CSV payloads with full round-trip
+precision, so identical flags give byte-identical output.
 
 Exit codes: 0 success, 1 domain error, no crossing in range, an integer
 argument too large for binary64 or an output file that cannot be written,
@@ -103,20 +102,14 @@ def _cmd_cyclo_zeta(args: argparse.Namespace) -> int:
 
 
 def _rows_csv(rows: list[ScanRow]) -> str:
-    """The ScanRow fields are the columns, read with getattr (``astuple``
-    deep-copies every row); ``scan`` returns at least one row."""
-    import dataclasses
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    lines = [",".join(names)]
-    lines += [",".join(repr(getattr(r, n)) for n in names) for r in rows]
+    """The ScanRow fields are the columns; ``scan`` returns at least one row."""
+    lines = [",".join(rows[0]._fields)] + [",".join(map(repr, r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_json(rows: list[ScanRow]) -> str:
-    import dataclasses
     import json
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    return json.dumps([{n: getattr(r, n) for n in names} for r in rows], indent=2) + "\n"
+    return json.dumps([r._asdict() for r in rows], indent=2) + "\n"
 
 
 def _rows_svg(rows: list[ScanRow]) -> str:

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
@@ -100,8 +99,12 @@ _TWO_PI = 2.0 * math.pi
 # a scan row asks for m, phi(m) and each p - 1 (odd p | m) from several places
 @lru_cache(maxsize=16)
 def _factorize(m: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division: (p, k) pairs, p ascending, in
-    a tuple, as every caller of a cached entry shares it."""
+    """Prime factorization of m >= 1 by trial division: (p, k) pairs, p
+    ascending, in a tuple, as every caller of a cached entry shares it.
+    Every function of a modulus reaches this before it uses m, so m < 1
+    raises DomainError here, once for the module."""
+    if m < 1:
+        raise DomainError(f"need m >= 1, got {m}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= m:
@@ -121,8 +124,6 @@ def _phi(factors: tuple[tuple[int, int], ...]) -> int:
 
 def euler_phi(m: int) -> int:
     """Euler totient of m >= 1."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
     return _phi(_factorize(m))
 
 
@@ -138,10 +139,10 @@ def _smallest_primitive_root(p: int) -> int:
 
 # ------------------------------------------------------------- unit group
 
-@dataclass(frozen=True, eq=False)  # numpy arrays have no dataclass equality
-class UnitGroupStructure:
+class UnitGroupStructure(NamedTuple):
     """CRT generator data for (Z/mZ)*, with the units as a read-only int64
-    array.
+    array.  ``==`` on two groups compares their ``units`` arrays (numpy
+    raises for more than one unit), which nothing does.
 
     ``generators`` holds (residue mod m, order) with one entry per cyclic
     factor, and ``orders`` the orders alone.  ``units`` runs through the
@@ -153,7 +154,6 @@ class UnitGroupStructure:
     one entry ``start``.
     """
 
-    modulus: int
     generators: tuple[tuple[int, int], ...]
     units: np.ndarray
     orders: tuple[int, ...]
@@ -175,11 +175,9 @@ def unit_group(m: int) -> UnitGroupStructure:
     mod m.  The grid is thus one broadcast sum per prime power, of terms
     c_q x_q mod m listed in Python, and one reduction mod m at the end.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
+    factors = _factorize(m)
     generators: list[tuple[int, int]] = []
     units = np.zeros(1, dtype=np.int64)
-    factors = _factorize(m)
     for p, k in factors:
         q = p ** k
         if p > 2:
@@ -206,7 +204,7 @@ def unit_group(m: int) -> UnitGroupStructure:
     if units.size != _phi(factors) or np.bincount(units).max() > 1:
         raise RuntimeError(f"unit group enumeration failed for m={m}")
     units.flags.writeable = False
-    return UnitGroupStructure(m, tuple(generators), units, tuple(o for _, o in generators))
+    return UnitGroupStructure(tuple(generators), units, tuple(o for _, o in generators))
 
 
 def _order_table(m: int) -> np.ndarray:
@@ -227,9 +225,7 @@ def _ramified_degrees(m: int) -> list[tuple[int, int, int]]:
     Computational Algebraic Number Theory, Alg. 1.4.3): p^f = 1 (mod q) at
     f = phi(q), and each prime r of phi(q) is stripped from f while
     p^(f/r) = 1 (mod q) still holds.  phi(q) divides phi(m), so the primes
-    of phi(m) cover those of every phi(q); m < 1 raises DomainError."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
+    of phi(m) cover those of every phi(q)."""
     factors = _factorize(m)
     phi = _phi(factors)
     primes = [r for r, _ in _factorize(phi)]
@@ -707,8 +703,7 @@ def min_proper_ideal_norm(m: int) -> int:
 
 # ------------------------------------------------------------------ scans
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One point of the cyclotomic scan: zeta at s = 1 + phi(m)^{-epsilon}."""
 
     m: int
@@ -718,24 +713,20 @@ class ScanRow:
     zeta_value: float
     err_estimate: float
 
-    def __post_init__(self) -> None:
-        if not (self.s > 1.0 and self.zeta_value > 1.0):
-            raise ValueError(
-                f"scan row m={self.m} violates s > 1, zeta > 1: "
-                f"s={self.s}, zeta={self.zeta_value}"
-            )
-
 
 def scan_row(m: int, epsilon: float) -> ScanRow:
     """A single scan point, on the group-DFT route.  m = 2 mod 4 is
     evaluated through m/2 (same field, same degree, same s), making duplicate
-    rows bit-identical; right after the row of m/2 that zeta is cached."""
+    rows bit-identical; right after the row of m/2 that zeta is cached.  A
+    row without s > 1 and zeta > 1 raises ValueError."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"need epsilon in (0, 1), got {epsilon}")
     phi = euler_phi(m)
     s = 1.0 + float(phi) ** -epsilon
     mc = m // 2 if (m % 4 == 2) else m
     z = zeta_cyclotomic(mc, s)
+    if not (s > 1.0 and z.value > 1.0):
+        raise ValueError(f"scan row m={m} violates s > 1, zeta > 1: s={s}, zeta={z.value}")
     return ScanRow(m, phi, epsilon, s, z.value, z.err_estimate)
 
 

@@ -115,6 +115,8 @@ class RogersContext(_RogersContextFields):
     """
 
     __slots__ = ()
+    # _replace builds through _make, so both run the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, n: float, theta: float):
         if not (n >= 1.0 and math.isfinite(n)):

@@ -63,6 +63,8 @@ class Evaluation(_EvaluationFields):
     """
 
     __slots__ = ()
+    # _replace builds through _make, so both run the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, value: float | complex, err_estimate: float, terms_used: int):
         if not cmath.isfinite(value):

@@ -7,7 +7,6 @@ the conductor route against the group transform, and an mpmath group
 determinant for the zeta values and their log-derivative.
 """
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -106,9 +105,9 @@ def test_unit_group_arrays_are_int64_grid(m):
 def test_unit_group_keeps_only_what_the_transform_reads():
     # per-unit tables are outer products over the generator axes, so the
     # group keeps no discrete-log grid and no derived members
-    names = [f.name for f in dataclasses.fields(UnitGroupStructure)]
-    assert names == ["modulus", "generators", "units", "orders"]
-    assert set(vars(unit_group(360))) == set(names)
+    assert UnitGroupStructure._fields == ("generators", "units", "orders")
+    g = unit_group(360)
+    assert not hasattr(g, "__dict__") and len(g) == len(UnitGroupStructure._fields)
 
 
 # ------------------------------------------------------------ characters
@@ -714,7 +713,7 @@ def test_min_norm_domain(m):
 
 @pytest.mark.parametrize("m", [0, -5])
 def test_unit_group_and_ramified_degrees_domain(m):
-    # both take phi(m) from their own factorization, which is empty for m < 1
+    # both start from the factorization, which raises for m < 1
     for f in (unit_group, _ramified_degrees):
         with pytest.raises(DomainError, match=f"got {m}"):
             f(m)
@@ -913,9 +912,7 @@ def test_scan_walks_fields_and_returns_each_rows_own_values(epsilon):
     got = scan(60, epsilon)
     want = [scan_row(m, epsilon) for m in range(1, 61)]
     assert [r.m for r in got] == list(range(1, 61))
-    assert [repr(dataclasses.astuple(r)) for r in got] == [
-        repr(dataclasses.astuple(r)) for r in want
-    ]
+    assert [repr(tuple(r)) for r in got] == [repr(tuple(r)) for r in want]
 
 
 def test_scan_evaluates_each_field_once():
@@ -931,11 +928,46 @@ def test_scan_evaluates_each_field_once():
     assert (info.misses, info.hits) == (262, 88)
 
 
-def test_scan_row_invariant():
-    with pytest.raises(ValueError):
-        ScanRow(3, 2, 0.75, 0.9, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        ScanRow(3, 2, 0.75, 1.5, 0.9, 0.0)
+def test_scan_row_invariant(monkeypatch):
+    # ScanRow is a plain named tuple, and scan_row, which builds every row,
+    # checks it: a zeta below 1 and a degree so large that s rounds to 1
+    # each raise
+    from normeuclid import cyclozeta
+
+    monkeypatch.setattr(cyclozeta, "zeta_cyclotomic", lambda m, s: Evaluation(0.9, 0.0, 1))
+    with pytest.raises(ValueError) as info:
+        scan_row(3, 0.75)
+    s = 1.0 + 2.0 ** -0.75
+    assert str(info.value) == f"scan row m=3 violates s > 1, zeta > 1: s={s}, zeta=0.9"
+    monkeypatch.setattr(cyclozeta, "zeta_cyclotomic", lambda m, s: Evaluation(2.0, 0.0, 1))
+    monkeypatch.setattr(cyclozeta, "euler_phi", lambda m: 10 ** 40)
+    with pytest.raises(ValueError) as info:
+        scan_row(3, 0.75)
+    assert str(info.value) == "scan row m=3 violates s > 1, zeta > 1: s=1.0, zeta=2.0"
+    assert ScanRow._fields == ("m", "phi", "epsilon", "s", "zeta_value", "err_estimate")
+
+
+@pytest.mark.parametrize("m", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        euler_phi,
+        unit_group,
+        characters,
+        min_proper_ideal_norm,
+        cyclo_disc_log,
+        lambda m: scan_row(m, 0.75),
+        lambda m: zeta_cyclotomic(m, 1.5),
+        lambda m: zeta_cyclotomic(m, 1.5, method="euler", prime_limit=1000),
+    ],
+    ids=["euler_phi", "unit_group", "characters", "min_proper_ideal_norm",
+         "cyclo_disc_log", "scan_row", "hurwitz", "euler"],
+)
+def test_every_function_of_a_modulus_rejects_m_below_1(call, m):
+    # one check, in the factorization that each of them reaches first
+    with pytest.raises(DomainError) as info:
+        call(m)
+    assert str(info.value) == f"need m >= 1, got {m}"
 
 
 def test_scan_domain():

@@ -49,6 +49,40 @@ def test_public_surface_is_consistent():
     assert not hasattr(normeuclid, "no_such_name")
 
 
+def test_private_names_load_no_module():
+    # protocol probes such as _repr_html_ ask the package for private names,
+    # which must not load the seven modules and numpy to say no
+    out = _python(
+        "-c",
+        "import sys, normeuclid\n"
+        "print(hasattr(normeuclid, '_x'), hasattr(normeuclid, '_repr_html_'),"
+        " [m for m in sys.modules if m.startswith('normeuclid.') or m == 'numpy'])\n",
+    )
+    assert out.stdout.strip() == "False False []"
+
+
+def test_import_time_report_lists_every_module_the_cli_loads():
+    # the package loads a module by the import statement's route, so
+    # python -X importtime attributes its time to it and not to the caller
+    out = _python("-X", "importtime", "-c", "import normeuclid.cli")
+    listed = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    modules = ("cli", "lenstra", "rogers", "specfun")
+    assert {f"normeuclid.{name}" for name in modules} <= listed
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples throughout, so no module pays for dataclasses
+    # (with inspect, ast and dis) or keeps a second way to build a record
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
 # the one exported name that neither the package nor perfbench reads: the
 # check route of the group DFT, which the tests drive character by character
 _UNREAD_BY_DESIGN = ["dirichlet_l"]
@@ -152,6 +186,15 @@ def test_every_package_error_is_raised_and_caught_by_the_cli():
     assert uncaught == []
 
 
+def _python(*args):
+    """The finished run of a child interpreter that finds the package on
+    its path, with its output captured; a failing child fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
 @pytest.mark.parametrize(
     "code, loaded",
     [
@@ -169,10 +212,7 @@ def test_package_loads_only_what_is_asked_for(code, loaded):
         "print(sorted(m.removeprefix('normeuclid.') for m in sys.modules"
         " if m.startswith('normeuclid.') or m == 'numpy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
     assert out.stdout.strip() == str(loaded)
 
 
@@ -183,10 +223,7 @@ def test_cli_import_builds_no_prime_sieve():
         "from normeuclid.cyclozeta import _primes_up_to\n"
         "print(_primes_up_to.cache_info().currsize)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
     assert out.stdout.strip() == "0"
 
 
@@ -202,10 +239,7 @@ def test_runtime_path_loads_no_scipy():
         "f_lower(ctx), u_threshold(ctx), zeta_cyclotomic(12, 1.5, 'euler'), f_terms(0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
     assert out.stdout.strip() == "[]"
 
 
@@ -230,12 +264,7 @@ def _run_cli_commands(body, commands):
         "        code = cli.main(argv.split())\n"
         + "".join(f"    {line}\n" for line in body.splitlines())
     )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code, *commands],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return out.stdout.splitlines()
+    return _python("-c", code, *commands).stdout.splitlines()
 
 
 def test_bounds_commands_load_no_numpy():
@@ -256,10 +285,7 @@ def test_cli_import_and_bounds_commands_load_no_dataclasses_or_json():
         "import sys, normeuclid.cli\n"
         "print([m for m in ('dataclasses', 'json', 'inspect') if m in sys.modules])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
     assert out.stdout.strip() == "[]"
 
 
@@ -360,10 +386,16 @@ def test_validated_records_keep_their_contract(
     assert record._fields == fields
     assert [getattr(r, name) for name in fields] == list(args)
     assert repr(r) == text
+    # _replace builds through _make, and both must run the same checks
     for bad_args, message in bad:
-        with pytest.raises(error) as info:
-            record(*bad_args)
-        assert str(info.value) == message
+        for build in (
+            lambda: record(*bad_args),
+            lambda: record._make(bad_args),
+            lambda: r._replace(**dict(zip(fields, bad_args))),
+        ):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
     for name in (fields[0], "extra"):
         with pytest.raises(AttributeError):
             setattr(r, name, 2.0)
