@@ -68,7 +68,7 @@ def _cmd_rogers(args: argparse.Namespace) -> int:
         if low is not None:
             print(f"log sigma_n lower bound = {_fmt(low.value)}")
         else:
-            print("log sigma_n lower bound = vacuous (f <= 0 or n < 1152)")
+            print("log sigma_n lower bound = vacuous (f <= 0)")
     else:
         print("f(kappa, theta): not defined below kappa = 24")
     return 0

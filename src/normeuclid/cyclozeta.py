@@ -669,8 +669,6 @@ def cyclo_disc_log(m: int) -> float:
     The formula already collapses m = 2 mod 4 onto the same field as m/2.
     """
     phi = euler_phi(m)
-    if m == 1:
-        return 0.0
     return phi * math.log(m) - sum(
         (phi / (p - 1)) * math.log(p) for p, _ in _factorize(m)
     )

@@ -11,9 +11,9 @@ printed, with no hidden slack: the resulting f(kappa, theta) may be negative,
 in which case the lower bound is vacuous.
 
 U and the central integral are closed forms: trigonometric Cardano and a
-deflated quadratic, and Gauss-Legendre on [0, min(kappa^theta, 5)] with a
-Bernstein-ellipse bound on its truncation: 16 nodes wherever that bound for
-16 nodes is at most the unit roundoff u = 2^-53, 32 nodes elsewhere.
+deflated quadratic, and one 16-node Gauss-Legendre rule, on [0, h] or on
+each half of it, h = min(kappa^theta, 5), with a Bernstein-ellipse bound on
+its truncation.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ _SQRT_PI = math.sqrt(math.pi)
 # from kappa = 24 up.  f_lower is the one place that checks it.
 KAPPA_MIN_LOWER = 24.0
 
-# The Gauss-Legendre rules of the central integral as (node, weight) pairs,
-# numpy's leggauss(16) and leggauss(32) mapped from [-1, 1] to [0, 1] by
-# t = (x + 1)/2, w/2 (a test checks every digit)
+# The Gauss-Legendre rule of the central integral as (node, weight) pairs,
+# numpy's leggauss(16) mapped from [-1, 1] to [0, 1] by t = (x + 1)/2, w/2
+# (a test checks every digit)
 _GL_RULE_16 = (
     (0.005299532504175031, 0.013576229705877088),
     (0.0277124884633837, 0.031126761969323728),
@@ -61,40 +61,10 @@ _GL_RULE_16 = (
     (0.9722875115366163, 0.031126761969323728),
     (0.994700467495825, 0.013576229705877088),
 )
-_GL_RULE = (
-    (0.001368069075259215, 0.003509305004735253),
-    (0.007194244227365809, 0.008137197365452872),
-    (0.017618872206246805, 0.012696032654631012),
-    (0.03254696203113017, 0.017136931456510882),
-    (0.051839422116973954, 0.021417949011113418),
-    (0.07531619313371501, 0.025499029631188046),
-    (0.10275810201602881, 0.029342046739267783),
-    (0.13390894062985514, 0.03291111138818084),
-    (0.16847786653489238, 0.03617289705442417),
-    (0.20614212137961885, 0.039096947893535114),
-    (0.24655004553388532, 0.041655962113473353),
-    (0.28932436193468236, 0.04382604650220189),
-    (0.33406569885893617, 0.04558693934788189),
-    (0.38035631887393145, 0.046922199540402255),
-    (0.42776401920860174, 0.047819360039637354),
-    (0.4758461671561308, 0.04827004425736383),
-    (0.5241538328438692, 0.04827004425736383),
-    (0.5722359807913983, 0.047819360039637354),
-    (0.6196436811260685, 0.046922199540402255),
-    (0.6659343011410639, 0.04558693934788189),
-    (0.7106756380653176, 0.04382604650220189),
-    (0.7534499544661146, 0.041655962113473353),
-    (0.7938578786203812, 0.039096947893535114),
-    (0.8315221334651076, 0.03617289705442417),
-    (0.8660910593701449, 0.03291111138818084),
-    (0.8972418979839711, 0.029342046739267783),
-    (0.924683806866285, 0.025499029631188046),
-    (0.948160577883026, 0.021417949011113418),
-    (0.9674530379688698, 0.017136931456510882),
-    (0.9823811277937532, 0.012696032654631012),
-    (0.9928057557726342, 0.008137197365452872),
-    (0.9986319309247408, 0.003509305004735253),
-)
+# The same rule on each half of [0, 1], nodes t/2 and (1 + t)/2 with weights
+# w/2; central_integral tries the (panels, rule) pairs in order
+_GL_RULE = tuple(((s + t) / 2.0, w / 2.0) for s in (0.0, 1.0) for t, w in _GL_RULE_16)
+_GL_RULES = ((1, _GL_RULE_16), (2, _GL_RULE))
 # The integrand is at most e^{-2u^2}, so the range is cut at u = 5: the
 # half-range integral beyond is below e^{-50}/20.
 _CUT = 5.0
@@ -218,10 +188,10 @@ def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> fl
 def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
-    Twice the half-range integral by symmetry, as N-node Gauss-Legendre on
-    [0, h], h = min(kappa^theta, 5), with the integrand written
-    exp(E), E = -u^2 + n log1p(-u^2/(2 kappa^2)), so large n does not lose
-    accuracy.  The value lies in (0, sqrt(pi)).
+    Twice the half-range integral by symmetry, as the 16-node Gauss-Legendre
+    rule on [0, h], h = min(kappa^theta, 5), or on each half of it, with the
+    integrand written exp(E), E = -u^2 + n log1p(-u^2/(2 kappa^2)), so large
+    n does not lose accuracy.  The value lies in (0, sqrt(pi)).
 
     The base 1 - u^2/(2 kappa^2) is positive on [0, h] for every valid
     context (n >= 1, 0 < theta < 1/3): for kappa >= 1,
@@ -233,13 +203,17 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     roundings.  The integrand is at most e^{-2u^2} on the real line, so the
     cut at 5 omits less than e^{-50}/20.  It is analytic off the real
     half-lines |u| >= sqrt(n), and |e^{-u^2} (1 - u^2/n)^n| <= e^{2 Im(u)^2},
-    so on the Bernstein ellipse of parameter rho around [0, h] it is at
-    most M = exp(h^2 (rho - 1/rho)^2 / 8), and the N-point Gauss error is at
-    most (h/2) (64/15) M rho^{-2N}/(rho^2 - 1) (Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3).  rho = sqrt(8N)/h
-    about minimises that, capped so the ellipse stays inside |u| < sqrt(n).
-    N, which ``terms_used`` reports, is 16 where that bound for N = 16 is at
-    most u = 2^-53 (h up to about 2.38, kappa not near 1), and 32 elsewhere.
+    so on the Bernstein ellipse of parameter rho around a panel of length l
+    it is at most M = exp(l^2 (rho - 1/rho)^2 / 8), and the 16-point Gauss
+    error on the panel is at most (l/2) (64/15) M rho^{-32}/(rho^2 - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    rho = sqrt(128)/l about minimises that, capped so the ellipse around
+    [0, h] stays inside |u| < sqrt(n); the ellipse around either half with
+    the same rho is half as long, so it stays inside too, as h < sqrt(n).
+    One panel, l = h, is used where its bound is at most u = 2^-53 (h up to
+    about 2.38, kappa not near 1), else two halves, l = h/2, with twice the
+    bound of one: at most about 10u from kappa = 24 up (at h = 5), but 2.5e3 u
+    at kappa = 1, where the cap binds.  N = 16 or 32 is ``terms_used``.
 
     The terms h w_i e^{E_i} are added in node order.  Roundings of term i,
     in units of the unit roundoff u: N - 1 for the additions (every term is
@@ -248,22 +222,25 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     own roundings come to about 3|E_i| since E ~ -2u^2; and 6 h u_i for the
     node u_i = h t_i, whose two roundings move E through dE/du ~ -4u.
     E <= 0 at every node, so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2)
-    with the N used and the running sums S0 = sum of the terms,
-    S1 = sum of term_i E_i and S2 = sum of term_i t_i.
+    with the running sums S0 = sum of the terms, S1 = sum of term_i E_i and
+    S2 = sum of term_i t_i.  A derived node is no worse than its stored t:
+    t/2 and w/2 are exact, and (1 + t)/2 adds to t's error (relative r) one
+    rounding of 1 + t in [1, 2), for relative error at most max(r, u).
     """
     k, n = ctx.kappa, ctx.n
     two_k2 = 2.0 * k * k
     h = min(k ** ctx.theta, _CUT)
     cap = math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
-    for rule in (_GL_RULE_16, _GL_RULE):
-        nodes = len(rule)
-        rho = min(math.sqrt(8.0 * nodes) / h, cap)
-        truncation = (
-            (h / 2.0) * (64.0 / 15.0) * math.exp(h * h * (rho - 1.0 / rho) ** 2 / 8.0)
-            * rho ** (-2.0 * nodes) / (rho * rho - 1.0)
+    for panels, rule in _GL_RULES:
+        step = h / panels
+        rho = min(math.sqrt(128.0) / step, cap)
+        truncation = panels * (
+            (step / 2.0) * (64.0 / 15.0) * math.exp(step * step * (rho - 1.0 / rho) ** 2 / 8.0)
+            * rho ** -32.0 / (rho * rho - 1.0)
         )
         if truncation <= _U:
             break
+    nodes = len(rule)
     neg_two_k2 = -two_k2
     exp = math.exp
     log1p = math.log1p

@@ -44,6 +44,13 @@ def test_rogers_small_n(capsys):
     assert "not defined below kappa = 24" in out
 
 
+def test_rogers_vacuous_lower_bound(capsys):
+    # f < 0 at n = 2000, theta = 0.1: the only way the lower bound is vacuous
+    code, out, _ = _run(["rogers", "--n", "2000"], capsys)
+    assert code == 0
+    assert "log sigma_n lower bound = vacuous (f <= 0)" in out.splitlines()
+
+
 def test_rogers_report_matches_the_public_routes(capsys):
     # one chain evaluation feeds every printed line of f and its pieces
     code, out, _ = _run(["rogers", "--n", "62238"], capsys)

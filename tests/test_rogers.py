@@ -269,8 +269,9 @@ def _log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
-# the 16-node truncation bound crosses u between these neighbouring kappas
-# at theta = 0.1: 16 nodes at the first of each pair, 32 at the second
+# the one-panel truncation bound crosses u between these neighbouring
+# kappas at theta = 0.1: one panel at the first of each pair, two halves at
+# the second
 _SWITCH_LOW = (1.2417992325965943, 1.241799232596594)
 _SWITCH_HIGH = (5797.274430598614, 5797.274430598615)
 
@@ -293,6 +294,8 @@ def _truncation_bound(ctx, nodes):
 @example(kappa=_SWITCH_LOW[1], theta=0.1)
 @example(kappa=_SWITCH_HIGH[0], theta=0.1)
 @example(kappa=_SWITCH_HIGH[1], theta=0.1)
+@example(kappa=1000.0, theta=0.3)  # two halves at the cut: their bound is largest from kappa = 24 up
+@example(kappa=1.0, theta=0.1)  # two halves where the ellipse cap binds: their largest bound
 def test_central_integral_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     ci = central_integral(ctx)
@@ -316,6 +319,7 @@ def test_central_integral_defined_on_every_context(n, theta):
 # f_lower is defined from kappa = 24 up
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(kappa=_log_uniform(24.0, 1e8), theta=_THETA)
+@example(kappa=1000.0, theta=0.3)  # two halves at the cut
 def test_f_lower_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     f = f_lower(ctx)
@@ -380,12 +384,24 @@ def test_f_domain():
 # ------------------------------------------------------------ the chain
 
 def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
-    x, w = np.polynomial.legendre.leggauss(32)
-    want = [(float(t).hex(), float(v).hex()) for t, v in zip(0.5 * (x + 1.0), 0.5 * w)]
-    assert [(t.hex(), v.hex()) for t, v in _GL_RULE] == want
     x, w = np.polynomial.legendre.leggauss(16)
     want = [(float(t).hex(), float(v).hex()) for t, v in zip(0.5 * (x + 1.0), 0.5 * w)]
     assert [(t.hex(), v.hex()) for t, v in _GL_RULE_16] == want
+    # the two-panel rule is that rule on [0, 1/2] and then on [1/2, 1]
+    halves = [(t / 2, w / 2) for t, w in _GL_RULE_16] + [((1 + t) / 2, w / 2) for t, w in _GL_RULE_16]
+    assert [(t.hex(), v.hex()) for t, v in _GL_RULE] == [(t.hex(), v.hex()) for t, v in halves]
+
+
+def test_derived_nodes_are_no_worse_than_their_stored_nodes():
+    # against the 30-digit roots of P_16 mapped to [0, 1]: (1 + t)/2 adds one
+    # rounding of 1 + t in [1, 2) to t's own error, so it keeps the larger
+    with mpmath.workdps(30):
+        for i, (t, _) in enumerate(_GL_RULE_16):
+            tau = (mpmath.findroot(lambda x: mpmath.legendre(16, x), 2 * t - 1) + 1) / 2
+            stored = abs(t - tau) / tau
+            for j, shift in enumerate((0, 1)):
+                exact = (shift + tau) / 2
+                assert abs(_GL_RULE[16 * j + i][0] - exact) / exact <= max(stored, _U)
 
 
 def test_sixteen_nodes_exactly_where_their_bound_is_below_u():
