@@ -45,32 +45,33 @@ def _fmt(x: float) -> str:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_rogers(args: argparse.Namespace) -> int:
-    # everything that can fail is computed before the first line is printed
+    # every line, so everything that can fail, is computed before printing
     ctx = rogers.RogersContext(float(args.n), args.theta)
-    chain = rogers._chain(ctx) if ctx.kappa >= rogers.KAPPA_MIN_LOWER else None
-    c = chain.constants if chain is not None else rogers.error_constants(ctx)
-    upper = rogers.sigma_upper_log(args.n)
-    print(f"n       = {args.n}")
-    print(f"kappa   = {_fmt(ctx.kappa)}")
-    print(f"theta   = {_fmt(args.theta)}")
-    print(f"C1      = {_fmt(c.c1)}")
-    print(f"C2      = {_fmt(c.c2)}")
-    print(f"C3      = {_fmt(c.c3)}")
-    print(f"C41     = {_fmt(c.c41)}")
-    print(f"C42     = {_fmt(c.c42)}")
-    print(f"log sigma_n upper bound = {_fmt(upper)}")
-    if chain is not None:
-        ci, f = chain.central, chain.f
-        print(f"U       = {_fmt(chain.u_star)}")
-        print(f"central integral = {_fmt(ci.value)} (err {ci.err_estimate:.3e})")
-        print(f"f(kappa, theta)  = {_fmt(f.value)} (err {f.err_estimate:.3e})")
-        low = rogers.sigma_lower_log(args.n, f)
-        if low is not None:
-            print(f"log sigma_n lower bound = {_fmt(low.value)}")
-        else:
-            print("log sigma_n lower bound = vacuous (f <= 0)")
+    c = rogers.error_constants(ctx)
+    lines = [
+        f"n       = {args.n}",
+        f"kappa   = {_fmt(ctx.kappa)}",
+        f"theta   = {_fmt(args.theta)}",
+        f"C1      = {_fmt(c.c1)}",
+        f"C2      = {_fmt(c.c2)}",
+        f"C3      = {_fmt(c.c3)}",
+        f"C41     = {_fmt(c.c41)}",
+        f"C42     = {_fmt(c.c42)}",
+        f"log sigma_n upper bound = {_fmt(rogers.sigma_upper_log(args.n))}",
+    ]
+    if ctx.kappa < rogers.KAPPA_MIN_LOWER:
+        lines.append("f(kappa, theta): not defined below kappa = 24")
     else:
-        print("f(kappa, theta): not defined below kappa = 24")
+        ci, f = rogers.central_integral(ctx), rogers.f_lower(ctx)
+        low = rogers.sigma_lower_log(args.n, f)
+        lines += [
+            f"U       = {_fmt(rogers.u_threshold(ctx))}",
+            f"central integral = {_fmt(ci.value)} (err {ci.err_estimate:.3e})",
+            f"f(kappa, theta)  = {_fmt(f.value)} (err {f.err_estimate:.3e})",
+            "log sigma_n lower bound = "
+            + (_fmt(low.value) if low is not None else "vacuous (f <= 0)"),
+        ]
+    print("\n".join(lines))
     return 0
 
 

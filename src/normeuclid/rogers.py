@@ -257,43 +257,6 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), nodes)
 
 
-class _Chain(NamedTuple):
-    """f(kappa, theta) and every piece it is assembled from."""
-
-    constants: RogersErrorConstants
-    u_star: float       # U
-    c_star: float       # C(U)
-    c_edge: float       # C(kappa^theta)
-    central: Evaluation
-    edge: float         # 2 sqrt(pi) C(kappa^theta)/kappa
-    inner: float        # (4 U C(U)/kappa)(1 + 4 C(U)/kappa)
-    tail: float         # 2 exp(-kappa^theta)
-    f: Evaluation
-
-
-def _chain(ctx: RogersContext) -> _Chain:
-    """The lower-bound chain at ctx, each piece computed once: the
-    constants, the central integral, U, C at U and at kappa^theta, the
-    three subtracted terms and f (see ``f_lower``)."""
-    k = ctx.kappa
-    if k < KAPPA_MIN_LOWER:
-        raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
-    theta = ctx.theta
-    hi = k ** theta
-    c = error_constants(ctx)
-    central = central_integral(ctx)
-    u_star = _threshold(k, theta, hi, c)
-    c_edge = _majorant(c, hi)
-    c_star = _majorant(c, u_star)
-    edge = 2.0 * _SQRT_PI * c_edge / k
-    inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
-    tail = 2.0 * math.exp(-hi)
-    value = central.value - edge - inner - tail
-    err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
-    f = Evaluation(value, err, central.terms_used)
-    return _Chain(c, u_star, c_star, c_edge, central, edge, inner, tail, f)
-
-
 def f_lower(ctx: RogersContext) -> Evaluation:
     """The normalized lower bound f(kappa, theta) for the Rogers integral.
 
@@ -309,7 +272,22 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     the error constants and of the assembly; against a 30-digit oracle
     these stay below 4u times the same sum.
     """
-    return _chain(ctx).f
+    k = ctx.kappa
+    if k < KAPPA_MIN_LOWER:
+        raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
+    theta = ctx.theta
+    hi = k ** theta
+    c = error_constants(ctx)
+    central = central_integral(ctx)
+    u_star = _threshold(k, theta, hi, c)
+    c_edge = _majorant(c, hi)
+    c_star = _majorant(c, u_star)
+    edge = 2.0 * _SQRT_PI * c_edge / k
+    inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
+    tail = 2.0 * math.exp(-hi)
+    value = central.value - edge - inner - tail
+    err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
+    return Evaluation(value, err, central.terms_used)
 
 
 def sigma_upper_log(n: float) -> float:

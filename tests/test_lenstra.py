@@ -51,6 +51,8 @@ def test_delta2_upper_small_n_direct():
     # n=2, s=1: sigma_2-upper * (4/(2 pi)) * Gamma(2)
     want = (1.0 - math.log(8.0)) + math.lgamma(4.0) + math.log(2.0 / math.pi)
     assert delta2_star_log(2).value == pytest.approx(want, abs=1e-12)
+    with pytest.raises(DomainError, match="need n >= 1"):
+        delta2_star_log(0)
 
 
 def test_delta2_below_delta1_spot():
@@ -196,6 +198,8 @@ def test_disc_cap():
     caps = [lenstra_disc_cap(n) for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)]
     assert all(a < b for a, b in zip(caps, caps[1:]))
     assert all(c < limit for c in caps)
+    with pytest.raises(DomainError, match="need n >= 2"):
+        lenstra_disc_cap(1)
 
 
 def test_serre_gap_identity():
@@ -208,6 +212,9 @@ def test_serre_gap_identity():
 # --------------------------------------------------------------- the gap
 
 def test_main_gap_signs():
+    # the docstring's boundary: f(kappa, 0.1) <= 0 up to n = 7661, > 0 at 7662
+    assert main_gap(7661, 0, 0.1) is None
+    assert main_gap(7662, 0, 0.1) is not None
     assert main_gap(61000, 0, 0.1).value < 0.0
     assert main_gap(62238, 0, 0.1).value > 0.0
     assert main_gap(10 ** 6, 0, 0.1).value > 0.0
@@ -309,6 +316,9 @@ def test_find_crossing_domain():
         find_crossing(0.5, 55000, 70000)
     with pytest.raises(DomainError):
         find_crossing(0.1, 100, 200)
+    # gap(n_max) > 0, but f <= 0 at n_min, so the gap is not defined there
+    with pytest.raises(DomainError, match="at n=2000;"):
+        find_crossing(0.1, 2000, 70000)
 
 
 def _bisect_crossing(theta, n_min, n_max):

@@ -17,7 +17,6 @@ from normeuclid.rogers import (
     _GL_RULE,
     _GL_RULE_16,
     RogersContext,
-    _chain,
     _majorant,
     central_integral,
     error_constants,
@@ -26,7 +25,7 @@ from normeuclid.rogers import (
     sigma_upper_log,
     u_threshold,
 )
-from normeuclid.specfun import _U, DomainError
+from normeuclid.specfun import _U, DomainError, Evaluation
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -418,19 +417,23 @@ def test_sixteen_nodes_exactly_where_their_bound_is_below_u():
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
-def test_chain_pieces_match_the_public_routes(kappa):
+def test_f_lower_is_assembled_from_the_public_routes(kappa):
+    # the rogers report prints these routes next to f, so f must be built
+    # from exactly their values, operation for operation
     for theta in THETA_GRID:
         ctx = RogersContext.from_kappa(kappa, theta)
-        chain = _chain(ctx)
-        assert chain.constants == error_constants(ctx)
-        assert chain.u_star == u_threshold(ctx)
-        assert chain.central == central_integral(ctx)
-        assert chain.f == f_lower(ctx)
-        assert chain.c_star == _majorant(chain.constants, chain.u_star)
-        assert chain.c_edge == _majorant(chain.constants, ctx.kappa ** theta)
-        pieces = chain.central.value - chain.edge - chain.inner - chain.tail
-        assert chain.f.value == pieces
-        assert sigma_lower_log(ctx.n, chain.f) == sigma_lower_log(ctx.n, f_lower(ctx))
+        c, u, central = error_constants(ctx), u_threshold(ctx), central_integral(ctx)
+        hi = ctx.kappa ** theta
+        edge = 2.0 * SQRT_PI * _majorant(c, hi) / ctx.kappa
+        c_u = _majorant(c, u)
+        inner = (4.0 * u * c_u / ctx.kappa) * (1.0 + 4.0 * c_u / ctx.kappa)
+        tail = 2.0 * math.exp(-hi)
+        value = central.value - edge - inner - tail
+        err = central.err_estimate + 16.0 * _U * (abs(value) + edge + inner + tail)
+        f = f_lower(ctx)
+        assembled = Evaluation(value, err, central.terms_used)
+        assert f == assembled
+        assert sigma_lower_log(ctx.n, f) == sigma_lower_log(ctx.n, assembled)
 
 
 # --------------------------------------------------------- sigma bounds
@@ -441,6 +444,9 @@ def test_sigma_upper_small_n():
     assert sigma_upper_log(1) == pytest.approx(want, abs=1e-13)
     # sigma_1 = 1: two unit half-balls cover the length-2 segment
     assert sigma_upper_log(1) >= 0.0
+    for n in (0.5, 0, -1):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            sigma_upper_log(n)
 
 
 def test_sigma_upper_stirling_asymptotic():

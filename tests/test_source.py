@@ -117,6 +117,29 @@ def test_every_public_name_has_a_reader():
     assert unread == _UNREAD_BY_DESIGN, f"exported names with no reader: {unread}"
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    # every number the CLI prints is what a library caller gets from the
+    # same public route, never a private helper's
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "cli"}
+    assert {"rogers", "lenstra", "cyclozeta", "zimmert", "specfun", "acceptance"} <= modules
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    private = [
+        f"cli.py:{node.lineno} {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ] + [
+        f"cli.py:{node.lineno} {node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_no_unused_imports_in_package():
     # the project carries no linter: every module-level import, __future__
     # aside, must be read somewhere in its module, and every import inside a
