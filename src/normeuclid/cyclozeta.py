@@ -18,16 +18,16 @@ the same way.
 
 The array kernel for Hurwitz zeta and its s-derivative (the one-point
 ``specfun.hurwitz_zeta`` and ``hurwitz_zeta_ds`` call it with one element)
-is an (N x len(a)) Euler-Maclaurin block whose direct terms are summed
-smallest first, with that sum's rounding, about N u sum|terms|, in the
-error estimate.  The cutoffs are N = 20 direct terms and J = 10 Bernoulli
-pairs for every s.  That N is enough: k -> (k+a)^{-s} is completely
-monotone, so for any N the remainder lies between zero and the first
-omitted Bernoulli term, which the estimate charges (for d/ds, its
-s-derivative).  At N = 20 both are below 1e-25 for every s > 1 and below
-1e-30 for s >= 10, far below every tolerance used downstream (the
-tightest acceptance margin in the package is about 5e-5).  A value or an
-estimate that binary64 cannot hold raises DomainError.
+is an (N x len(a)) Euler-Maclaurin block, built once when both are asked
+for, whose direct terms are summed smallest first, with that sum's
+rounding, about N u sum|terms|, in the error estimate.  The cutoffs are
+N = 20 direct terms and J = 10 Bernoulli pairs for every s.  That N is
+enough: k -> (k+a)^{-s} is completely monotone, so for any N the remainder
+lies between zero and the first omitted Bernoulli term, which the estimate
+charges (for d/ds, its s-derivative).  At N = 20 both are below 1e-25 for
+every s > 1 and below 1e-30 for s >= 10, far below every tolerance used
+downstream (the tightest acceptance margin in the package is about 5e-5).
+A value or an estimate that binary64 cannot hold raises DomainError.
 
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
@@ -56,9 +56,14 @@ column per generator axis, raveled in the units' C order.  The ramified
 primes p | m get their degrees, f = ord_q(p) with q the prime-to-p part
 of m, from integer arithmetic alone (``_ramified_degrees``).
 
-A scan evaluates each field once: Q(zeta_2m) = Q(zeta_m) for odd m, so
-``scan`` takes the row of 2m right after that of m, and the Hurwitz route
-keeps its last zeta in a one-entry cache, which that row reads.
+Each field point is evaluated once.  The Hurwitz route keeps its last
+(m, s) and zeta_K in a one-entry memo, ``_last_zeta``, which the
+log-derivative writes as well, since its transform F is the Hurwitz
+route's.  Q(zeta_2m) = Q(zeta_m) for odd m, so ``scan`` takes the row of 2m
+right after that of m, and that row finds m's zeta there; ``min_norm_check``
+finds the zeta that ``satz4_check``'s log-derivative left at the same
+(m, 1 + beta).  The log-derivative takes zeta(s, a/m) and its s-derivative
+from one kernel block.
 """
 
 from __future__ import annotations
@@ -378,6 +383,16 @@ def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
     return value, err, _EM_N + _EM_J
 
 
+def _em_zeta(name: str, s: float, p, x, xt, bern):
+    """zeta from one block: the direct terms p = base^{-s}, summed smallest
+    first, the integral tail xt/(s-1) with xt = x^{1-s}, the midpoint term
+    x^{-s}/2 and the Bernoulli corrections."""
+    direct = p.sum(axis=0)
+    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
+    # the direct terms are positive, so sum|terms| is the direct sum itself
+    return _em_result(name, s, direct, rest, direct, np.abs(bern[-1]))
+
+
 # an overflow surfaces as the DomainError of _em_result, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
@@ -392,31 +407,37 @@ def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
     """
     base, x, bern = _em_block("hurwitz_zeta", s, a)
-    direct = (base ** -s).sum(axis=0)
-    xt = x ** (1.0 - s)
-    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
-    # the direct terms are positive, so sum|terms| is the direct sum itself
-    return _em_result("hurwitz_zeta", s, direct, rest, direct, np.abs(bern[-1]))
+    return _em_zeta("hurwitz_zeta", s, base ** -s, x, x ** (1.0 - s), bern)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
-    """d/ds of hurwitz_zeta_array(s, a), by term-wise differentiation of
-    the same Euler-Maclaurin scheme.  The direct terms -ln(k+a) (k+a)^{-s}
-    change sign at k + a = 1, so the rounding term uses sum|terms|."""
-    base, x, bern = _em_block("hurwitz_zeta_ds", s, a)
-    harm = _em_harm(s)
-    terms = -np.log(base) * base ** -s
-    lx = np.log(x)
+def _hurwitz_pair(name: str, s: float, a):
+    """(zeta, d/ds zeta) at every entry of a, each as hurwitz_zeta_array
+    returns it, from one Euler-Maclaurin block and one p = base^{-s}.  The
+    zeta half is hurwitz_zeta_array's, bit for bit.  The derivative
+    differentiates the same scheme term by term: the direct terms
+    -ln(k+a) (k+a)^{-s} change sign at k + a = 1, so its rounding term
+    uses sum|terms|.  ``name`` is the route an error message names."""
+    base, x, bern = _em_block(name, s, a)
+    p = base ** -s
     xt = x ** (1.0 - s)
+    zeta = _em_zeta(name, s, p, x, xt, bern)
+    harm = _em_harm(s)
+    terms = -np.log(base) * p
+    lx = np.log(x)
     tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
     mid = -0.5 * lx * xt / x
     corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
     omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
     abs_sum = np.abs(terms).sum(axis=0)
-    return _em_result(
-        "hurwitz_zeta_ds", s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted
-    )
+    return zeta, _em_result(name, s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted)
+
+
+def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
+    """d/ds of hurwitz_zeta_array(s, a): the second output of the pair
+    kernel, which differentiates the same Euler-Maclaurin scheme term by
+    term."""
+    return _hurwitz_pair("hurwitz_zeta_ds", s, a)[1]
 
 
 # ------------------------------------------------------------ L-functions
@@ -443,23 +464,36 @@ def dirichlet_l(s: float, chi: DirichletCharacter, primitive: bool = True) -> Ev
 
 # --------------------------------------------------------- zeta assembly
 
-def _group_dft(
-    m: int, s: float, kernel: Callable[..., tuple[np.ndarray, np.ndarray, int]]
+def _unit_points(m: int) -> np.ndarray:
+    """a = units/m over (Z/mZ)*, in the C order of the discrete-log grid
+    (m = 1 lists its unit as 0 and takes a = 1)."""
+    units = unit_group(m).units  # m < 1 raises DomainError here
+    return units / m if m > 1 else np.ones(1)
+
+
+def _transform(
+    m: int, s: float, values: np.ndarray, errs: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The phi(m) character sums sum_a conj(chi(a)) h(a) of
-    h(a) = m^{-s} kernel(s, a/m), as ``np.fft.fftn`` over the discrete-log
-    grid of (Z/mZ)* (m = 1 and 2 give one cell; m = 1 lists its unit as 0
-    and takes a = 1), with the error bound shared by every entry: the
-    kernel errors plus the FFT rounding 2.2e-16 (1 + log2 phi) ||h||_1.
-    One kernel call covers every unit, and the units already run through
-    the grid in C order."""
-    group = unit_group(m)
-    values, errs, _ = kernel(s, group.units / m if m > 1 else np.ones(1))
-    scale = float(m) ** -s  # after the kernel has checked s
-    h = (scale * values).reshape(group.orders or (1,))
+    h(a) = m^{-s} values(a), as ``np.fft.fftn`` over the discrete-log grid
+    of (Z/mZ)* (m = 1 and 2 give one cell), with the error bound shared by
+    every entry: the kernel errors plus the FFT rounding
+    2.2e-16 (1 + log2 phi) ||h||_1.  The units already run through the
+    grid in C order."""
+    scale = float(m) ** -s
+    h = (scale * values).reshape(unit_group(m).orders or (1,))
     err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
     return np.fft.fftn(h).ravel(), err
+
+
+def _group_dft(
+    m: int, s: float, kernel: Callable[..., tuple[np.ndarray, np.ndarray, int]]
+) -> tuple[np.ndarray, float]:
+    """``_transform`` of one kernel call over every unit, a = units/m; the
+    kernel checks s before m^{-s} is formed."""
+    values, errs, _ = kernel(s, _unit_points(m))
+    return _transform(m, s, values, errs)
 
 
 def _ramified(m: int, s: float) -> tuple[float, float]:
@@ -474,14 +508,26 @@ def _ramified(m: int, s: float) -> tuple[float, float]:
     return log_f, d_log_f
 
 
-# one entry, as for unit_group; the scan row of 2m (m odd) asks for m's again
-@lru_cache(maxsize=1)
-def _zeta_hurwitz(m: int, s: float) -> Evaluation:
-    l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
+# The last field point's zeta_K as ((m, s), Evaluation), rebound by each
+# evaluation: one entry and no arrays, like unit_group's cache.  The
+# log-derivative leaves its field's zeta here for min_norm_check, which asks
+# for it next, and the scan row of 2m (m odd) finds m's.
+_last_zeta: tuple[tuple[int, float], Evaluation] | None = None
+
+
+def _remember_zeta(
+    m: int, s: float, l_vals: np.ndarray, err: float, log_ramified: float
+) -> Evaluation:
+    """zeta_K = exp(sum ln|L| + ln of the ramified factors) from the group
+    DFT of zeta(s, a/m), stored as the last field point's zeta.  Every
+    zeta_K of the Hurwitz route is assembled here."""
+    global _last_zeta
     l_abs = np.abs(l_vals)
-    value = math.exp(float(np.log(l_abs).sum()) + _ramified(m, s)[0])
+    value = math.exp(float(np.log(l_abs).sum()) + log_ramified)
     rel_err = float((err / l_abs).sum())
-    return Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
+    z = Evaluation(value, value * (rel_err + 2e-16 * l_vals.size), l_vals.size)
+    _last_zeta = ((m, s), z)
+    return z
 
 
 # the Euler route asks for one limit many times in a row; one entry holds
@@ -636,7 +682,9 @@ def zeta_cyclotomic(
     if prime_limit < _PRIME_LIMIT_MIN:
         raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
     if method == "hurwitz":
-        return _zeta_hurwitz(m, s)
+        if _last_zeta is not None and _last_zeta[0] == (m, s):
+            return _last_zeta[1]
+        return _remember_zeta(m, s, *_group_dft(m, s, hurwitz_zeta_array), _ramified(m, s)[0])
     if method == "euler":
         return _zeta_euler(m, s, prime_limit)
     raise DomainError(f"unknown method {method!r}")
@@ -651,11 +699,19 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     log-derivative.  The ratios come in conjugate pairs, as the L-values
     do, so sum F'/F = sum Re(F'/F).  ``terms_used`` is the number of
     Hurwitz-zeta evaluations, 2 phi(m).  The kernel raises PoleError for
-    s <= 1 and DomainError for a non-finite s."""
-    l_vals, err = _group_dft(m, s, hurwitz_zeta_array)
-    d_vals, derr = _group_dft(m, s, hurwitz_zeta_ds_array)
+    s <= 1 and DomainError for a non-finite s.
+
+    zeta(s, a/m) and its derivative come from one block of the pair kernel.
+    F gives zeta_K at (m, s) as well, which is kept as the last field
+    point's zeta, so ``zeta_cyclotomic(m, s)`` right after this call (as in
+    ``min_norm_check`` after ``satz4_check``) transforms nothing."""
+    zeta, ds = _hurwitz_pair("hurwitz_zeta", s, _unit_points(m))
+    l_vals, err = _transform(m, s, *zeta[:2])
+    d_vals, derr = _transform(m, s, *ds[:2])
+    log_r, d_log_r = _ramified(m, s)
+    _remember_zeta(m, s, l_vals, err, log_r)
     ratio = d_vals / l_vals
-    value = float(ratio.real.sum()) - l_vals.size * math.log(m) + _ramified(m, s)[1]
+    value = float(ratio.real.sum()) - l_vals.size * math.log(m) + d_log_r
     err_sum = float(((derr + np.abs(ratio) * err) / np.abs(l_vals)).sum())
     return Evaluation(value, err_sum + 1e-14, 2 * l_vals.size)
 
@@ -715,8 +771,8 @@ class ScanRow(NamedTuple):
 def scan_row(m: int, epsilon: float) -> ScanRow:
     """A single scan point, on the group-DFT route.  m = 2 mod 4 is
     evaluated through m/2 (same field, same degree, same s), making duplicate
-    rows bit-identical; right after the row of m/2 that zeta is cached.  A
-    row without s > 1 and zeta > 1 raises ValueError."""
+    rows bit-identical; right after the row of m/2 that zeta is in the
+    one-entry memo.  A row without s > 1 and zeta > 1 raises ValueError."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"need epsilon in (0, 1), got {epsilon}")
     phi = euler_phi(m)
@@ -731,7 +787,7 @@ def scan_row(m: int, epsilon: float) -> ScanRow:
 def scan(m_max: int, epsilon: float) -> list[ScanRow]:
     """Scan rows for m = 1..m_max at s = 1 + phi(m)^{-epsilon}, one row per
     m, in m order.  The walk is by field: each m not 2 mod 4, then 2m right
-    after an odd m, which repeats m's row from the cached zeta.  Every m
+    after an odd m, which repeats m's row from the memo's zeta.  Every m
     goes once through the module-global ``scan_row``."""
     if m_max < 1:
         raise DomainError(f"need m_max >= 1, got {m_max}")

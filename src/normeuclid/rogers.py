@@ -14,11 +14,19 @@ U and the central integral are closed forms: trigonometric Cardano and a
 deflated quadratic, and one 16-node Gauss-Legendre rule, on [0, h] or on
 each half of it, h = min(kappa^theta, 5), with a Bernstein-ellipse bound on
 its truncation.
+
+``f_lower`` is assembled from the public routes ``error_constants``,
+``central_integral`` and ``u_threshold``.  Each keeps its last context's
+result (``lru_cache(maxsize=1)``, keyed by the hashable ``RogersContext``),
+so a caller who asks for a piece at the context f was just evaluated at,
+as the ``rogers`` report and criterion 9 do, gets it without a second
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .specfun import _U, DomainError, Evaluation
@@ -114,6 +122,7 @@ class RogersErrorConstants(NamedTuple):
     c42: float
 
 
+@lru_cache(maxsize=1)
 def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     """C1, C2, C3, C41, C42 at (kappa, theta), exactly as printed.
 
@@ -146,25 +155,25 @@ def _majorant(c: RogersErrorConstants, u: float) -> float:
     return c.c1 + c.c41 * au + c.c42 * au ** 3
 
 
+@lru_cache(maxsize=1)
 def u_threshold(ctx: RogersContext) -> float:
     """The unique root U of C(u) = (kappa/2) u^2 in [0, kappa^theta].
 
-    Computes the error constants at ctx and solves the cubic they give;
-    ``f_lower`` solves the same cubic from the constants it already has.
-    Uniqueness (and the bracketing sign change) holds for kappa >= 24; a
-    DomainError signals kappa/theta outside that validity range.  The
-    cubic c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
+    Solves the cubic that the error constants at ctx give, and keeps the
+    last context's root, so ``f_lower`` and a caller who asks for U at the
+    same context share one solve.  Uniqueness (and the bracketing sign
+    change) holds for kappa >= 24; a DomainError signals kappa/theta
+    outside that validity range.  The cubic
+    c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
     r2 > kappa^theta by the sign change, and r0 in (-U, 0) since g(0) > 0
     > g(-U).  r2 comes from trigonometric Cardano, which is stable for the
     largest root, and U from the deflated quadratic u^2 - S u + P with
     P = r0 U = -D/r2 and S = r0 + U = (C + D/r2)/r2 > 0, so no digits
     cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
-    k = ctx.kappa
-    return _threshold(k, ctx.theta, k ** ctx.theta, error_constants(ctx))
-
-
-def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> float:
+    k, theta = ctx.kappa, ctx.theta
+    hi = k ** theta
+    c = error_constants(ctx)
     # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
     if c.c1 <= 0.0 or _majorant(c, hi) - 0.5 * k * hi * hi >= 0.0:
         raise DomainError(
@@ -185,6 +194,7 @@ def _threshold(k: float, theta: float, hi: float, c: RogersErrorConstants) -> fl
     return 0.5 * (total + math.sqrt(total * total - 4.0 * prod))
 
 
+@lru_cache(maxsize=1)
 def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
@@ -265,21 +275,23 @@ def f_lower(ctx: RogersContext) -> Evaluation:
         - (4 U C(U)/kappa) (1 + 4 C(U)/kappa)
         - 2 exp(-kappa^theta)
 
-    Valid for kappa >= 24, theta in (0, 1/3); may be negative (the sigma_n
-    lower bound is then vacuous).  Increasing in kappa on the validity
-    range.  The error estimate adds to the central integral's 16u times
-    |f| plus the three subtracted terms (u = 2^-53), for the roundings of
-    the error constants and of the assembly; against a 30-digit oracle
-    these stay below 4u times the same sum.
+    assembled from ``error_constants``, ``central_integral`` and
+    ``u_threshold`` at ctx, each of which keeps this context's result for
+    a caller who asks for it next.  Valid for kappa >= 24, theta in
+    (0, 1/3); may be negative (the sigma_n lower bound is then vacuous).
+    Increasing in kappa on the validity range.  The error estimate adds to
+    the central integral's 16u times |f| plus the three subtracted terms
+    (u = 2^-53), for the roundings of the error constants and of the
+    assembly; against a 30-digit oracle these stay below 4u times the same
+    sum.
     """
     k = ctx.kappa
     if k < KAPPA_MIN_LOWER:
         raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
-    theta = ctx.theta
-    hi = k ** theta
+    hi = k ** ctx.theta
     c = error_constants(ctx)
     central = central_integral(ctx)
-    u_star = _threshold(k, theta, hi, c)
+    u_star = u_threshold(ctx)
     c_edge = _majorant(c, hi)
     c_star = _majorant(c, u_star)
     edge = 2.0 * _SQRT_PI * c_edge / k

@@ -810,23 +810,13 @@ def test_ramified_degrees_match_naive_stepping_up_to_1e5():
         assert _ramified_degrees(m) == want, m
 
 
-def test_cyclozeta_caches_are_bounded():
-    from normeuclid import cyclozeta
-
-    cached = {
-        name: obj.cache_parameters()["maxsize"]
-        for name, obj in vars(cyclozeta).items()
-        if hasattr(obj, "cache_parameters")
-    }
-    assert cached == {"unit_group": 1, "_primes_up_to": 1, "_zeta_hurwitz": 1, "_factorize": 16}
-
-
-def test_scan_row_factorizes_each_number_once():
+def test_scan_row_factorizes_each_number_once(monkeypatch):
     # m, phi(m) and p - 1 for each odd p | m, each computed once per row
     from normeuclid import cyclozeta
 
     m = 3 * 5 * 7 * 11
-    for cached in (cyclozeta._factorize, cyclozeta._zeta_hurwitz, unit_group):
+    monkeypatch.setattr(cyclozeta, "_last_zeta", None)
+    for cached in (cyclozeta._factorize, unit_group):
         cached.cache_clear()
     scan_row(m, 0.75)
     assert cyclozeta._factorize.cache_info().misses == len({m, euler_phi(m), 2, 4, 6, 10})
@@ -915,17 +905,66 @@ def test_scan_walks_fields_and_returns_each_rows_own_values(epsilon):
     assert [repr(tuple(r)) for r in got] == [repr(tuple(r)) for r in want]
 
 
-def test_scan_evaluates_each_field_once():
+def test_scan_evaluates_each_field_once(monkeypatch):
     # 88 of the moduli up to 350 are 2 mod 4, and each finds its half's zeta
-    # in the one-entry cache
+    # in the one-entry memo; every evaluation rebinds the memo to a new entry,
+    # and a row that reuses it leaves the entry as it was
     from normeuclid import cyclozeta
 
-    cyclozeta._zeta_hurwitz.cache_clear()
+    real, entries = cyclozeta.scan_row, [None]
+
+    def scan_row(*args):
+        row = real(*args)
+        entries.append(cyclozeta._last_zeta)
+        return row
+
+    monkeypatch.setattr(cyclozeta, "_last_zeta", None)
+    monkeypatch.setattr(cyclozeta, "scan_row", scan_row)
     cyclozeta.unit_group.cache_clear()
     cyclozeta._factorize.cache_clear()
     scan(350, 0.75)
-    info = cyclozeta._zeta_hurwitz.cache_info()
-    assert (info.misses, info.hits) == (262, 88)
+    fresh = [after is not before for before, after in zip(entries, entries[1:])]
+    assert (fresh.count(True), fresh.count(False)) == (262, 88)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((7, 1.3), (9, 1.3)), ((5, 1.3), (8, 1.3)), ((5, 1.3), (10, 1.3)), ((12, 1.3), (12, 1.5))],
+    ids=["same-degree", "other-degree", "same-field", "other-s"],
+)
+def test_field_memo_answers_for_its_own_point(monkeypatch, first, second):
+    # the log-derivative leaves zeta_K of its point in the memo: zeta_cyclotomic
+    # there takes it, and at a point that differs in m or in s computes its
+    # own, bit for bit as a fresh evaluation; so does A after B
+    from normeuclid import cyclozeta
+
+    def fresh(point):
+        cyclozeta._last_zeta = None
+        return repr(zeta_cyclotomic(*point))
+
+    monkeypatch.setattr(cyclozeta, "_last_zeta", None)
+    want = {point: fresh(point) for point in (first, second)}
+    assert want[first] != want[second]
+    cyclozeta._last_zeta = None
+    zeta_cyclotomic_logderiv(*first)
+    kept = cyclozeta._last_zeta
+    assert kept[0] == first and zeta_cyclotomic(*first) is kept[1]
+    got = [repr(zeta_cyclotomic(*point)) for point in (first, second, first)]
+    assert got == [want[first], want[second], want[first]]
+    zeta_cyclotomic_logderiv(*first)
+    assert repr(zeta_cyclotomic(*second)) == want[second]
+
+
+def test_field_memo_holds_the_last_field_only(monkeypatch):
+    # three fields by both routes, and one entry left: the last point's
+    from normeuclid import cyclozeta
+
+    monkeypatch.setattr(cyclozeta, "_last_zeta", None)
+    zeta_cyclotomic(7, 1.2)
+    zeta_cyclotomic_logderiv(16, 1.4)
+    last = zeta_cyclotomic(15, 1.6)
+    key, entry = cyclozeta._last_zeta
+    assert key == (15, 1.6) and entry is last
 
 
 def test_scan_row_invariant(monkeypatch):

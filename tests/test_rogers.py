@@ -436,6 +436,46 @@ def test_f_lower_is_assembled_from_the_public_routes(kappa):
         assert sigma_lower_log(ctx.n, f) == sigma_lower_log(ctx.n, assembled)
 
 
+_CACHED_ROUTES = (error_constants, central_integral, u_threshold)
+
+
+@pytest.mark.parametrize("route", [*_CACHED_ROUTES, f_lower], ids=lambda r: r.__name__)
+@pytest.mark.parametrize(
+    "a, b",
+    [((62238.0, 0.1), (62238.0, 0.2)), ((62238.0, 0.1), (200000.0, 0.1))],
+    ids=["theta", "n"],
+)
+def test_each_route_answers_for_its_own_context(route, a, b):
+    # each route keeps its last context's result: A, then B, then A again
+    # must each equal a fresh evaluation bit for bit, which a cache that
+    # dropped theta or n from its key would not give
+    a, b = RogersContext(*a), RogersContext(*b)
+
+    def fresh(ctx):
+        for cached in _CACHED_ROUTES:
+            cached.cache_clear()
+        return repr(route(ctx))
+
+    want = [fresh(ctx) for ctx in (a, b, a)]
+    assert want[0] != want[1]
+    for cached in _CACHED_ROUTES:
+        cached.cache_clear()
+    assert [repr(route(ctx)) for ctx in (a, b, a)] == want
+
+
+def test_f_lower_leaves_its_pieces_for_the_next_caller():
+    # the rogers report and criterion 9 ask for the pieces at the context f
+    # was just evaluated at: each is computed once, by f_lower
+    ctx = RogersContext(62238.0, 0.1)
+    for cached in _CACHED_ROUTES:
+        cached.cache_clear()
+    f_lower(ctx)
+    for route in _CACHED_ROUTES:
+        route(ctx)
+    # u_threshold reads the constants too, so they are asked for three times
+    assert [route.cache_info()[:2] for route in _CACHED_ROUTES] == [(2, 1), (1, 1), (1, 1)]
+
+
 # --------------------------------------------------------- sigma bounds
 
 def test_sigma_upper_small_n():

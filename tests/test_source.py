@@ -7,8 +7,10 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normeuclid
@@ -81,6 +83,51 @@ def test_no_module_imports_dataclasses():
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     ]
     assert found == []
+
+
+# module globals that hold no store: code, types, immutable values, and
+# numpy tables, whose size is fixed when the module runs
+_NOT_A_STORE = (
+    types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType,
+    int, float, complex, str, bytes, tuple, frozenset, type(None), np.ndarray,
+)
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # every store in the package that outlives a call, with the entries it
+    # can hold: each lru_cache at its maxsize, and each module global that a
+    # function rebinds through a global statement, which holds one value.
+    # Any other global that could hold a growing store (a dict, list or set
+    # memo, or an object) is listed as None, and so is an unbounded
+    # lru_cache; either fails the comparison
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(f"normeuclid.{path.stem}".removesuffix(".__init__"))
+        for name, obj in vars(module).items():
+            where = f"{path.stem}.{name}"
+            if hasattr(obj, "cache_parameters"):
+                if obj.__module__ == module.__name__:
+                    found[where] = obj.cache_parameters()["maxsize"]
+            elif not (
+                name.startswith("__")
+                or isinstance(obj, _NOT_A_STORE)
+                or type(obj).__module__ in ("typing", "__future__")
+            ):
+                found[where] = None
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Global):
+                for name in node.names:
+                    found.setdefault(f"{path.stem}.{name}", 1)
+    assert found == {
+        "cyclozeta._factorize": 16,
+        "cyclozeta.unit_group": 1,
+        "cyclozeta._last_zeta": 1,
+        "cyclozeta._primes_up_to": 1,
+        "rogers.error_constants": 1,
+        "rogers.u_threshold": 1,
+        "rogers.central_integral": 1,
+        "zimmert.f_terms": 64,
+    }
 
 
 # the one exported name that neither the package nor perfbench reads: the

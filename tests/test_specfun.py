@@ -300,6 +300,51 @@ def test_one_block_shape_for_every_s(s):
         assert kernel(s, np.array([1.0]))[2] == 30
 
 
+def _standalone_ds_array(s, a):
+    """The s-derivative kernel as it stood on its own block, before it
+    shared one with zeta: the reference the pair kernel's second half must
+    equal bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, x, bern = cyclozeta._em_block("hurwitz_zeta_ds", s, a)
+        harm = cyclozeta._em_harm(s)
+        terms = -np.log(base) * base ** -s
+        lx = np.log(x)
+        xt = x ** (1.0 - s)
+        tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
+        mid = -0.5 * lx * xt / x
+        corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
+        omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
+        abs_sum = np.abs(terms).sum(axis=0)
+        return cyclozeta._em_result(
+            "hurwitz_zeta_ds", s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted
+        )
+
+
+def _seeded_kernel_grid():
+    """(s, a) points: s near 1, moderate and large, a down to 1e-6 and the
+    unit points of a scan-sized modulus."""
+    rng = random.Random(3203)
+
+    def points(low):
+        return np.array([rng.uniform(low, 1.0) for _ in range(40)])
+
+    grid = [(1.0 + 10.0 ** rng.uniform(-4.0, 0.0), points(1e-6)) for _ in range(12)]
+    grid += [(rng.uniform(2.0, 60.0), points(0.05)) for _ in range(6)]
+    return grid + [(1.05, np.arange(1, 1010) / 1009), (1.5, np.arange(1, 301) / 301)]
+
+
+def test_pair_kernel_halves_are_the_single_kernels_bit_for_bit():
+    # one block serves both halves: zeta as hurwitz_zeta_array gives it, and
+    # the derivative as its own block gave it, every byte of every array
+    for s, a in _seeded_kernel_grid():
+        zeta, ds = cyclozeta._hurwitz_pair("hurwitz_zeta", s, a)
+        for got, want in ((zeta, hurwitz_zeta_array(s, a)), (ds, _standalone_ds_array(s, a))):
+            assert got[0].tobytes() == want[0].tobytes(), s
+            assert got[1].tobytes() == want[1].tobytes(), s
+            assert got[2] == want[2] == 30
+        assert hurwitz_zeta_ds_array(s, a)[0].tobytes() == ds[0].tobytes()
+
+
 # s in (10, 240] with s ln(1/a) < 700, so that a^{-s} and its
 # s-derivative stay inside binary64
 _S_A_HIGH = st.floats(min_value=10.0, max_value=240.0, exclude_min=True).flatmap(

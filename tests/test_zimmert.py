@@ -202,3 +202,21 @@ def test_threshold_rogers_exponent():
     assert ZETA_THRESHOLD == pytest.approx(general, abs=1e-15)
     assert ZETA_THRESHOLD == pytest.approx(2.0 * LN2 / (2.0 * LN2 + GAMMA - 1.0), abs=1e-15)
     assert ZETA_THRESHOLD == pytest.approx(1.43879, abs=1e-5)
+
+
+@pytest.mark.parametrize("m", [1, 7, 12, 30])
+def test_satz4_then_min_norm_builds_one_kernel_block(monkeypatch, m):
+    # satz4_check's log-derivative takes zeta(s, a/m) and its derivative
+    # from one Euler-Maclaurin block and leaves zeta_K at (m, 1 + beta),
+    # where min_norm_check reads it
+    from normeuclid import cyclozeta
+
+    real, blocks = cyclozeta._em_block, []
+
+    def em_block(*args):
+        blocks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cyclozeta, "_em_block", em_block)
+    assert satz4_check(m, 0.1)[2] and min_norm_check(m, 0.1)[2]
+    assert blocks == [1.1]
