@@ -16,14 +16,15 @@ order as an int64 array, so h is one array-kernel call over a = units/m,
 reshaped.  The log-derivative transforms m^{-s} times d/ds zeta(s, a/m)
 the same way.
 
-The array kernel for Hurwitz zeta and its s-derivative (the one-point
-``specfun.hurwitz_zeta`` and ``hurwitz_zeta_ds`` call it with one element)
-is an (N x len(a)) Euler-Maclaurin block, built once when both are asked
-for, whose direct terms are summed smallest first, with that sum's
-rounding, about N u sum|terms|, in the error estimate.  The cutoffs are
-N = 20 direct terms and J = 10 Bernoulli pairs for every s.  That N is
-enough: k -> (k+a)^{-s} is completely monotone, so for any N the remainder
-lies between zero and the first omitted Bernoulli term, which the estimate
+Hurwitz zeta and its s-derivative have one kernel, ``_hurwitz``, which
+``hurwitz_zeta_array`` and ``hurwitz_zeta_ds_array`` call (``specfun``'s
+one-point routes with one element): it checks s and a once, builds one
+(N x len(a)) Euler-Maclaurin block, adds the d/ds half only when asked,
+and sums the direct terms smallest first, with that sum's rounding, about
+N u sum|terms|, in the error estimate.  The cutoffs are N = 20 direct
+terms and J = 10 Bernoulli pairs for every s.  That N is enough:
+k -> (k+a)^{-s} is completely monotone, so for any N the remainder lies
+between zero and the first omitted Bernoulli term, which the estimate
 charges (for d/ds, its s-derivative).  At N = 20 both are below 1e-25 for
 every s > 1 and below 1e-30 for s >= 10, far below every tolerance used
 downstream (the tightest acceptance margin in the package is about 5e-5).
@@ -63,7 +64,7 @@ route's.  Q(zeta_2m) = Q(zeta_m) for odd m, so ``scan`` takes the row of 2m
 right after that of m, and that row finds m's zeta there; ``min_norm_check``
 finds the zeta that ``satz4_check``'s log-derivative left at the same
 (m, 1 + beta).  The log-derivative takes zeta(s, a/m) and its s-derivative
-from one kernel block.
+from one kernel call.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _BERNOULLI_2J, _U, DomainError, Evaluation, PoleError
+from .specfun import _BERNOULLI_OVER_FACTORIAL, _U, DomainError, Evaluation, PoleError
 
 __all__ = [
     "UnitGroupStructure",
@@ -325,51 +326,19 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
 
 # ----------------------------------------------------- Hurwitz zeta kernel
 
-# the Euler-Maclaurin coefficients B_2j/(2j)!, j = 1..J+1
-_BERNOULLI_OVER_FACTORIAL = np.array(
-    [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_2J, 1)]
-)
-
 # The one Euler-Maclaurin block, N direct terms and J Bernoulli pairs, and
 # the parts of it that do not depend on s: the descending k column (a sum
 # along axis 0 adds the smallest terms first), the exponents of x^{-2i} for
-# i = 0..J, and the offsets t = 0..2J of s + t.
+# i = 0..J, the offsets t = 0..2J of s + t, and B_2i/(2i)!, i = 1..J+1.
 _EM_N = 20
 _EM_J = 10
 _EM_K = np.arange(_EM_N - 1, -1, -1, dtype=np.float64)[:, None]
 _EM_POWERS = -np.arange(_EM_J + 1.0)[:, None]
 _EM_OFFSETS = np.arange(2.0 * _EM_J + 1.0)
+_EM_COEFS = np.array(_BERNOULLI_OVER_FACTORIAL)
 
 
-def _em_block(name: str, s: float, a):
-    """(base, x, bern) for the array kernels: the (N x len(a)) block
-    base[i] = k + a with k = N-1-i descending, x = N + a, and for
-    i = 1..J+1 (the last is the first omitted) the Bernoulli corrections of
-    zeta bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1}."""
-    if not math.isfinite(s):
-        raise DomainError(f"{name} needs a finite s, got {s}")
-    if s <= 1.0:
-        raise PoleError(f"{name} requires s > 1, got {s}")
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or not ((a > 0.0) & (a <= 1.0)).all():
-        raise DomainError(f"{name} requires 0 < a <= 1, got a={a}")
-    x = _EM_N + a
-    t = s + _EM_OFFSETS
-    coef = _BERNOULLI_OVER_FACTORIAL * t.cumprod()[::2]
-    xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
-    # for s above about 4e14 the product s(s+1)... overflows where the power
-    # has already underflowed; such a correction is 0, not inf * 0
-    bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
-    return _EM_K + a, x, bern
-
-
-def _em_harm(s: float) -> np.ndarray:
-    """harm[i-1] = sum of 1/(s+t) over the factors s(s+1)...(s+2i-2) of
-    bern[i-1], i = 1..J+1; the d/ds corrections are bern[i-1] (harm[i-1] - ln x)."""
-    return (1.0 / (s + _EM_OFFSETS)).cumsum()[::2]
-
-
-def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
+def _em_result(s: float, direct, rest, abs_sum, omitted):
     """value = direct sum + Euler-Maclaurin rest, with its error estimate:
     the first omitted correction, the direct sum's rounding (N+2) u sum|terms|
     (N - 1 additions plus the rounding of each term), about 5u for the few
@@ -379,22 +348,59 @@ def _em_result(name: str, s: float, direct, rest, abs_sum, omitted):
     err = omitted + _U * ((_EM_N + 2) * abs_sum + 5.0 * np.abs(rest) + np.abs(value))
     # err carries |value|, so a non-finite value leaves err non-finite too
     if not np.isfinite(err).all():
-        raise DomainError(f"{name} at s={s} leaves the binary64 range")
+        raise DomainError(f"hurwitz_zeta at s={s} leaves the binary64 range")
     return value, err, _EM_N + _EM_J
-
-
-def _em_zeta(name: str, s: float, p, x, xt, bern):
-    """zeta from one block: the direct terms p = base^{-s}, summed smallest
-    first, the integral tail xt/(s-1) with xt = x^{1-s}, the midpoint term
-    x^{-s}/2 and the Bernoulli corrections."""
-    direct = p.sum(axis=0)
-    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
-    # the direct terms are positive, so sum|terms| is the direct sum itself
-    return _em_result(name, s, direct, rest, direct, np.abs(bern[-1]))
 
 
 # an overflow surfaces as the DomainError of _em_result, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
+def _hurwitz(s: float, a, derivative: bool):
+    """(zeta, d/ds zeta or None) at every entry of a, each a (values,
+    estimates, terms) triple as ``hurwitz_zeta_array`` describes, from one
+    (N x len(a)) Euler-Maclaurin block: base = k + a with k = N-1-i
+    descending down axis 0, x = N + a, and the Bernoulli corrections of zeta
+    bern[i-1] = B_2i/(2i)! s(s+1)...(s+2i-2) x^{-s-2i+1} for i = 1..J+1, the
+    last the first omitted.  zeta's direct terms p = base^{-s} are positive,
+    so sum|terms| is their sum.  With ``derivative`` the same p gives d/ds,
+    the scheme differentiated term by term: harm[i-1] sums 1/(s+t) over the
+    factors of bern[i-1], whose d/ds is bern[i-1] (harm[i-1] - ln x), and the
+    direct terms -ln(k+a) (k+a)^{-s} change sign at k + a = 1, so its
+    rounding term uses sum|terms|."""
+    if not math.isfinite(s):
+        raise DomainError(f"hurwitz_zeta needs a finite s, got {s}")
+    if s <= 1.0:
+        raise PoleError(f"hurwitz_zeta requires s > 1, got {s}")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1 or not ((a > 0.0) & (a <= 1.0)).all():
+        raise DomainError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
+    x = _EM_N + a
+    t = s + _EM_OFFSETS
+    coef = _EM_COEFS * t.cumprod()[::2]
+    xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
+    # for s above about 4e14 the product s(s+1)... overflows where the power
+    # has already underflowed; such a correction is 0, not inf * 0
+    bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+    base = _EM_K + a
+    del xp  # freed before p: held, it made the kernel 1.1-1.2x slower at len(a) = 3000
+    p = base ** -s
+    xt = x ** (1.0 - s)
+    direct = p.sum(axis=0)
+    rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
+    zeta = _em_result(s, direct, rest, direct, np.abs(bern[-1]))
+    if not derivative:
+        return zeta, None
+    del direct, rest  # held through the d/ds half, they slowed it 1.1x at len(a) = 3000
+    harm = (1.0 / t).cumsum()[::2]
+    terms = -np.log(base) * p
+    lx = np.log(x)
+    tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
+    mid = -0.5 * lx * xt / x
+    corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
+    omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
+    abs_sum = np.abs(terms).sum(axis=0)
+    return zeta, _em_result(s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted)
+
+
 def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^{-s} for s > 1 at every entry
     of the 1-d array a, 0 < a <= 1.
@@ -406,38 +412,13 @@ def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     error estimate is the first omitted Bernoulli term plus the rounding
     of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
     """
-    base, x, bern = _em_block("hurwitz_zeta", s, a)
-    return _em_zeta("hurwitz_zeta", s, base ** -s, x, x ** (1.0 - s), bern)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _hurwitz_pair(name: str, s: float, a):
-    """(zeta, d/ds zeta) at every entry of a, each as hurwitz_zeta_array
-    returns it, from one Euler-Maclaurin block and one p = base^{-s}.  The
-    zeta half is hurwitz_zeta_array's, bit for bit.  The derivative
-    differentiates the same scheme term by term: the direct terms
-    -ln(k+a) (k+a)^{-s} change sign at k + a = 1, so its rounding term
-    uses sum|terms|.  ``name`` is the route an error message names."""
-    base, x, bern = _em_block(name, s, a)
-    p = base ** -s
-    xt = x ** (1.0 - s)
-    zeta = _em_zeta(name, s, p, x, xt, bern)
-    harm = _em_harm(s)
-    terms = -np.log(base) * p
-    lx = np.log(x)
-    tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
-    mid = -0.5 * lx * xt / x
-    corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
-    omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
-    abs_sum = np.abs(terms).sum(axis=0)
-    return zeta, _em_result(name, s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted)
+    return _hurwitz(s, a, False)[0]
 
 
 def hurwitz_zeta_ds_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
-    """d/ds of hurwitz_zeta_array(s, a): the second output of the pair
-    kernel, which differentiates the same Euler-Maclaurin scheme term by
-    term."""
-    return _hurwitz_pair("hurwitz_zeta_ds", s, a)[1]
+    """d/ds of hurwitz_zeta_array(s, a), the same Euler-Maclaurin scheme
+    differentiated term by term, with the same return layout."""
+    return _hurwitz(s, a, True)[1]
 
 
 # ------------------------------------------------------------ L-functions
@@ -485,15 +466,6 @@ def _transform(
     err = scale * float(errs.sum())
     err += 2.2e-16 * (1.0 + math.log2(h.size)) * float(np.abs(h).sum())
     return np.fft.fftn(h).ravel(), err
-
-
-def _group_dft(
-    m: int, s: float, kernel: Callable[..., tuple[np.ndarray, np.ndarray, int]]
-) -> tuple[np.ndarray, float]:
-    """``_transform`` of one kernel call over every unit, a = units/m; the
-    kernel checks s before m^{-s} is formed."""
-    values, errs, _ = kernel(s, _unit_points(m))
-    return _transform(m, s, values, errs)
 
 
 def _ramified(m: int, s: float) -> tuple[float, float]:
@@ -684,7 +656,8 @@ def zeta_cyclotomic(
     if method == "hurwitz":
         if _last_zeta is not None and _last_zeta[0] == (m, s):
             return _last_zeta[1]
-        return _remember_zeta(m, s, *_group_dft(m, s, hurwitz_zeta_array), _ramified(m, s)[0])
+        values, errs, _ = hurwitz_zeta_array(s, _unit_points(m))
+        return _remember_zeta(m, s, *_transform(m, s, values, errs), _ramified(m, s)[0])
     if method == "euler":
         return _zeta_euler(m, s, prime_limit)
     raise DomainError(f"unknown method {method!r}")
@@ -701,11 +674,11 @@ def zeta_cyclotomic_logderiv(m: int, s: float) -> Evaluation:
     Hurwitz-zeta evaluations, 2 phi(m).  The kernel raises PoleError for
     s <= 1 and DomainError for a non-finite s.
 
-    zeta(s, a/m) and its derivative come from one block of the pair kernel.
+    zeta(s, a/m) and its derivative come from one kernel block.
     F gives zeta_K at (m, s) as well, which is kept as the last field
     point's zeta, so ``zeta_cyclotomic(m, s)`` right after this call (as in
     ``min_norm_check`` after ``satz4_check``) transforms nothing."""
-    zeta, ds = _hurwitz_pair("hurwitz_zeta", s, _unit_points(m))
+    zeta, ds = _hurwitz(s, _unit_points(m), True)
     l_vals, err = _transform(m, s, *zeta[:2])
     d_vals, derr = _transform(m, s, *ds[:2])
     log_r, d_log_r = _ramified(m, s)

@@ -4,10 +4,11 @@ Scalar results come back as :class:`Evaluation` records carrying the value,
 an a-posteriori absolute error estimate, and the truncation parameters that
 produced it.  Everything is binary64, and this module needs only the
 standard library.  Hurwitz zeta and its s-derivative are one-element calls
-of the array kernels in ``cyclozeta``, their one production caller; the
-first call imports that module, and with it numpy.  The Bernoulli part
-of the asymptotic digamma series has one evaluator, for floats and arrays,
-shared by ``digamma`` and the Zimmert series' psi(x + 1/2) - psi(x).
+of the kernel in ``cyclozeta``, where it lives (no package route calls
+them); the first call imports that module, and with it numpy.  The
+Bernoulli tables are kept here.  The Bernoulli part of the asymptotic
+digamma series has one evaluator, for floats and arrays, shared by
+``digamma`` and the Zimmert series' psi(x + 1/2) - psi(x).
 The quadrature and root of the explicit bounds are closed forms in
 ``rogers``.
 """
@@ -95,6 +96,10 @@ _BERNOULLI_FRACTIONS = (
 )
 # each rendered to binary64 by one correctly rounded integer division
 _BERNOULLI_2J = tuple(n / d for n, d in _BERNOULLI_FRACTIONS)
+# B_2j/(2j)!, j = 1..11, for the Euler-Maclaurin sums of cyclozeta and zimmert
+_BERNOULLI_OVER_FACTORIAL = tuple(
+    b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI_2J, 1)
+)
 
 # -------------------------------------------------------------- digamma
 

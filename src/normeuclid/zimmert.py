@@ -32,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _BERNOULLI_2J, _U, DomainError, _psi_tail, digamma
+from .specfun import _BERNOULLI_2J, _BERNOULLI_OVER_FACTORIAL, _U, DomainError, _psi_tail, digamma
 from .cyclozeta import (
-    _BERNOULLI_OVER_FACTORIAL,
     cyclo_disc_log,
     cyclo_signature,
     min_proper_ideal_norm,
@@ -66,7 +65,7 @@ _LIFT_STEPS = np.arange(_PSI_LIFT - 1, -1, -1, dtype=np.float64)[:, None]
 _EM_PAIRS = 4
 _EM_ORDERS = np.arange(1, 2 * _EM_PAIRS + 2, 2)
 _EM_FACTORIALS = np.array([math.factorial(j) for j in _EM_ORDERS], dtype=np.float64)
-_EM_COEFFS = _BERNOULLI_OVER_FACTORIAL[: _EM_PAIRS + 1]
+_EM_COEFFS = np.array(_BERNOULLI_OVER_FACTORIAL[: _EM_PAIRS + 1])
 # psi^(j)(x) ~ (j-1)!/x^j + j!/(2 x^(j+1)) + sum_k B_2k (2k+j-1)!/(2k)! x^(-2k-j)
 # for odd j (DLMF 5.15.8): row j of the coefficients, k = 1 .. 11
 _PSI_J_COEFFS = np.array([

@@ -23,13 +23,14 @@ from normeuclid.cyclozeta import (
     UnitGroupStructure,
     _char_table,
     _factorize,
-    _group_dft,
     _order_table,
     _prime_sum_tail,
     _prime_tail_integral,
     _ramified,
     _ramified_degrees,
     _rotation_indices,
+    _transform,
+    _unit_points,
     characters,
     cyclo_disc_log,
     cyclo_signature,
@@ -627,7 +628,8 @@ def test_group_dft_matches_l_values_in_character_order(m):
     # for chi_i = characters(m)[i]: both walk the discrete-log grid in C order
     chars = characters(m)
     for s in (1.1, 2.0):
-        entries, err = _group_dft(m, s, hurwitz_zeta_array)
+        values, errs, _ = hurwitz_zeta_array(s, _unit_points(m))
+        entries, err = _transform(m, s, values, errs)
         assert len(entries) == len(chars)
         for entry, chi in zip(entries, chars):
             lv = dirichlet_l(s, chi, primitive=False)

@@ -291,33 +291,61 @@ def test_scalar_kernel_is_a_one_element_array_call():
 @pytest.mark.parametrize("s", [1.5, 30.0, 1e5])
 def test_one_block_shape_for_every_s(s):
     # N = 20 direct terms and J = 10 Bernoulli pairs, whatever s is
-    a = np.array([0.25, 0.5, 1.0])
-    base, x, bern = cyclozeta._em_block("hurwitz_zeta", s, a)
-    assert base.shape == (20, a.size)
-    assert bern.shape == (11, a.size) and cyclozeta._em_harm(s).shape == (11,)
-    assert np.array_equal(x, 20.0 + a)
+    assert (cyclozeta._EM_N, cyclozeta._EM_J) == (20, 10)
+    assert cyclozeta._EM_K.shape == (20, 1) and cyclozeta._EM_POWERS.shape == (11, 1)
+    assert cyclozeta._EM_OFFSETS.shape == (21,)
     for kernel in (hurwitz_zeta_array, hurwitz_zeta_ds_array):
         assert kernel(s, np.array([1.0]))[2] == 30
 
 
+def test_first_omitted_term_is_below_the_documented_bound():
+    # the cutoff claim of the cyclozeta docstring and the README: at N = 20
+    # and J = 10 the first omitted term |B_22/22!| (s)_21 (N + a)^{-s-21},
+    # and its s-derivative, that term times |harm| + ln(N + a) with harm the
+    # sum of 1/(s + t), t = 0..20, stay below 1e-25 for s in (1, 10^3] and
+    # below 1e-30 from s = 10 on; scanned over a log grid in s
+    n, j = cyclozeta._EM_N, cyclozeta._EM_J
+    peak = d_peak = 0.0
+    with mpmath.workdps(30):
+        numer, denom = specfun._BERNOULLI_FRACTIONS[j]
+        coef = abs(mpmath.mpf(numer) / denom) / mpmath.factorial(2 * j + 2)
+        grid = [1 + mpmath.mpf(10) ** -k for k in range(3, 10)]
+        for s in grid + [mpmath.mpf(10) ** (mpmath.mpf(k) / 300) for k in range(1, 901)]:
+            harm = sum(1 / (s + t) for t in range(2 * j + 1))
+            for a in (mpmath.mpf("1e-9"), mpmath.mpf("0.5"), mpmath.mpf(1)):
+                x = n + a
+                term = coef * mpmath.rf(s, 2 * j + 1) * x ** (-s - 2 * j - 1)
+                d_term = term * (abs(harm) + mpmath.log(x))
+                bound = 1e-30 if s >= 10 else 1e-25
+                assert term < bound and d_term < bound, (s, a)
+                peak, d_peak = max(peak, term), max(d_peak, d_term)
+    # the grid reaches the peaks near s = 1.5, not only the tails
+    assert 1e-27 < peak < 1e-26 and 1e-26 < d_peak < 1e-25
+
+
 def _standalone_ds_array(s, a):
     """The s-derivative kernel as it stood on its own block, before it
-    shared one with zeta: the reference the pair kernel's second half must
-    equal bit for bit."""
+    shared one with zeta, built here from the Bernoulli table alone: the
+    reference the kernel's derivative half must equal bit for bit."""
+    n, j = 20, 10
     with np.errstate(over="ignore", invalid="ignore"):
-        base, x, bern = cyclozeta._em_block("hurwitz_zeta_ds", s, a)
-        harm = cyclozeta._em_harm(s)
+        base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
+        x = n + a
+        t = s + np.arange(2.0 * j + 1.0)
+        coef = np.array(specfun._BERNOULLI_OVER_FACTORIAL) * t.cumprod()[::2]
+        xp = x ** (-s - 1.0) * (x * x) ** -np.arange(j + 1.0)[:, None]
+        bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+        harm = (1.0 / t).cumsum()[::2]
         terms = -np.log(base) * base ** -s
         lx = np.log(x)
         xt = x ** (1.0 - s)
         tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
         mid = -0.5 * lx * xt / x
-        corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
+        rest = tail + mid + (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
         omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
-        abs_sum = np.abs(terms).sum(axis=0)
-        return cyclozeta._em_result(
-            "hurwitz_zeta_ds", s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted
-        )
+        value = terms.sum(axis=0) + rest
+        rounding = (n + 2) * np.abs(terms).sum(axis=0) + 5.0 * np.abs(rest) + np.abs(value)
+        return value, omitted + specfun._U * rounding, n + j
 
 
 def _seeded_kernel_grid():
@@ -337,7 +365,7 @@ def test_pair_kernel_halves_are_the_single_kernels_bit_for_bit():
     # one block serves both halves: zeta as hurwitz_zeta_array gives it, and
     # the derivative as its own block gave it, every byte of every array
     for s, a in _seeded_kernel_grid():
-        zeta, ds = cyclozeta._hurwitz_pair("hurwitz_zeta", s, a)
+        zeta, ds = cyclozeta._hurwitz(s, a, True)
         for got, want in ((zeta, hurwitz_zeta_array(s, a)), (ds, _standalone_ds_array(s, a))):
             assert got[0].tobytes() == want[0].tobytes(), s
             assert got[1].tobytes() == want[1].tobytes(), s

@@ -211,12 +211,12 @@ def test_satz4_then_min_norm_builds_one_kernel_block(monkeypatch, m):
     # where min_norm_check reads it
     from normeuclid import cyclozeta
 
-    real, blocks = cyclozeta._em_block, []
+    real, blocks = cyclozeta._hurwitz, []
 
-    def em_block(*args):
-        blocks.append(args[1])
-        return real(*args)
+    def hurwitz(s, a, derivative):
+        blocks.append(s)
+        return real(s, a, derivative)
 
-    monkeypatch.setattr(cyclozeta, "_em_block", em_block)
+    monkeypatch.setattr(cyclozeta, "_hurwitz", hurwitz)
     assert satz4_check(m, 0.1)[2] and min_norm_check(m, 0.1)[2]
     assert blocks == [1.1]
