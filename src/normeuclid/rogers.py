@@ -15,12 +15,12 @@ deflated quadratic, and one 16-node Gauss-Legendre rule, on [0, h] or on
 each half of it, h = min(kappa^theta, 5), with a Bernstein-ellipse bound on
 its truncation.
 
-``f_lower`` is assembled from the public routes ``error_constants``,
-``central_integral`` and ``u_threshold``.  Each keeps its last context's
-result (``lru_cache(maxsize=1)``, keyed by the hashable ``RogersContext``),
-so a caller who asks for a piece at the context f was just evaluated at,
-as the ``rogers`` report and criterion 9 do, gets it without a second
-evaluation.
+The routes below read one evaluation of every piece, kept for the last
+context (``lru_cache(maxsize=1)`` keyed by ``RogersContext``), so the
+``rogers`` report and criterion 9, which ask for pieces at the context f
+was just evaluated at, pay no second evaluation.  A piece that does not
+exist at a context (the constants at kappa <= 1, U without a sign change)
+is raised only by the route that asks for it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ KAPPA_MIN_LOWER = 24.0
 
 # The Gauss-Legendre rule of the central integral as (node, weight) pairs,
 # numpy's leggauss(16) mapped from [-1, 1] to [0, 1] by t = (x + 1)/2, w/2
-# (a test checks every digit)
+# (a test checks every digit).  Against 30-digit roots of P_16 and their
+# weights the nodes are off by at most _GL_NODE_ERR units of u, relative,
+# and the weights by _GL_WEIGHT_ERR (5.03 and 63.14; a test recomputes them)
+_GL_NODE_ERR, _GL_WEIGHT_ERR = 5.1, 64.0
 _GL_RULE_16 = (
     (0.005299532504175031, 0.013576229705877088),
     (0.0277124884633837, 0.031126761969323728),
@@ -123,6 +126,70 @@ class RogersErrorConstants(NamedTuple):
 
 
 @lru_cache(maxsize=1)
+def _pieces(ctx: RogersContext) -> tuple:
+    """(kappa^theta, the constants, U, the central integral) at ctx in one
+    pass; a piece that does not exist at ctx is the message its route raises."""
+    k, theta = ctx.kappa, ctx.theta
+    hi = k ** theta
+    if k <= 1.0:
+        c = u_star = f"error constants need kappa > 1, got {k}"
+    else:
+        kt1 = k ** (theta - 1.0)
+        kt2 = k ** (2.0 * theta - 2.0)
+        kt3 = k ** (3.0 * theta - 3.0)
+        root = math.sqrt(1.0 + kt2)
+        c1 = (2.0 * _SQRT_PI * root / math.e + (6.0 / k) * (1.0 + root / math.e)
+              + 3.0 / k ** 3) / 8.0
+        c2 = (1.0 / (1.0 - kt1)) * (1.0 / (1.0 - kt1 / 4.0) + 2.5)
+        c3 = math.sqrt(1.0 + kt2 / 4.0)
+        c41 = c3 + kt3 * c2 * c3 + kt1 / 4.0
+        c42 = c2 * (1.0 - 1.0 / (2.0 * k * k))
+        c = (c1, c2, c3, c41, c42)
+        # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
+        if c1 <= 0.0 or c1 + c41 * hi + c42 * hi ** 3 - 0.5 * k * hi * hi >= 0.0:
+            u_star = (f"no sign change for the threshold root on [0, {hi}] (kappa={k}, "
+                      f"theta={theta}; validity needs kappa >= 24)")
+        else:
+            # monic cubic u^3 + b u^2 + cc u + d, depressed by u = t - b/3
+            b = -0.5 * k / c42
+            cc = c41 / c42
+            d = c1 / c42
+            p = cc - b * b / 3.0
+            q = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+            rho = math.sqrt(-p / 3.0)
+            cos3 = max(-1.0, min(1.0, -q / (2.0 * rho ** 3)))
+            r2 = 2.0 * rho * math.cos(math.acos(cos3) / 3.0) - b / 3.0
+            prod = -d / r2
+            total = (cc - prod) / r2
+            u_star = 0.5 * (total + math.sqrt(total * total - 4.0 * prod))
+    n, two_k2 = ctx.n, 2.0 * k * k
+    h = min(hi, _CUT)
+    cap = math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
+    for panels, rule in _GL_RULES:
+        step = h / panels
+        rho = min(math.sqrt(128.0) / step, cap)
+        truncation = panels * ((step / 2.0) * (64.0 / 15.0)
+                               * math.exp(step * step * (rho - 1.0 / rho) ** 2 / 8.0)
+                               * rho ** -32.0 / (rho * rho - 1.0))
+        if truncation <= _U:
+            break
+    nodes, neg_two_k2 = len(rule), -two_k2
+    exp, log1p = math.exp, math.log1p
+    half = s1 = s2 = 0.0
+    for t, w in rule:
+        u = h * t
+        u2 = u * u
+        e = n * log1p(u2 / neg_two_k2) - u2
+        term = h * w * exp(e)
+        half += term
+        s1 += term * e
+        s2 += term * t
+    rounding = _U * ((nodes + 3.0 + _GL_WEIGHT_ERR) * half - 6.0 * s1
+                     + 3.0 * (1.0 + _GL_NODE_ERR) * h * h * s2)
+    central = Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), nodes)
+    return hi, c, u_star, central
+
+
 def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     """C1, C2, C3, C41, C42 at (kappa, theta), exactly as printed.
 
@@ -130,40 +197,18 @@ def error_constants(ctx: RogersContext) -> RogersErrorConstants:
     stay positive.  Each constant is positive, decreasing in kappa and
     increasing in theta on the validity range.
     """
-    k, t = ctx.kappa, ctx.theta
-    if k <= 1.0:
-        raise DomainError(f"error constants need kappa > 1, got {k}")
-    kt1 = k ** (t - 1.0)
-    kt2 = k ** (2.0 * t - 2.0)
-    kt3 = k ** (3.0 * t - 3.0)
-    root = math.sqrt(1.0 + kt2)
-    c1 = (
-        2.0 * _SQRT_PI * root / math.e
-        + (6.0 / k) * (1.0 + root / math.e)
-        + 3.0 / k ** 3
-    ) / 8.0
-    c2 = (1.0 / (1.0 - kt1)) * (1.0 / (1.0 - kt1 / 4.0) + 2.5)
-    c3 = math.sqrt(1.0 + kt2 / 4.0)
-    c41 = c3 + kt3 * c2 * c3 + kt1 / 4.0
-    c42 = c2 * (1.0 - 1.0 / (2.0 * k * k))
-    return RogersErrorConstants(c1, c2, c3, c41, c42)
+    c = _pieces(ctx)[1]
+    if isinstance(c, str):
+        raise DomainError(c)
+    return RogersErrorConstants(*c)
 
 
-def _majorant(c: RogersErrorConstants, u: float) -> float:
-    """The cubic error majorant C(u) = C1 + C41 |u| + C42 |u|^3 (even in u)."""
-    au = abs(u)
-    return c.c1 + c.c41 * au + c.c42 * au ** 3
-
-
-@lru_cache(maxsize=1)
 def u_threshold(ctx: RogersContext) -> float:
     """The unique root U of C(u) = (kappa/2) u^2 in [0, kappa^theta].
 
-    Solves the cubic that the error constants at ctx give, and keeps the
-    last context's root, so ``f_lower`` and a caller who asks for U at the
-    same context share one solve.  Uniqueness (and the bracketing sign
-    change) holds for kappa >= 24; a DomainError signals kappa/theta
-    outside that validity range.  The cubic
+    Solves the cubic that the error constants at ctx give.  Uniqueness (and
+    the bracketing sign change) holds for kappa >= 24; a DomainError
+    signals kappa/theta outside that validity range.  The cubic
     c42 u^3 - (kappa/2) u^2 + c41 u + c1 has roots r0 < 0 < U < r2:
     r2 > kappa^theta by the sign change, and r0 in (-U, 0) since g(0) > 0
     > g(-U).  r2 comes from trigonometric Cardano, which is stable for the
@@ -171,30 +216,12 @@ def u_threshold(ctx: RogersContext) -> float:
     P = r0 U = -D/r2 and S = r0 + U = (C + D/r2)/r2 > 0, so no digits
     cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
-    k, theta = ctx.kappa, ctx.theta
-    hi = k ** theta
-    c = error_constants(ctx)
-    # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
-    if c.c1 <= 0.0 or _majorant(c, hi) - 0.5 * k * hi * hi >= 0.0:
-        raise DomainError(
-            f"no sign change for the threshold root on [0, {hi}] "
-            f"(kappa={k}, theta={theta}; validity needs kappa >= 24)"
-        )
-    # monic cubic u^3 + b u^2 + cc u + d, depressed by u = t - b/3
-    b = -0.5 * k / c.c42
-    cc = c.c41 / c.c42
-    d = c.c1 / c.c42
-    p = cc - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
-    rho = math.sqrt(-p / 3.0)
-    cos3 = max(-1.0, min(1.0, -q / (2.0 * rho ** 3)))
-    r2 = 2.0 * rho * math.cos(math.acos(cos3) / 3.0) - b / 3.0
-    prod = -d / r2
-    total = (cc - prod) / r2
-    return 0.5 * (total + math.sqrt(total * total - 4.0 * prod))
+    u_star = _pieces(ctx)[2]
+    if isinstance(u_star, str):
+        raise DomainError(u_star)
+    return u_star
 
 
-@lru_cache(maxsize=1)
 def central_integral(ctx: RogersContext) -> Evaluation:
     """Integral of e^{-u^2} (1 - u^2/(2 kappa^2))^n over [-kappa^theta, kappa^theta].
 
@@ -227,44 +254,18 @@ def central_integral(ctx: RogersContext) -> Evaluation:
 
     The terms h w_i e^{E_i} are added in node order.  Roundings of term i,
     in units of the unit roundoff u: N - 1 for the additions (every term is
-    positive, so N - 1 bounds any order), one each for the weight, h w_i,
-    exp, the product and h itself (N + 4); 6|E_i| for the exponent, whose
-    own roundings come to about 3|E_i| since E ~ -2u^2; and 6 h u_i for the
-    node u_i = h t_i, whose two roundings move E through dE/du ~ -4u.
-    E <= 0 at every node, so the count is u ((N + 4) S0 - 6 S1 + 6 h^2 S2)
+    positive, so N - 1 bounds any order), W = _GL_WEIGHT_ERR for the stored
+    weight, one each for h w_i, exp, the product and h itself (N + 3 + W);
+    6|E_i| for the exponent, whose own roundings come to about 3|E_i| since
+    E ~ -2u^2; and 3 (1 + T) h u_i for the node u_i = h t_i, whose stored
+    error T = _GL_NODE_ERR and product rounding move E through dE/du ~ -4u.
+    E <= 0 at every node, so the count is u ((N + 3 + W) S0 - 6 S1 + 3 (1 + T) h^2 S2)
     with the running sums S0 = sum of the terms, S1 = sum of term_i E_i and
     S2 = sum of term_i t_i.  A derived node is no worse than its stored t:
     t/2 and w/2 are exact, and (1 + t)/2 adds to t's error (relative r) one
     rounding of 1 + t in [1, 2), for relative error at most max(r, u).
     """
-    k, n = ctx.kappa, ctx.n
-    two_k2 = 2.0 * k * k
-    h = min(k ** ctx.theta, _CUT)
-    cap = math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
-    for panels, rule in _GL_RULES:
-        step = h / panels
-        rho = min(math.sqrt(128.0) / step, cap)
-        truncation = panels * (
-            (step / 2.0) * (64.0 / 15.0) * math.exp(step * step * (rho - 1.0 / rho) ** 2 / 8.0)
-            * rho ** -32.0 / (rho * rho - 1.0)
-        )
-        if truncation <= _U:
-            break
-    nodes = len(rule)
-    neg_two_k2 = -two_k2
-    exp = math.exp
-    log1p = math.log1p
-    half = s1 = s2 = 0.0
-    for t, w in rule:
-        u = h * t
-        u2 = u * u
-        e = n * log1p(u2 / neg_two_k2) - u2
-        term = h * w * exp(e)
-        half += term
-        s1 += term * e
-        s2 += term * t
-    rounding = _U * ((nodes + 4.0) * half - 6.0 * s1 + 6.0 * h * h * s2)
-    return Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), nodes)
+    return _pieces(ctx)[3]
 
 
 def f_lower(ctx: RogersContext) -> Evaluation:
@@ -275,9 +276,8 @@ def f_lower(ctx: RogersContext) -> Evaluation:
         - (4 U C(U)/kappa) (1 + 4 C(U)/kappa)
         - 2 exp(-kappa^theta)
 
-    assembled from ``error_constants``, ``central_integral`` and
-    ``u_threshold`` at ctx, each of which keeps this context's result for
-    a caller who asks for it next.  Valid for kappa >= 24, theta in
+    assembled from the evaluation that the other three routes read at ctx,
+    and left there for them.  Valid for kappa >= 24, theta in
     (0, 1/3); may be negative (the sigma_n lower bound is then vacuous).
     Increasing in kappa on the validity range.  The error estimate adds to
     the central integral's 16u times |f| plus the three subtracted terms
@@ -288,12 +288,12 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     k = ctx.kappa
     if k < KAPPA_MIN_LOWER:
         raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
-    hi = k ** ctx.theta
-    c = error_constants(ctx)
-    central = central_integral(ctx)
-    u_star = u_threshold(ctx)
-    c_edge = _majorant(c, hi)
-    c_star = _majorant(c, u_star)
+    hi, (c1, _, _, c41, c42), u_star, central = _pieces(ctx)
+    if isinstance(u_star, str):
+        raise DomainError(u_star)
+    # the majorant C at hi and at U, both positive
+    c_edge = c1 + c41 * hi + c42 * hi ** 3
+    c_star = c1 + c41 * u_star + c42 * u_star ** 3
     edge = 2.0 * _SQRT_PI * c_edge / k
     inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)
     tail = 2.0 * math.exp(-hi)

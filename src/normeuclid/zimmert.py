@@ -59,7 +59,9 @@ _HEAD_TERMS = 64
 # asymptotic series takes over; every x_l is >= 0.41, so x_l + 12 >= 12.41
 _PSI_LIFT = 12
 # the lift steps j = J-1 .. 0 down axis 0, so a sum adds the smallest first
-_LIFT_STEPS = np.arange(_PSI_LIFT - 1, -1, -1, dtype=np.float64)[:, None]
+_LIFT_STEPS = np.arange(_PSI_LIFT - 1, -1, -1, dtype=np.float64)[:, None, None]
+# 2l - 1 + shift for l = 1 .. N along axis 1: shift 0 (F1) and 1 (F2) down axis 0
+_ODD = 2.0 * np.arange(1, _HEAD_TERMS + 2, dtype=np.float64) - 1.0 + np.array([[0.0], [1.0]])
 # Bernoulli corrections in the tail; orders 2k-1 and coefficients B_2k/(2k)!
 # run to k = _EM_PAIRS + 1, the first omitted one, which prices the truncation
 _EM_PAIRS = 4
@@ -139,52 +141,38 @@ def _log_gamma_half_step_excess(x: float) -> float:
     return out
 
 
-def _series(beta: float, shift: int) -> tuple[float, float, int]:
-    """Sum of the digamma series with harmonic subtraction.
+def _series(beta: float) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+    """The F1 and F2 digamma series with harmonic subtraction, as one block.
 
-    shift=0 gives the F1 series, terms
+    Row 0 of the (2 x N) block is F1, terms
         t(l) = w D(x_l) - 1/(2l-2-beta) - 1/(2l-1+beta),  D(x) = psi(x + 1/2) - psi(x)
-    with x_l = (2l-1+beta)/d, d = 2+4beta, w = 4/d; shift=1 gives F2
-    (every 2l moved to 2l+1).  Terms fall off like 1/l^3.  D comes from one
-    route for every term: the recurrence psi(x+1) = psi(x) + 1/x (DLMF
-    5.5.2) lifts x by J = _PSI_LIFT,
+    with x_l = (2l-1+beta)/d, d = 2+4beta, w = 4/d; row 1 is F2 (every 2l
+    moved to 2l+1).  Terms fall off like 1/l^3.  D comes from one route for
+    every term: the recurrence psi(x+1) = psi(x) + 1/x (DLMF 5.5.2) lifts x
+    by J = _PSI_LIFT,
 
         D(x) = sum_{j<J} 1/(2 (x+j)(x+j+1/2)) + D_asymptotic(x + J),
 
     the positive lift terms summed smallest first.  The first _HEAD_TERMS
     = 64 terms are summed directly (compensated); the rest is the
-    Euler-Maclaurin tail at N = 65: the closed-form integral (ln Gamma
-    for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli corrections
-    from asymptotic polygammas, which need x_N >= 43.  Returns
-    (value, err, _HEAD_TERMS): ``err`` is the first omitted Bernoulli
-    correction, the truncation of the asymptotic difference and the
-    counted rounding (the l = 1 term is ~1/beta); the count is the number
-    of directly summed terms.
+    Euler-Maclaurin tail at N = 65, per row: the closed-form integral (ln
+    Gamma for the digamma part), t(N)/2 and _EM_PAIRS Bernoulli corrections
+    from asymptotic polygammas, which need x_N >= 43.  Returns (value, err,
+    _HEAD_TERMS) for F1, then for F2: ``err`` is the first omitted Bernoulli
+    correction, the truncation of the asymptotic difference and the counted
+    rounding (the l = 1 term of F1 is ~1/beta); the count is the number of
+    directly summed terms.
     """
     d = 2.0 + 4.0 * beta
     w = 4.0 / d
-    ell = np.arange(1, _HEAD_TERMS + 2, dtype=np.float64)  # l = 1 .. N
-    x = (2.0 * ell - 1.0 + shift + beta) / d
-    harm = 1.0 / (2.0 * ell - 2.0 + shift - beta) + 1.0 / (2.0 * ell - 1.0 + shift + beta)
+    shifted = _ODD + beta
+    x = shifted / d
+    harm = 1.0 / (_ODD - 1.0 - beta) + 1.0 / shifted
 
     y = x + _LIFT_STEPS
     psi_diff = (0.5 / (y * (y + 0.5))).sum(axis=0) + _psi_half_step(x + _PSI_LIFT)
     terms = w * psi_diff - harm
-    terms[-1] *= 0.5  # the tail's t(N)/2
-
-    # In x = x_l the terms are t = g(x)/d with dx/dl = 2/d and
-    # g(x) = 4 [psi(x + 1/2) - psi(x)] - 1/(x - 1/2) - 1/x, so
-    # integral_N^inf t dl = -(1/2) [4 lnG(x+1/2) - 4 lnG(x) - ln x - ln(x - 1/2)]
-    # and t^(j)(N) = (2/d)^j g^(j)(x_N) / d.
-    xn = float(x[-1])
-    integral = -0.5 * (4.0 * _log_gamma_half_step_excess(xn) - math.log1p(-0.5 / xn))
-    j = _EM_ORDERS
-    g_der = 4.0 * (_polygammas(xn + 0.5) - _polygammas(xn)) + _EM_FACTORIALS * (
-        (xn - 0.5) ** (-j - 1.0) + xn ** (-j - 1.0)
-    )
-    corrections = -_EM_COEFFS * g_der * (2.0 / d) ** j / d
-
-    value = math.fsum(terms.tolist() + [integral] + corrections[:-1].tolist())
+    terms[:, -1] *= 0.5  # the tail's t(N)/2
     # Roundings counted per term, in units of u: x_l carries 3 and D has
     # condition <= 1.19 in x (4u D); each lift term 5u and their J - 1
     # additions; the asymptotic difference 6u; the final addition u; so
@@ -193,35 +181,47 @@ def _series(beta: float, shift: int) -> tuple[float, float, int]:
     # u |t|; the compensated sum u |value|, and 4u the O(1) parts that
     # cancel inside the integral.
     rounding = (_PSI_LIFT + 14.0) * w * psi_diff + 3.0 * np.abs(harm) + np.abs(terms)
+    rounding = rounding.sum(axis=1)
     # the asymptotic series stops at B_12: the trigamma remainder is at most
     # |B_14| z^-15, so the difference over 1/2 is at most (7/12) (x + J)^-15
-    truncation = w * (7.0 / 12.0) * (x + _PSI_LIFT) ** -15.0
-    err = (
-        abs(float(corrections[-1]))
-        + float(truncation.sum())
-        + _U * (float(rounding.sum()) + abs(value) + 4.0)
-    )
-    return value, err, _HEAD_TERMS
+    truncation = (w * (7.0 / 12.0) * (x + _PSI_LIFT) ** -15.0).sum(axis=1)
+
+    # In x = x_l the terms are t = g(x)/d with dx/dl = 2/d and
+    # g(x) = 4 [psi(x + 1/2) - psi(x)] - 1/(x - 1/2) - 1/x, so
+    # integral_N^inf t dl = -(1/2) [4 lnG(x+1/2) - 4 lnG(x) - ln x - ln(x - 1/2)]
+    # and t^(j)(N) = (2/d)^j g^(j)(x_N) / d.
+    j = _EM_ORDERS
+    rows = []
+    for row in (0, 1):
+        xn = float(x[row, -1])
+        integral = -0.5 * (4.0 * _log_gamma_half_step_excess(xn) - math.log1p(-0.5 / xn))
+        g_der = 4.0 * (_polygammas(xn + 0.5) - _polygammas(xn)) + _EM_FACTORIALS * (
+            (xn - 0.5) ** (-j - 1.0) + xn ** (-j - 1.0))
+        corrections = -_EM_COEFFS * g_der * (2.0 / d) ** j / d
+        value = math.fsum(terms[row].tolist() + [integral] + corrections[:-1].tolist())
+        err = abs(float(corrections[-1])) + float(truncation[row]) + _U * (
+            float(rounding[row]) + abs(value) + 4.0)
+        rows.append((value, err, _HEAD_TERMS))
+    return rows[0], rows[1]
 
 
 @lru_cache(maxsize=64)
 def f_terms(beta: float) -> ZimmertTerms:
     """All five F-function pieces at beta in [1e-4, 1/4).
 
-    Each series is a 64-term head plus an Euler-Maclaurin tail, accurate to
-    ~1e-13 absolute (~1e-12 at beta = 1e-4, where the l = 1 term of F1 is
-    1/beta); ``err_estimate`` is the larger of the two series
-    estimates and ``terms_used`` counts both heads.  Over the domain
-    (4,002 log-spaced beta, both series) that estimate peaks at 5.6e-12,
-    at beta = 1e-4.
+    Both series come from one two-row block; each is a 64-term head plus an
+    Euler-Maclaurin tail, accurate to ~1e-13 absolute (~1e-12 at beta =
+    1e-4, where the l = 1 term of F1 is 1/beta); ``err_estimate`` is the
+    larger of the two series estimates and ``terms_used`` counts both
+    heads.  Over the domain (4,002 log-spaced beta, both series) that
+    estimate peaks at 5.6e-12, at beta = 1e-4.
     """
     if not (BETA_MIN <= beta < BETA_MAX):
         raise DomainError(f"need beta in [{BETA_MIN}, {BETA_MAX}), got {beta}")
     d = 2.0 + 4.0 * beta
     w = 2.0 / (1.0 + 2.0 * beta)
 
-    f1_series, err1, n1 = _series(beta, 0)
-    f2_series, err2, n2 = _series(beta, 1)
+    (f1_series, err1, n1), (f2_series, err2, n2) = _series(beta)
 
     f1_point = -0.5 * (digamma((1.0 + beta) / 2.0).value + digamma(-beta / 2.0).value)
     f2_point = -0.5 * (digamma(1.0 + beta / 2.0).value + digamma((1.0 - beta) / 2.0).value)

@@ -13,11 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from normeuclid import rogers
 from normeuclid.rogers import (
+    _GL_NODE_ERR,
     _GL_RULE,
     _GL_RULE_16,
+    _GL_WEIGHT_ERR,
     RogersContext,
-    _majorant,
     central_integral,
     error_constants,
     f_lower,
@@ -49,6 +51,11 @@ def _constants_oracle(kappa, theta):
     c41 = c3 + kt3 * c2 * c3 + kt1 / 4
     c42 = c2 * (1 - 1 / (2 * kappa ** 2))
     return c1, c2, c3, c41, c42
+
+
+def _majorant(c, u):
+    """The cubic majorant C(u) = C1 + C41 u + C42 u^3 at u >= 0, as f uses it."""
+    return c.c1 + c.c41 * u + c.c42 * u ** 3
 
 
 # ------------------------------------------------------------------ types
@@ -114,19 +121,6 @@ def test_error_constants_positive_and_monotone():
 def test_error_constants_domain():
     with pytest.raises(DomainError):
         error_constants(RogersContext.from_kappa(1.0, 0.1))
-
-
-# ------------------------------------------------- the cubic majorant C(u)
-
-def test_c_poly_at_zero_and_even():
-    c = error_constants(RogersContext.from_kappa(176.4, 0.1))
-    assert _majorant(c, 0.0) == c.c1
-    for u in (0.3, 1.0, 1.6775):
-        assert _majorant(c, u) == _majorant(c, -u)
-    c1, _, _, c41, c42 = _constants_oracle(176.4, 0.1)
-    u = 1.6775
-    assert _majorant(c, u) == pytest.approx(c1 + c41 * u + c42 * u ** 3, rel=1e-14)
-    assert _majorant(c, u) == pytest.approx(18.5, abs=0.1)
 
 
 # ------------------------------------------------------------ u_threshold
@@ -403,6 +397,21 @@ def test_derived_nodes_are_no_worse_than_their_stored_nodes():
                 assert abs(_GL_RULE[16 * j + i][0] - exact) / exact <= max(stored, _U)
 
 
+def test_stored_rule_errors_are_within_what_the_central_integral_charges():
+    # against the 30-digit roots x of P_16 and their weights on [0, 1],
+    # (1 - x^2)/(256 P_15(x)^2) (P_16' = 16 P_15/(1 - x^2) at a root): the
+    # count charges _GL_NODE_ERR and _GL_WEIGHT_ERR units of u, relative
+    node_err, weight_err = [], []
+    with mpmath.workdps(30):
+        for t, w in _GL_RULE_16:
+            x = mpmath.findroot(lambda y: mpmath.legendre(16, y), 2 * t - 1)
+            tau, omega = (x + 1) / 2, (1 - x * x) / (256 * mpmath.legendre(15, x) ** 2)
+            node_err.append(float(abs(t - tau) / tau / _U))
+            weight_err.append(float(abs(w - omega) / omega / _U))
+    assert 5.0 < max(node_err) <= _GL_NODE_ERR
+    assert 63.0 < max(weight_err) <= _GL_WEIGHT_ERR
+
+
 def test_sixteen_nodes_exactly_where_their_bound_is_below_u():
     rng = random.Random(22)
     switches, log_max = (*_SWITCH_LOW, *_SWITCH_HIGH), math.log(1e8)
@@ -436,44 +445,87 @@ def test_f_lower_is_assembled_from_the_public_routes(kappa):
         assert sigma_lower_log(ctx.n, f) == sigma_lower_log(ctx.n, assembled)
 
 
-_CACHED_ROUTES = (error_constants, central_integral, u_threshold)
-
-
-@pytest.mark.parametrize("route", [*_CACHED_ROUTES, f_lower], ids=lambda r: r.__name__)
+@pytest.mark.parametrize(
+    "route", [error_constants, central_integral, u_threshold, f_lower], ids=lambda r: r.__name__
+)
 @pytest.mark.parametrize(
     "a, b",
     [((62238.0, 0.1), (62238.0, 0.2)), ((62238.0, 0.1), (200000.0, 0.1))],
     ids=["theta", "n"],
 )
 def test_each_route_answers_for_its_own_context(route, a, b):
-    # each route keeps its last context's result: A, then B, then A again
-    # must each equal a fresh evaluation bit for bit, which a cache that
-    # dropped theta or n from its key would not give
+    # every route reads the one evaluation kept for the last context: A,
+    # then B, then A again must each equal a fresh evaluation bit for bit,
+    # which a cache that dropped theta or n from its key would not give
     a, b = RogersContext(*a), RogersContext(*b)
 
     def fresh(ctx):
-        for cached in _CACHED_ROUTES:
-            cached.cache_clear()
+        rogers._pieces.cache_clear()
         return repr(route(ctx))
 
     want = [fresh(ctx) for ctx in (a, b, a)]
     assert want[0] != want[1]
-    for cached in _CACHED_ROUTES:
-        cached.cache_clear()
+    rogers._pieces.cache_clear()
     assert [repr(route(ctx)) for ctx in (a, b, a)] == want
 
 
 def test_f_lower_leaves_its_pieces_for_the_next_caller():
     # the rogers report and criterion 9 ask for the pieces at the context f
-    # was just evaluated at: each is computed once, by f_lower
+    # was just evaluated at: one evaluation, which the other routes read
     ctx = RogersContext(62238.0, 0.1)
-    for cached in _CACHED_ROUTES:
-        cached.cache_clear()
+    rogers._pieces.cache_clear()
     f_lower(ctx)
-    for route in _CACHED_ROUTES:
+    for route in (error_constants, central_integral, u_threshold):
         route(ctx)
-    # u_threshold reads the constants too, so they are asked for three times
-    assert [route.cache_info()[:2] for route in _CACHED_ROUTES] == [(2, 1), (1, 1), (1, 1)]
+    assert rogers._pieces.cache_info()[:2] == (3, 1)
+
+
+def test_f_lower_then_the_other_routes_run_the_quadrature_once(monkeypatch):
+    # count the passes over the (panels, rule) list, which only the
+    # quadrature makes
+    runs = []
+
+    class CountingRules(tuple):
+        def __iter__(self):
+            runs.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(rogers, "_GL_RULES", CountingRules(rogers._GL_RULES))
+    ctx = RogersContext(61417.0, 0.13)
+    rogers._pieces.cache_clear()
+    pieces = (f_lower(ctx), error_constants(ctx), central_integral(ctx), u_threshold(ctx))
+    assert len(runs) == 1
+    rogers._pieces.cache_clear()
+    assert (f_lower(ctx), error_constants(ctx), central_integral(ctx), u_threshold(ctx)) == pieces
+    assert len(runs) == 2
+
+
+def test_each_piece_is_raised_only_by_its_own_route():
+    # the constants do not exist at kappa <= 1 and U not without a sign
+    # change, but the central integral exists at every context
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(3000):
+        kappa = math.exp(rng.uniform(math.log(0.71), math.log(2.4e8)))
+        ctx = RogersContext.from_kappa(kappa, rng.uniform(1e-6, 0.333))
+        ci = central_integral(ctx)
+        assert 0.0 < ci.value <= SQRT_PI and math.isfinite(ci.err_estimate)
+        try:
+            error_constants(ctx)
+        except DomainError as exc:
+            assert ctx.kappa <= 1.0 and str(exc) == f"error constants need kappa > 1, got {ctx.kappa}"
+            seen.add("constants")
+        else:
+            assert ctx.kappa > 1.0
+        try:
+            u_threshold(ctx)
+        except DomainError as exc:
+            if ctx.kappa <= 1.0:
+                assert str(exc) == f"error constants need kappa > 1, got {ctx.kappa}"
+            else:
+                assert str(exc).startswith("no sign change")
+                seen.add("U")
+    assert seen == {"constants", "U"}
 
 
 # --------------------------------------------------------- sigma bounds

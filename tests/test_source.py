@@ -123,9 +123,7 @@ def test_every_cache_in_the_package_is_bounded():
         "cyclozeta.unit_group": 1,
         "cyclozeta._last_zeta": 1,
         "cyclozeta._primes_up_to": 1,
-        "rogers.error_constants": 1,
-        "rogers.u_threshold": 1,
-        "rogers.central_integral": 1,
+        "rogers._pieces": 1,
         "zimmert.f_terms": 64,
     }
 
