@@ -698,9 +698,12 @@ def cyclo_disc_log(m: int) -> float:
     The formula already collapses m = 2 mod 4 onto the same field as m/2.
     """
     phi = euler_phi(m)
-    return phi * math.log(m) - sum(
-        (phi / (p - 1)) * math.log(p) for p, _ in _factorize(m)
-    )
+    # added left to right: sum() compensates from Python 3.12 on, and the
+    # printed digits should not depend on the interpreter
+    ramified = 0.0
+    for p, _ in _factorize(m):
+        ramified += (phi / (p - 1)) * math.log(p)
+    return phi * math.log(m) - ramified
 
 
 def cyclo_signature(m: int) -> tuple[int, int]:

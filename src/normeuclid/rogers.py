@@ -20,7 +20,8 @@ context (``lru_cache(maxsize=1)`` keyed by ``RogersContext``), so the
 ``rogers`` report and criterion 9, which ask for pieces at the context f
 was just evaluated at, pay no second evaluation.  A piece that does not
 exist at a context (the constants at kappa <= 1, U without a sign change)
-is raised only by the route that asks for it.
+is raised only by the route that asks for it.  f reads the majorant
+C(kappa^theta) that the pass computed for U's sign-change test.
 """
 
 from __future__ import annotations
@@ -127,12 +128,12 @@ class RogersErrorConstants(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _pieces(ctx: RogersContext) -> tuple:
-    """(kappa^theta, the constants, U, the central integral) at ctx in one
-    pass; a piece that does not exist at ctx is the message its route raises."""
-    k, theta = ctx.kappa, ctx.theta
-    hi = k ** theta
+    """(kappa^theta, the constants, C(kappa^theta), U, the central integral) at
+    ctx in one pass; a piece that does not exist at ctx is its route's message."""
+    (n, theta), k = ctx, ctx.kappa
+    hi, two_k2 = k ** theta, 2.0 * k * k
     if k <= 1.0:
-        c = u_star = f"error constants need kappa > 1, got {k}"
+        c = c_edge = u_star = f"error constants need kappa > 1, got {k}"
     else:
         kt1 = k ** (theta - 1.0)
         kt2 = k ** (2.0 * theta - 2.0)
@@ -143,10 +144,11 @@ def _pieces(ctx: RogersContext) -> tuple:
         c2 = (1.0 / (1.0 - kt1)) * (1.0 / (1.0 - kt1 / 4.0) + 2.5)
         c3 = math.sqrt(1.0 + kt2 / 4.0)
         c41 = c3 + kt3 * c2 * c3 + kt1 / 4.0
-        c42 = c2 * (1.0 - 1.0 / (2.0 * k * k))
+        c42 = c2 * (1.0 - 1.0 / two_k2)
         c = (c1, c2, c3, c41, c42)
+        c_edge = c1 + c41 * hi + c42 * hi ** 3
         # g(u) = C(u) - (kappa/2) u^2 must change sign on [0, hi]; g(0) = C1
-        if c1 <= 0.0 or c1 + c41 * hi + c42 * hi ** 3 - 0.5 * k * hi * hi >= 0.0:
+        if c1 <= 0.0 or c_edge - 0.5 * k * hi * hi >= 0.0:
             u_star = (f"no sign change for the threshold root on [0, {hi}] (kappa={k}, "
                       f"theta={theta}; validity needs kappa >= 24)")
         else:
@@ -162,7 +164,6 @@ def _pieces(ctx: RogersContext) -> tuple:
             prod = -d / r2
             total = (cc - prod) / r2
             u_star = 0.5 * (total + math.sqrt(total * total - 4.0 * prod))
-    n, two_k2 = ctx.n, 2.0 * k * k
     h = min(hi, _CUT)
     cap = math.sqrt(two_k2) / h + math.sqrt(two_k2 / (h * h) - 1.0)
     for panels, rule in _GL_RULES:
@@ -187,7 +188,7 @@ def _pieces(ctx: RogersContext) -> tuple:
     rounding = _U * ((nodes + 3.0 + _GL_WEIGHT_ERR) * half - 6.0 * s1
                      + 3.0 * (1.0 + _GL_NODE_ERR) * h * h * s2)
     central = Evaluation(2.0 * half, 2.0 * (truncation + _CUT_TAIL + rounding), nodes)
-    return hi, c, u_star, central
+    return hi, c, c_edge, u_star, central
 
 
 def error_constants(ctx: RogersContext) -> RogersErrorConstants:
@@ -216,7 +217,7 @@ def u_threshold(ctx: RogersContext) -> float:
     P = r0 U = -D/r2 and S = r0 + U = (C + D/r2)/r2 > 0, so no digits
     cancel (Cardano applied to U itself loses them all from kappa ~ 1e5).
     """
-    u_star = _pieces(ctx)[2]
+    u_star = _pieces(ctx)[3]
     if isinstance(u_star, str):
         raise DomainError(u_star)
     return u_star
@@ -265,7 +266,7 @@ def central_integral(ctx: RogersContext) -> Evaluation:
     t/2 and w/2 are exact, and (1 + t)/2 adds to t's error (relative r) one
     rounding of 1 + t in [1, 2), for relative error at most max(r, u).
     """
-    return _pieces(ctx)[3]
+    return _pieces(ctx)[4]
 
 
 def f_lower(ctx: RogersContext) -> Evaluation:
@@ -288,11 +289,10 @@ def f_lower(ctx: RogersContext) -> Evaluation:
     k = ctx.kappa
     if k < KAPPA_MIN_LOWER:
         raise DomainError(f"f_lower needs kappa >= {KAPPA_MIN_LOWER}, got {k}")
-    hi, (c1, _, _, c41, c42), u_star, central = _pieces(ctx)
+    hi, (c1, _, _, c41, c42), c_edge, u_star, central = _pieces(ctx)
     if isinstance(u_star, str):
         raise DomainError(u_star)
-    # the majorant C at hi and at U, both positive
-    c_edge = c1 + c41 * hi + c42 * hi ** 3
+    # the majorant C at U (the pass keeps it at hi); both are positive
     c_star = c1 + c41 * u_star + c42 * u_star ** 3
     edge = 2.0 * _SQRT_PI * c_edge / k
     inner = (4.0 * u_star * c_star / k) * (1.0 + 4.0 * c_star / k)

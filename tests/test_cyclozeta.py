@@ -688,6 +688,16 @@ def test_disc_log_anchors():
     assert cyclo_disc_log(3) == pytest.approx(math.log(3.0), abs=1e-13)
 
 
+def test_disc_log_adds_left_to_right(monkeypatch):
+    # builtin sum() compensates from Python 3.12 on; added with fsum instead,
+    # the ramified terms move the last bit at m = 266, 410, 414, 438 and 470
+    from normeuclid import cyclozeta
+
+    want = [cyclo_disc_log(m) for m in range(1, 501)]
+    monkeypatch.setattr(cyclozeta, "sum", math.fsum, raising=False)
+    assert [cyclo_disc_log(m) for m in range(1, 501)] == want
+
+
 def test_signature():
     assert cyclo_signature(1) == (1, 0)
     assert cyclo_signature(2) == (1, 0)

@@ -193,6 +193,26 @@ def test_check_outputs_are_consistent():
     )
 
 
+def test_both_theorems_read_one_field_side():
+    # min_norm_check's right side is -F/2 from satz4_check's left side plus
+    # the same ln sqrt|Delta| and (n/2) ln pi, in that order, bit for bit
+    from normeuclid.cyclozeta import cyclo_disc_log, cyclo_signature
+
+    for beta in (1e-4, 0.05, 0.1, 0.2):
+        for m in range(1, 61):
+            r, s = cyclo_signature(m)
+            want = ((-satz4_check(m, beta)[0] + 0.5 * cyclo_disc_log(m))
+                    - 0.5 * (r + 2 * s) * math.log(math.pi))
+            assert min_norm_check(m, beta)[1] == want, (m, beta)
+
+
+def test_min_norm_check_reports_zeta_first():
+    # with both m and beta out of range, the zeta call's check on s = 1 + beta
+    # raises before the field side is read
+    with pytest.raises(DomainError, match=r"^need s > 1, got 1\.0$"):
+        min_norm_check(0, 0.0)
+
+
 # ------------------------------------------------------------ thresholds
 
 def test_threshold_rogers_exponent():
