@@ -79,6 +79,11 @@ def _cmd_lenstra_crossing(args: argparse.Namespace) -> int:
     n = lenstra.find_crossing(args.theta, args.n_min, args.n_max)
     print(f"crossing = {n}")
     print(f"gap at crossing (r=0) = {_fmt(lenstra.main_gap(n, 0, args.theta).value)}")
+    if n == args.n_min:
+        print("gap at crossing - 1: no lower degree searched (crossing = --n-min)")
+    else:
+        below = lenstra.main_gap(n - 1, 0, args.theta)
+        print(f"gap at crossing - 1 (r=0) = {_fmt(below.value)} (err {below.err_estimate:.3e})")
     return 0
 
 

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -700,9 +701,7 @@ def cyclo_disc_log(m: int) -> float:
     phi = euler_phi(m)
     # added left to right: sum() compensates from Python 3.12 on, and the
     # printed digits should not depend on the interpreter
-    ramified = 0.0
-    for p, _ in _factorize(m):
-        ramified += (phi / (p - 1)) * math.log(p)
+    ramified = reduce(operator.add, ((phi / (p - 1)) * math.log(p) for p, _ in _factorize(m)), 0.0)
     return phi * math.log(m) - ramified
 
 

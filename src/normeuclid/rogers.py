@@ -27,7 +27,8 @@ C(kappa^theta) that the pass computed for U's sign-change test.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .specfun import _U, DomainError, Evaluation
@@ -340,8 +341,6 @@ def sigma_lower_log(n: float, f: Evaluation) -> Evaluation | None:
     )
     # added left to right: sum() compensates from Python 3.12 on, and the
     # printed digits should not depend on the interpreter
-    value = terms[0]
-    for term in terms[1:]:
-        value += term
-    err = f.err_estimate / f.value + 8.0 * _U * sum(map(abs, terms))
+    value = reduce(operator.add, terms)
+    err = f.err_estimate / f.value + 8.0 * _U * reduce(operator.add, map(abs, terms))
     return Evaluation(value, err, f.terms_used)

@@ -70,8 +70,21 @@ def test_rogers_report_matches_the_public_routes(capsys):
 def test_lenstra_crossing_prints_the_gap_at_the_crossing(capsys):
     code, out, _ = _run(["lenstra-crossing"], capsys)
     assert code == 0
-    gap = lenstra.main_gap(62236, 0, 0.1).value
-    assert out == f"crossing = 62236\ngap at crossing (r=0) = {cli._fmt(gap)}\n"
+    gap, below = lenstra.main_gap(62236, 0, 0.1), lenstra.main_gap(62235, 0, 0.1)
+    assert out == (
+        f"crossing = 62236\ngap at crossing (r=0) = {cli._fmt(gap.value)}\n"
+        f"gap at crossing - 1 (r=0) = {cli._fmt(below.value)} (err {below.err_estimate:.3e})\n"
+    )
+
+
+def test_lenstra_crossing_at_n_min_searched_no_lower_degree(capsys):
+    code, out, _ = _run(["lenstra-crossing", "--n-min", "65000"], capsys)
+    assert code == 0
+    gap = lenstra.main_gap(65000, 0, 0.1).value
+    assert out == (
+        f"crossing = 65000\ngap at crossing (r=0) = {cli._fmt(gap)}\n"
+        "gap at crossing - 1: no lower degree searched (crossing = --n-min)\n"
+    )
 
 
 def test_lenstra_crossing(capsys):

@@ -18,7 +18,7 @@ from normeuclid.lenstra import (
     poitou_grh_lower,
 )
 from normeuclid.rogers import RogersContext, f_lower
-from normeuclid.specfun import EULER_GAMMA as GAMMA, DomainError, Evaluation
+from normeuclid.specfun import _U, EULER_GAMMA as GAMMA, DomainError, Evaluation
 
 LN2 = math.log(2.0)
 
@@ -68,6 +68,19 @@ def test_delta2_above_delta1_just_below_56():
     assert delta2_star_log(55).value > delta1_star_log(55, 0)
 
 
+# ceilings on _tightness, each about 1.5 times the worst ratio over its
+# test's own inputs (measured 2026-10-21): 152.5 for delta2 and 983.3 for the
+# gap, so that an estimate that grows turns a test red
+_CEILING_DELTA2 = 230.0
+_CEILING_GAP = 1500.0
+
+
+def _tightness(ev, error):
+    """How loose an estimate is: err_estimate over the actual error, or over
+    one rounding of the value where the oracle agrees closer than that."""
+    return ev.err_estimate / max(float(error), _U * abs(ev.value))
+
+
 def test_delta2_within_error_of_oracle():
     # against (n/2)(1 - ln pi) - n ln n + ln (n+1)! in 40 digits, on every
     # degree below 200 and a log-uniform sample up to 1e12
@@ -79,7 +92,9 @@ def test_delta2_within_error_of_oracle():
             d2 = delta2_star_log(n)
             x = mpmath.mpf(n)
             want = x / 2 * (1 - mpmath.log(mpmath.pi)) - x * mpmath.log(x) + mpmath.loggamma(x + 2)
-            assert abs(d2.value - want) <= d2.err_estimate, n
+            error = abs(d2.value - want)
+            assert error <= d2.err_estimate, n
+            assert _tightness(d2, error) <= _CEILING_DELTA2, n
 
 
 # ------------------------------------------------------- criterion check
@@ -268,7 +283,9 @@ def test_main_gap_within_error_of_oracle():
     for n, r in cases:
         gap = main_gap(n, r, 0.1)
         f = f_lower(RogersContext(float(n), 0.1)).value
-        assert abs(gap.value - _main_gap_oracle(n, r, f)) <= gap.err_estimate, (n, r)
+        error = abs(gap.value - _main_gap_oracle(n, r, f))
+        assert error <= gap.err_estimate, (n, r)
+        assert _tightness(gap, error) <= _CEILING_GAP, (n, r)
 
 
 def test_main_gap_monotone_in_n():
@@ -300,6 +317,20 @@ def test_find_crossing_window():
     assert 62138 <= crossing <= 62338
     # smallest such n: the gap flips sign exactly there
     assert main_gap(crossing - 1, 0, 0.1).value <= 0.0 < main_gap(crossing, 0, 0.1).value
+
+
+@pytest.mark.parametrize(
+    "theta, crossing", [(0.1, 62236), (0.108, 62237), (1.0 / 9.0, 62238), (0.116, 62239)]
+)
+def test_theta_table_rows_and_their_margins(theta, crossing):
+    # four rows of the README's crossing-against-theta table; rounding cannot
+    # move any of them: the gaps on both sides of each crossing exceed 10^6
+    # times their estimates (2.9e6 at theta = 0.1, the smallest)
+    assert find_crossing(theta, 55000, 70000) == crossing
+    below, at = main_gap(crossing - 1, 0, theta), main_gap(crossing, 0, theta)
+    assert below.value <= 0.0 < at.value
+    assert abs(below.value) > 1e6 * below.err_estimate
+    assert abs(at.value) > 1e6 * at.err_estimate
 
 
 def test_find_crossing_returns_nmin_when_already_positive():

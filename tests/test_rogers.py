@@ -255,6 +255,22 @@ def _f_lower_oracle(n, theta):
         )
 
 
+# ceilings on _tightness, each about 1.5 times the worst ratio over its
+# test's own inputs (measured 2026-10-21), so that an estimate that grows
+# turns a test red: the central integral 4474, at kappa = 1 where the
+# ellipse cap binds; f 1146, where f is 3.2e-4 and its estimate is mostly
+# the central integral's; and ln sigma_n 987.5
+_CEILING_CENTRAL = 6700.0
+_CEILING_F = 1700.0
+_CEILING_SIGMA = 1500.0
+
+
+def _tightness(ev, error):
+    """How loose an estimate is: err_estimate over the actual error, or over
+    one rounding of the value where the oracle agrees closer than that."""
+    return ev.err_estimate / max(float(error), _U * abs(ev.value))
+
+
 _THETA = st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_min=True, exclude_max=True)
 
 
@@ -292,7 +308,9 @@ def _truncation_bound(ctx, nodes):
 def test_central_integral_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     ci = central_integral(ctx)
-    assert abs(mpmath.mpf(ci.value) - _central_oracle(ctx.n, theta)) <= ci.err_estimate <= 1e-12
+    error = abs(mpmath.mpf(ci.value) - _central_oracle(ctx.n, theta))
+    assert error <= ci.err_estimate <= 1e-12
+    assert _tightness(ci, error) <= _CEILING_CENTRAL
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -316,7 +334,9 @@ def test_central_integral_defined_on_every_context(n, theta):
 def test_f_lower_within_error_of_oracle(kappa, theta):
     ctx = RogersContext.from_kappa(kappa, theta)
     f = f_lower(ctx)
-    assert abs(mpmath.mpf(f.value) - _f_lower_oracle(ctx.n, theta)) <= f.err_estimate <= 1e-12
+    error = abs(mpmath.mpf(f.value) - _f_lower_oracle(ctx.n, theta))
+    assert error <= f.err_estimate <= 1e-12
+    assert _tightness(f, error) <= _CEILING_F
 
 
 # --------------------------------------------------------------- f_lower
@@ -586,6 +606,20 @@ def _sigma_lower_oracle(n, f):
         )
 
 
+def test_sigma_lower_adds_left_to_right(monkeypatch):
+    # builtin sum() compensates from Python 3.12 on; added with fsum instead,
+    # the error terms move the estimate's last bits at about one point in four
+    rng = random.Random(16)
+    ns = [round(math.exp(rng.uniform(7.1, 34.5))) for _ in range(300)]
+    cases = [(n, rng.uniform(0.01, 0.33)) for n in ns]
+    lows = [sigma_lower_log(n, f_lower(RogersContext(float(n), theta))) for n, theta in cases]
+    want = [(low.value, low.err_estimate) for low in lows if low is not None]
+    assert len(want) >= 200
+    monkeypatch.setattr(rogers, "sum", math.fsum, raising=False)
+    lows = [sigma_lower_log(n, f_lower(RogersContext(float(n), theta))) for n, theta in cases]
+    assert [(low.value, low.err_estimate) for low in lows if low is not None] == want
+
+
 def test_sigma_lower_within_error_of_oracle():
     # the terms grow like n ln n, so a flat relative estimate falls short by
     # up to eight orders of magnitude at n = 1e12
@@ -594,4 +628,6 @@ def test_sigma_lower_within_error_of_oracle():
     for n in ns:
         f = f_lower(RogersContext(float(n), 0.1))
         low = sigma_lower_log(n, f)
-        assert abs(mpmath.mpf(low.value) - _sigma_lower_oracle(n, f.value)) <= low.err_estimate
+        error = abs(mpmath.mpf(low.value) - _sigma_lower_oracle(n, f.value))
+        assert error <= low.err_estimate
+        assert _tightness(low, error) <= _CEILING_SIGMA

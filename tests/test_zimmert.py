@@ -183,12 +183,14 @@ def test_min_norm_inequality_holds(m, beta):
 
 
 def test_check_outputs_are_consistent():
+    from normeuclid.cyclozeta import zeta_cyclotomic
+
     lhs, rhs, holds = satz4_check(5, 0.1)
     assert holds == (lhs <= rhs)
     lhs2, rhs2, holds2 = min_norm_check(8, 0.1)
     assert holds2 == (lhs2 <= rhs2)
     assert lhs2 == pytest.approx(
-        math.log(2.0) * (1.0 - 1.0 / __import__("normeuclid").zeta_cyclotomic(8, 1.1).value),
+        math.log(2.0) * (1.0 - 1.0 / zeta_cyclotomic(8, 1.1).value),
         abs=1e-9,
     )
 
