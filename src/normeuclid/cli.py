@@ -225,72 +225,80 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _build_parser() -> argparse.ArgumentParser:
+# name, help, handler and options of each subcommand, in --help order
+_COMMANDS = (
+    ("rogers", "packing-constant bounds at one dimension", _cmd_rogers, (
+        ("--n", dict(type=int, required=True)),
+        ("--theta", dict(type=float, default=0.1)),
+    )),
+    ("lenstra-crossing", "first degree where the criterion becomes incompatible "
+     "with the GRH discriminant bound", _cmd_lenstra_crossing, (
+        ("--theta", dict(type=float, default=0.1)),
+        ("--n-min", dict(type=int, default=55000)),
+        ("--n-max", dict(type=int, default=70000)),
+    )),
+    ("lenstra-check", "criterion verdicts for one field", _cmd_lenstra_check, (
+        ("--n", dict(type=int, required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--log-disc", dict(type=float, required=True)),
+        ("--log-m", dict(type=float, required=True)),
+    )),
+    ("cyclo-zeta", "cyclotomic zeta value at one point", _cmd_cyclo_zeta, (
+        ("--m", dict(type=int, required=True)),
+        ("--s", dict(type=float, required=True)),
+        ("--method", dict(choices=("hurwitz", "euler"), default="hurwitz")),
+        ("--prime-limit", dict(type=int, default=10 ** 6,
+                               help="prime cutoff for the Euler product (--method euler)")),
+    )),
+    ("cyclo-scan", "zeta scan over m = 1..m_max", _cmd_cyclo_scan, (
+        ("--m-max", dict(type=int, required=True)),
+        ("--epsilon", dict(type=float, required=True)),
+        ("--out", dict(type=str, default=None)),
+        ("--svg", dict(type=str, default=None)),
+        ("--format", dict(choices=("csv", "json"), default="csv", help="scan output format")),
+    )),
+    ("zimmert", "digamma series values at one beta", _cmd_zimmert, (
+        ("--a", dict(type=int, required=True)),
+        ("--b", dict(type=int, required=True)),
+        ("--beta", dict(type=float, required=True)),
+    )),
+    ("zimmert-verify", "check the two series inequalities for one cyclotomic field",
+     _cmd_zimmert_verify, (
+        ("--m", dict(type=int, required=True)),
+        ("--beta", dict(type=float, required=True)),
+    )),
+    ("constants", "print the named constants", _cmd_constants, ()),
+    ("reproduce", "run the acceptance checks", _cmd_reproduce, ()),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with ``command`` the top level and that one
+    subcommand.  The one-subcommand parser names every command in its
+    usage line, so it prints what the full parser prints."""
     p = argparse.ArgumentParser(
         prog="normeuclid",
         description="Explicit bounds for the sphere-packing criterion for "
         "norm-Euclidean fields and Dedekind zeta scans for cyclotomic fields.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("rogers", help="packing-constant bounds at one dimension")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--theta", type=float, default=0.1)
-    q.set_defaults(fn=_cmd_rogers)
-
-    q = sub.add_parser("lenstra-crossing", help="first degree where the criterion "
-                       "becomes incompatible with the GRH discriminant bound")
-    q.add_argument("--theta", type=float, default=0.1)
-    q.add_argument("--n-min", type=int, default=55000)
-    q.add_argument("--n-max", type=int, default=70000)
-    q.set_defaults(fn=_cmd_lenstra_crossing)
-
-    q = sub.add_parser("lenstra-check", help="criterion verdicts for one field")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--log-disc", type=float, required=True)
-    q.add_argument("--log-m", type=float, required=True)
-    q.set_defaults(fn=_cmd_lenstra_check)
-
-    q = sub.add_parser("cyclo-zeta", help="cyclotomic zeta value at one point")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--method", choices=("hurwitz", "euler"), default="hurwitz")
-    q.add_argument("--prime-limit", type=int, default=10 ** 6,
-                   help="prime cutoff for the Euler product (--method euler)")
-    q.set_defaults(fn=_cmd_cyclo_zeta)
-
-    q = sub.add_parser("cyclo-scan", help="zeta scan over m = 1..m_max")
-    q.add_argument("--m-max", type=int, required=True)
-    q.add_argument("--epsilon", type=float, required=True)
-    q.add_argument("--out", type=str, default=None)
-    q.add_argument("--svg", type=str, default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="scan output format")
-    q.set_defaults(fn=_cmd_cyclo_scan)
-
-    q = sub.add_parser("zimmert", help="digamma series values at one beta")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--beta", type=float, required=True)
-    q.set_defaults(fn=_cmd_zimmert)
-
-    q = sub.add_parser("zimmert-verify", help="check the two series inequalities "
-                       "for one cyclotomic field")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--beta", type=float, required=True)
-    q.set_defaults(fn=_cmd_zimmert_verify)
-
-    q = sub.add_parser("constants", help="print the named constants")
-    q.set_defaults(fn=_cmd_constants)
-
-    q = sub.add_parser("reproduce", help="run the acceptance checks")
-    q.set_defaults(fn=_cmd_reproduce)
+    # the full parser keeps metavar None: "command" names the missing choice
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_, fn, options in _COMMANDS:
+        if command in (None, name):
+            q = sub.add_parser(name, help=help_)
+            for flag, kwargs in options:
+                q.add_argument(flag, **kwargs)
+            q.set_defaults(fn=fn)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # -h, no arguments and an unknown name print or name every command
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -21,14 +21,17 @@ Hurwitz zeta and its s-derivative have one kernel, ``_hurwitz``, which
 one-point routes with one element): it checks s and a once, builds one
 (N x len(a)) Euler-Maclaurin block, adds the d/ds half only when asked,
 and sums the direct terms smallest first, with that sum's rounding, about
-N u sum|terms|, in the error estimate.  The cutoffs are N = 20 direct
-terms and J = 10 Bernoulli pairs for every s.  That N is enough:
+N u sum|terms|, and the rounding of k + a, which the power turns into s u
+of each term, in the error estimate.  The cutoffs are N = 8 direct terms
+and J = 10 Bernoulli pairs for every s.  That N is enough:
 k -> (k+a)^{-s} is completely monotone, so for any N the remainder lies
-between zero and the first omitted Bernoulli term, which the estimate
-charges (for d/ds, its s-derivative).  At N = 20 both are below 1e-25 for
-every s > 1 and below 1e-30 for s >= 10, far below every tolerance used
-downstream (the tightest acceptance margin in the package is about 5e-5).
-A value or an estimate that binary64 cannot hold raises DomainError.
+between zero and the first omitted Bernoulli term,
+|B_22/22!| (s)_21 (N + a)^{-s-21}, which the estimate charges (for d/ds,
+its s-derivative).  At N = 8 the term peaks at 1.56e-17 near s = 3.49 and
+its s-derivative at 6.56e-17 near s = 3.24, both below u = 1.11e-16;
+zeta(s, a) >= 1, so the first stays under u/4 of the value.  From s = 10
+on they are below 1e-18 and 1e-17.  A value or an estimate that binary64
+cannot hold raises DomainError.
 
 An independent route multiplies Euler factors (1 - p^{-f s})^{-g} over
 rational primes up to a configurable limit, where f is the multiplicative
@@ -331,7 +334,7 @@ def _char_table(chi: DirichletCharacter, d: int) -> np.ndarray:
 # the parts of it that do not depend on s: the descending k column (a sum
 # along axis 0 adds the smallest terms first), the exponents of x^{-2i} for
 # i = 0..J, the offsets t = 0..2J of s + t, and B_2i/(2i)!, i = 1..J+1.
-_EM_N = 20
+_EM_N = 8
 _EM_J = 10
 _EM_K = np.arange(_EM_N - 1, -1, -1, dtype=np.float64)[:, None]
 _EM_POWERS = -np.arange(_EM_J + 1.0)[:, None]
@@ -339,14 +342,17 @@ _EM_OFFSETS = np.arange(2.0 * _EM_J + 1.0)
 _EM_COEFS = np.array(_BERNOULLI_OVER_FACTORIAL)
 
 
-def _em_result(s: float, direct, rest, abs_sum, omitted):
+def _em_result(s: float, direct, rest, abs_sum, moved, omitted):
     """value = direct sum + Euler-Maclaurin rest, with its error estimate:
     the first omitted correction, the direct sum's rounding (N+2) u sum|terms|
-    (N - 1 additions plus the rounding of each term), about 5u for the few
-    operations of the rest, and u for the final additions.  A value or an
-    estimate that binary64 cannot hold raises DomainError."""
+    (N - 1 additions plus the rounding of each term), u ``moved`` for the
+    rounding of k + a, about 5u for the few operations of the rest, and u
+    for the final additions.  A value or an estimate that binary64 cannot
+    hold raises DomainError."""
     value = direct + rest
-    err = omitted + _U * ((_EM_N + 2) * abs_sum + 5.0 * np.abs(rest) + np.abs(value))
+    err = omitted + _U * (
+        (_EM_N + 2) * abs_sum + moved + 5.0 * np.abs(rest) + np.abs(value)
+    )
     # err carries |value|, so a non-finite value leaves err non-finite too
     if not np.isfinite(err).all():
         raise DomainError(f"hurwitz_zeta at s={s} leaves the binary64 range")
@@ -366,28 +372,37 @@ def _hurwitz(s: float, a, derivative: bool):
     the scheme differentiated term by term: harm[i-1] sums 1/(s+t) over the
     factors of bern[i-1], whose d/ds is bern[i-1] (harm[i-1] - ln x), and the
     direct terms -ln(k+a) (k+a)^{-s} change sign at k + a = 1, so its
-    rounding term uses sum|terms|."""
+    rounding term uses sum|terms|.  For k >= 1, k + a rounds by a relative
+    u at most, which the power turns into s u p_k, and ln(k+a) by u, so the
+    estimate charges s u sum_{k>=1} p_k, and for d/ds
+    u (s sum_{k>=1} |terms_k| + sum_{k>=1} p_k); base[-1] = a is exact."""
     if not math.isfinite(s):
         raise DomainError(f"hurwitz_zeta needs a finite s, got {s}")
     if s <= 1.0:
         raise PoleError(f"hurwitz_zeta requires s > 1, got {s}")
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or not ((a > 0.0) & (a <= 1.0)).all():
+    # a NaN fails both comparisons; an empty a has no entry to check
+    if a.ndim != 1 or a.size and not (a.min() > 0.0 and a.max() <= 1.0):
         raise DomainError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
     x = _EM_N + a
     t = s + _EM_OFFSETS
     coef = _EM_COEFS * t.cumprod()[::2]
     xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
     # for s above about 4e14 the product s(s+1)... overflows where the power
-    # has already underflowed; such a correction is 0, not inf * 0
-    bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+    # has already underflowed; such a correction is 0, not inf * 0.  The
+    # products grow down coef, so a finite last entry means no overflow
+    if math.isinf(coef[-1]):
+        bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+    else:
+        bern = coef[:, None] * xp
     base = _EM_K + a
     del xp  # freed before p: held, it made the kernel 1.1-1.2x slower at len(a) = 3000
     p = base ** -s
     xt = x ** (1.0 - s)
     direct = p.sum(axis=0)
+    shifted = direct - p[-1]  # sum_{k>=1} p_k
     rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
-    zeta = _em_result(s, direct, rest, direct, np.abs(bern[-1]))
+    zeta = _em_result(s, direct, rest, direct, s * shifted, np.abs(bern[-1]))
     if not derivative:
         return zeta, None
     del direct, rest  # held through the d/ds half, they slowed it 1.1x at len(a) = 3000
@@ -399,7 +414,8 @@ def _hurwitz(s: float, a, derivative: bool):
     corr = (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
     omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
     abs_sum = np.abs(terms).sum(axis=0)
-    return zeta, _em_result(s, terms.sum(axis=0), tail + mid + corr, abs_sum, omitted)
+    moved = s * (abs_sum - np.abs(terms[-1])) + shifted
+    return zeta, _em_result(s, terms.sum(axis=0), tail + mid + corr, abs_sum, moved, omitted)
 
 
 def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
@@ -411,7 +427,8 @@ def hurwitz_zeta_array(s: float, a) -> tuple[np.ndarray, np.ndarray, int]:
     midpoint term (N+a)^{-s}/2, and Bernoulli corrections B_2j up to J
     pairs.  Returns (values, error estimates, terms per value N + J).  The
     error estimate is the first omitted Bernoulli term plus the rounding
-    of the direct sum, (N+2) u sum|terms| with u = 2^-53, and of the rest.
+    of the direct sum, (N+2) u sum|terms| with u = 2^-53, of k + a, and of
+    the rest.
     """
     return _hurwitz(s, a, False)[0]
 

@@ -3,7 +3,9 @@ scan emission."""
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -315,16 +317,15 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # options live on the one command that reads them
-        ["constants", "--prime-limit", "5000"],
-        ["--format", "json", "cyclo-scan", "--m-max", "5", "--epsilon", "0.5"],
-        ["--tol", "1e-8", "cyclo-zeta", "--m", "4", "--s", "2"],  # flag removed
-    ],
-    ids=["prime-limit", "format", "tol"],
-)
+_BAD_GLOBAL_FLAGS = [
+    # options live on the one command that reads them
+    ["constants", "--prime-limit", "5000"],
+    ["--format", "json", "cyclo-scan", "--m-max", "5", "--epsilon", "0.5"],
+    ["--tol", "1e-8", "cyclo-zeta", "--m", "4", "--s", "2"],  # flag removed
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_GLOBAL_FLAGS, ids=["prime-limit", "format", "tol"])
 def test_bad_global_flag_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -351,6 +352,30 @@ def test_out_of_range_argument_exits_one(argv, message, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def _printed(call, argv):
+    """(exit code, stdout, stderr) of call(argv), a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["bogus"]] + [[name, "-h"] for name in cli._NAMES] + _BAD_GLOBAL_FLAGS,
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv):
+    # main builds only the named command's parser; its help, its usage
+    # errors and the top-level ones read as the full parser's, byte for byte
+    full = _printed(lambda a: cli._build_parser().parse_args(a), argv)
+    assert full[0] in (0, 2)
+    assert _printed(cli.main, argv) == full
 
 
 def test_every_option_is_read_by_its_command():

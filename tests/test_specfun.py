@@ -181,7 +181,9 @@ def test_riemann_zeta_known_values():
 
 def test_riemann_zeta_near_one():
     z = hurwitz_zeta(1.0276, 1.0)
-    assert _oracle_gap(z.value, 1.0276, 1.0, False) <= z.err_estimate
+    error = _oracle_gap(z.value, 1.0276, 1.0, False)
+    assert error <= z.err_estimate
+    assert _tightness(z, error) <= _CEILING_NEAR_ONE
     assert z.value == pytest.approx(36.8, abs=0.1)
 
 
@@ -231,9 +233,13 @@ def test_hurwitz_domain():
 def test_hurwitz_cutoff_doubling(s, a):
     # the fixed cutoffs, which no caller can raise, against 30-digit mpmath
     z = hurwitz_zeta(s, a)
-    assert _oracle_gap(z.value, s, a, False) <= z.err_estimate
+    error = _oracle_gap(z.value, s, a, False)
+    assert error <= z.err_estimate
+    assert _tightness(z, error) <= _CEILING_CUTOFFS[0]
     dz = hurwitz_zeta_ds(s, a)
-    assert _oracle_gap(dz.value, s, a, True) <= dz.err_estimate
+    error = _oracle_gap(dz.value, s, a, True)
+    assert error <= dz.err_estimate
+    assert _tightness(dz, error) <= _CEILING_CUTOFFS[1]
 
 
 # ---------------------------------------------- kernel against mpmath
@@ -251,18 +257,42 @@ def _oracle_gap(value, s, a, derivative):
         return abs(mpmath.mpf(float(value)) - exact)
 
 
+# ceilings on _tightness, each about 1.5 times the worst ratio over its
+# test's own inputs (measured 2026-10-22 at N = 8), so that an estimate
+# that grows turns a test red.  Worst ratios, zeta and d/ds: near s = 1
+# 6.40; the cutoff grid 11.47 and 24.46; the hypothesis grids 11.42 and
+# 117.3; the m = 1009 array 10.94 and 39.89; large s 11.01 and 251, the
+# last at a = 1, where k + a is exact but the kernel charges its rounding
+_CEILING_NEAR_ONE = 9.6
+_CEILING_CUTOFFS = (17.0, 37.0)
+_CEILING_ZETA = 17.0
+_CEILING_DS = 175.0
+_CEILING_ARRAY = (16.5, 60.0)
+_CEILING_LARGE_S = (16.5, 375.0)
+
+
+def _tightness(ev, error):
+    """How loose an estimate is: err_estimate over the actual error, or over
+    one rounding of the value where the oracle agrees closer than that."""
+    return ev.err_estimate / max(float(error), specfun._U * abs(ev.value))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(s=_S, a=_A)
 def test_hurwitz_within_error_of_oracle(s, a):
     z = hurwitz_zeta(s, a)
-    assert _oracle_gap(z.value, s, a, False) <= z.err_estimate
+    error = _oracle_gap(z.value, s, a, False)
+    assert error <= z.err_estimate
+    assert _tightness(z, error) <= _CEILING_ZETA
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(s=_S, a=_A)
 def test_hurwitz_ds_within_error_of_oracle(s, a):
     z = hurwitz_zeta_ds(s, a)
-    assert _oracle_gap(z.value, s, a, True) <= z.err_estimate
+    error = _oracle_gap(z.value, s, a, True)
+    assert error <= z.err_estimate
+    assert _tightness(z, error) <= _CEILING_DS
 
 
 @pytest.mark.parametrize(
@@ -272,9 +302,12 @@ def test_array_kernel_within_error_of_oracle(kernel, derivative):
     # one call over a = k/1009, k = 1..1009: the arguments of a cyclo-large prime
     s, a = 1.05, np.arange(1, 1010) / 1009
     values, errs, terms = kernel(s, a)
-    assert values.shape == errs.shape == a.shape and terms == 30
+    assert values.shape == errs.shape == a.shape
+    assert terms == cyclozeta._EM_N + cyclozeta._EM_J
     gaps = [_oracle_gap(v, s, x, derivative) for v, x in zip(values, a)]
     assert all(g <= e for g, e in zip(gaps, errs))
+    worst = max(_tightness(Evaluation(v, e, terms), g) for v, e, g in zip(values, errs, gaps))
+    assert worst <= _CEILING_ARRAY[derivative]
 
 
 def test_scalar_kernel_is_a_one_element_array_call():
@@ -290,20 +323,21 @@ def test_scalar_kernel_is_a_one_element_array_call():
 
 @pytest.mark.parametrize("s", [1.5, 30.0, 1e5])
 def test_one_block_shape_for_every_s(s):
-    # N = 20 direct terms and J = 10 Bernoulli pairs, whatever s is
-    assert (cyclozeta._EM_N, cyclozeta._EM_J) == (20, 10)
-    assert cyclozeta._EM_K.shape == (20, 1) and cyclozeta._EM_POWERS.shape == (11, 1)
+    # N = 8 direct terms and J = 10 Bernoulli pairs, whatever s is
+    assert (cyclozeta._EM_N, cyclozeta._EM_J) == (8, 10)
+    assert cyclozeta._EM_K.shape == (8, 1) and cyclozeta._EM_POWERS.shape == (11, 1)
     assert cyclozeta._EM_OFFSETS.shape == (21,)
     for kernel in (hurwitz_zeta_array, hurwitz_zeta_ds_array):
-        assert kernel(s, np.array([1.0]))[2] == 30
+        assert kernel(s, np.array([1.0]))[2] == cyclozeta._EM_N + cyclozeta._EM_J
 
 
 def test_first_omitted_term_is_below_the_documented_bound():
-    # the cutoff claim of the cyclozeta docstring and the README: at N = 20
-    # and J = 10 the first omitted term |B_22/22!| (s)_21 (N + a)^{-s-21},
-    # and its s-derivative, that term times |harm| + ln(N + a) with harm the
-    # sum of 1/(s + t), t = 0..20, stay below 1e-25 for s in (1, 10^3] and
-    # below 1e-30 from s = 10 on; scanned over a log grid in s
+    # the cutoff claim of the cyclozeta docstring and the README: at N = 8
+    # and J = 10 the first omitted term |B_22/22!| (s)_21 (N + a)^{-s-21}
+    # stays below u/4 for s in (1, 10^3], and its s-derivative, that term
+    # times |harm| + ln(N + a) with harm the sum of 1/(s + t), t = 0..20,
+    # below u; from s = 10 on below 1e-18 and 1e-17.  zeta(s, a) >= 1, so
+    # the first is below u/4 of the value.  Scanned over a log grid in s
     n, j = cyclozeta._EM_N, cyclozeta._EM_J
     peak = d_peak = 0.0
     with mpmath.workdps(30):
@@ -316,18 +350,19 @@ def test_first_omitted_term_is_below_the_documented_bound():
                 x = n + a
                 term = coef * mpmath.rf(s, 2 * j + 1) * x ** (-s - 2 * j - 1)
                 d_term = term * (abs(harm) + mpmath.log(x))
-                bound = 1e-30 if s >= 10 else 1e-25
-                assert term < bound and d_term < bound, (s, a)
+                bound, d_bound = (1e-18, 1e-17) if s >= 10 else (specfun._U / 4, specfun._U)
+                assert term < bound and d_term < d_bound, (s, a)
                 peak, d_peak = max(peak, term), max(d_peak, d_term)
-    # the grid reaches the peaks near s = 1.5, not only the tails
-    assert 1e-27 < peak < 1e-26 and 1e-26 < d_peak < 1e-25
+    # the grid reaches the peaks, 1.56e-17 near s = 3.49 and 6.56e-17 near
+    # s = 3.24, not only the tails
+    assert 1.5e-17 < peak < 1.6e-17 and 6.5e-17 < d_peak < 6.6e-17
 
 
 def _standalone_ds_array(s, a):
     """The s-derivative kernel as it stood on its own block, before it
     shared one with zeta, built here from the Bernoulli table alone: the
     reference the kernel's derivative half must equal bit for bit."""
-    n, j = 20, 10
+    n, j = 8, 10
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
         x = n + a
@@ -336,7 +371,8 @@ def _standalone_ds_array(s, a):
         xp = x ** (-s - 1.0) * (x * x) ** -np.arange(j + 1.0)[:, None]
         bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
         harm = (1.0 / t).cumsum()[::2]
-        terms = -np.log(base) * base ** -s
+        p = base ** -s
+        terms = -np.log(base) * p
         lx = np.log(x)
         xt = x ** (1.0 - s)
         tail = -xt * (lx / (s - 1.0) + 1.0 / ((s - 1.0) * (s - 1.0)))
@@ -344,8 +380,33 @@ def _standalone_ds_array(s, a):
         rest = tail + mid + (bern[:-1] * (harm[:-1, None] - lx)).sum(axis=0)
         omitted = np.abs(bern[-1]) * (abs(harm[-1]) + lx)
         value = terms.sum(axis=0) + rest
-        rounding = (n + 2) * np.abs(terms).sum(axis=0) + 5.0 * np.abs(rest) + np.abs(value)
+        abs_sum = np.abs(terms).sum(axis=0)
+        # the rounding of k + a for k >= 1, moved by the power and the log
+        moved = s * (abs_sum - np.abs(terms[-1])) + (p.sum(axis=0) - p[-1])
+        rounding = (n + 2) * abs_sum + moved + 5.0 * np.abs(rest) + np.abs(value)
         return value, omitted + specfun._U * rounding, n + j
+
+
+def _where_zeta_array(s, a):
+    """hurwitz_zeta_array with the Bernoulli corrections always taken
+    through np.where, the kernel's path for an overflowing s(s+1)...: the
+    reference for its single-multiply path."""
+    n, j = cyclozeta._EM_N, cyclozeta._EM_J
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
+        x = n + a
+        t = s + np.arange(2.0 * j + 1.0)
+        coef = np.array(specfun._BERNOULLI_OVER_FACTORIAL) * t.cumprod()[::2]
+        xp = x ** (-s - 1.0) * (x * x) ** -np.arange(j + 1.0)[:, None]
+        bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
+        p = base ** -s
+        xt = x ** (1.0 - s)
+        direct = p.sum(axis=0)
+        rest = xt / (s - 1.0) + 0.5 * xt / x + bern[:-1].sum(axis=0)
+        value = direct + rest
+        moved = s * (direct - p[-1])
+        rounding = (n + 2) * direct + moved + 5.0 * np.abs(rest) + np.abs(value)
+        return value, np.abs(bern[-1]) + specfun._U * rounding, n + j
 
 
 def _seeded_kernel_grid():
@@ -369,8 +430,32 @@ def test_pair_kernel_halves_are_the_single_kernels_bit_for_bit():
         for got, want in ((zeta, hurwitz_zeta_array(s, a)), (ds, _standalone_ds_array(s, a))):
             assert got[0].tobytes() == want[0].tobytes(), s
             assert got[1].tobytes() == want[1].tobytes(), s
-            assert got[2] == want[2] == 30
+            assert got[2] == want[2] == cyclozeta._EM_N + cyclozeta._EM_J
         assert hurwitz_zeta_ds_array(s, a)[0].tobytes() == ds[0].tobytes()
+
+
+def test_single_multiply_is_the_where_path_bit_for_bit():
+    # below s(s+1)...(s+2J) overflowing, the kernel multiplies the Bernoulli
+    # corrections out without np.where; every byte of both halves is the
+    # where path's, at s in (1, 10^3] and a in (0, 1] with s ln(1/a) < 700
+    rng = random.Random(3809)
+    for _ in range(60):
+        s = 1.0 + 10.0 ** rng.uniform(-6.0, math.log10(999.0))
+        low = max(1e-300, math.exp(-700.0 / s))
+        a = np.array([math.exp(rng.uniform(math.log(low), 0.0)) for _ in range(25)] + [1.0])
+        zeta, ds = cyclozeta._hurwitz(s, a, True)
+        for got, want in ((zeta, _where_zeta_array(s, a)), (ds, _standalone_ds_array(s, a))):
+            assert got[0].tobytes() == want[0].tobytes(), s
+            assert got[1].tobytes() == want[1].tobytes(), s
+
+
+def test_empty_a_gives_empty_arrays():
+    # no entry to check, none to evaluate: both halves come back empty
+    for s in (1.5, 1e308):
+        zeta, ds = cyclozeta._hurwitz(s, np.array([]), True)
+        for values, errs, terms in (zeta, ds):
+            assert values.shape == errs.shape == (0,)
+            assert terms == cyclozeta._EM_N + cyclozeta._EM_J
 
 
 # s in (10, 240] with s ln(1/a) < 700, so that a^{-s} and its
@@ -387,9 +472,25 @@ _S_A_HIGH = st.floats(min_value=10.0, max_value=240.0, exclude_min=True).flatmap
 def test_kernels_within_error_of_oracle_at_large_s(sa):
     s, a = sa
     z = hurwitz_zeta(s, a)
-    assert _oracle_gap(z.value, s, a, False) <= z.err_estimate
+    error = _oracle_gap(z.value, s, a, False)
+    assert error <= z.err_estimate
+    assert _tightness(z, error) <= _CEILING_LARGE_S[0]
     dz = hurwitz_zeta_ds(s, a)
-    assert _oracle_gap(dz.value, s, a, True) <= dz.err_estimate
+    error = _oracle_gap(dz.value, s, a, True)
+    assert error <= dz.err_estimate
+    assert _tightness(dz, error) <= _CEILING_LARGE_S[1]
+
+
+def test_rounding_of_k_plus_a_is_charged():
+    # 1 + a rounds to 2 at a = 1 - 2^-53, a relative error u/2 that the power
+    # turns into s u/2 of the term; the k = 0 term -ln(a) a^{-s} ~ u leaves
+    # that term to carry d/ds, so without the charge for the rounding of
+    # k + a the estimate falls short from s ~ 20 on (and at N = 20, s ~ 48)
+    a = 1.0 - 2.0 ** -53
+    for s in np.arange(10.0, 80.0, 0.25):
+        for fn, derivative in ((hurwitz_zeta, False), (hurwitz_zeta_ds, True)):
+            z = fn(float(s), a)
+            assert _oracle_gap(z.value, float(s), a, derivative) <= z.err_estimate, (fn, s)
 
 
 @pytest.mark.parametrize("s,a", [(240.0, 0.05), (400.0, 1.0 / 7.0), (1e15, 0.5)])
