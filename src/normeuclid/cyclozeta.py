@@ -387,16 +387,13 @@ def _hurwitz(s: float, a, derivative: bool):
     x = _EM_N + a
     t = s + _EM_OFFSETS
     coef = _EM_COEFS * t.cumprod()[::2]
-    xp = x ** (-s - 1.0) * (x * x) ** _EM_POWERS
-    # for s above about 4e14 the product s(s+1)... overflows where the power
-    # has already underflowed; such a correction is 0, not inf * 0.  The
-    # products grow down coef, so a finite last entry means no overflow
-    if math.isinf(coef[-1]):
-        bern = np.where(xp > 0.0, coef[:, None] * xp, 0.0)
-    else:
-        bern = coef[:, None] * xp
+    # the products grow down coef, and the last, s(s+1)...(s+20), first
+    # overflows at s = 4.77e14; x^{-s-1} is exactly 0 for every x >= N from
+    # s = 357 on, so there every correction is 0, not inf * 0
+    bern = (coef[:, None] if math.isfinite(coef[-1]) else 0.0) * (
+        x ** (-s - 1.0) * (x * x) ** _EM_POWERS
+    )
     base = _EM_K + a
-    del xp  # freed before p: held, it made the kernel 1.1-1.2x slower at len(a) = 3000
     p = base ** -s
     xt = x ** (1.0 - s)
     direct = p.sum(axis=0)
@@ -565,8 +562,10 @@ def _prime_sum_tail(s: float, limit: int) -> float:
     return _PI_UPPER * s * _prime_tail_integral(s, limit)
 
 
-# the smallest prime cutoff zeta_cyclotomic accepts, whichever the method
-_PRIME_LIMIT_MIN = 1000
+# the prime cutoffs zeta_cyclotomic accepts, whichever the method: the sieve
+# takes limit/2 bytes and the primes two pi(limit)-long arrays, so the top
+# holds one call to about 140 MB
+_PRIME_LIMIT_MIN, _PRIME_LIMIT_MAX = 1000, 10 ** 8
 
 # np.exp(-y) is exactly 0.0 once y > 745.1332, where e^{-y} rounds below
 # 2^-1074; such a prime's Euler factor is exactly 1
@@ -662,8 +661,8 @@ def zeta_cyclotomic(
     method="euler": truncated Euler product over rational primes up to
     prime_limit, whose estimate adds the rounding to the omitted-tail
     bound (large for s near 1); ``terms_used`` counts the primes
-    multiplied in.  Both methods need prime_limit >= 1000 and deliver a
-    real value > 1.
+    multiplied in.  Both methods need 1000 <= prime_limit <= 10^8 and
+    deliver a real value > 1.
     """
     if not math.isfinite(s):
         raise DomainError(f"need a finite s, got {s}")
@@ -671,6 +670,8 @@ def zeta_cyclotomic(
         raise DomainError(f"need s > 1, got {s}")
     if prime_limit < _PRIME_LIMIT_MIN:
         raise DomainError(f"prime_limit must be >= {_PRIME_LIMIT_MIN}, got {prime_limit}")
+    if prime_limit > _PRIME_LIMIT_MAX:
+        raise DomainError(f"prime_limit must be <= {_PRIME_LIMIT_MAX}, got {prime_limit}")
     if method == "hurwitz":
         if _last_zeta is not None and _last_zeta[0] == (m, s):
             return _last_zeta[1]

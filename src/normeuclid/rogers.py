@@ -52,11 +52,13 @@ KAPPA_MIN_LOWER = 24.0
 
 # The Gauss-Legendre rule of the central integral as (node, weight) pairs,
 # numpy's leggauss(16) mapped from [-1, 1] to [0, 1] by t = (x + 1)/2, w/2
-# (a test checks every digit).  Against 30-digit roots of P_16 and their
-# weights the nodes are off by at most _GL_NODE_ERR units of u, relative,
-# and the weights by _GL_WEIGHT_ERR (5.03 and 63.14; a test recomputes them)
+# (a test checks every digit), stored for t < 1/2 only: the rule is
+# symmetric, and each 1 - t is leggauss's own node bit for bit.  Against
+# 30-digit roots of P_16 and their weights the nodes are off by at most
+# _GL_NODE_ERR units of u, relative, and the weights by _GL_WEIGHT_ERR
+# (5.03 and 63.14; a test recomputes them)
 _GL_NODE_ERR, _GL_WEIGHT_ERR = 5.1, 64.0
-_GL_RULE_16 = (
+_GL_LOWER_8 = (
     (0.005299532504175031, 0.013576229705877088),
     (0.0277124884633837, 0.031126761969323728),
     (0.06718439880608412, 0.0475792558412463),
@@ -65,15 +67,8 @@ _GL_RULE_16 = (
     (0.2709916111713863, 0.08457825969750132),
     (0.35919822461037054, 0.09130170752246182),
     (0.4524937450811813, 0.09472530522753432),
-    (0.5475062549188188, 0.09472530522753432),
-    (0.6408017753896295, 0.09130170752246182),
-    (0.7290083888286136, 0.08457825969750132),
-    (0.8089381222013219, 0.07479799440828835),
-    (0.8777022041775016, 0.062314485627767036),
-    (0.9328156011939159, 0.0475792558412463),
-    (0.9722875115366163, 0.031126761969323728),
-    (0.994700467495825, 0.013576229705877088),
 )
+_GL_RULE_16 = _GL_LOWER_8 + tuple((1.0 - t, w) for t, w in reversed(_GL_LOWER_8))
 # The same rule on each half of [0, 1], nodes t/2 and (1 + t)/2 with weights
 # w/2; central_integral tries the (panels, rule) pairs in order
 _GL_RULE = tuple(((s + t) / 2.0, w / 2.0) for s in (0.0, 1.0) for t, w in _GL_RULE_16)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from normeuclid import cli, lenstra, rogers
+from normeuclid import cli, cyclozeta, lenstra, rogers
 
 
 def _run(argv, capsys):
@@ -343,15 +343,21 @@ def test_bad_global_flag_exits_two(argv, capsys):
          ">= 1000"),
         (["cyclo-zeta", "--m", "4", "--s", "2", "--method", "euler", "--prime-limit", "10"],
          ">= 1000"),
+        (["cyclo-zeta", "--m", "4", "--s", "2", "--method", "euler", "--prime-limit", "100000001"],
+         "<= 100000000"),
     ],
-    ids=["rogers", "lenstra-crossing", "nan", "prime-limit-hurwitz", "prime-limit-euler"],
+    ids=["rogers", "lenstra-crossing", "nan", "prime-limit-hurwitz", "prime-limit-euler",
+         "prime-limit-above"],
 )
 def test_out_of_range_argument_exits_one(argv, message, capsys):
-    # the library checks every value; the CLI only reports its message
+    # the library checks every value before any work, so no sieve is built;
+    # the CLI only reports its message
+    sieves = cyclozeta._primes_up_to.cache_info()
     code, out, err = _run(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+    assert cyclozeta._primes_up_to.cache_info() == sieves
 
 
 def _printed(call, argv):

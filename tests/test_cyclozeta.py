@@ -357,10 +357,13 @@ def test_zeta_euler_estimate_is_inf_once_the_tail_bound_leaves_binary64():
 
 
 def test_zeta_euler_rejects_a_prime_limit_the_cli_rejects():
-    # the one check of --prime-limit, for either method
+    # the one check of --prime-limit, for either method: below 1000, or
+    # above 10^8, where the sieve alone would take over 50 MB
     for method in ("hurwitz", "euler"):
-        with pytest.raises(DomainError, match=">= 1000"):
-            zeta_cyclotomic(12, 1.5, method, prime_limit=999)
+        for limit, message in ((999, ">= 1000"), (10 ** 8 + 1, "<= 100000000"),
+                               (10 ** 10, "<= 100000000")):
+            with pytest.raises(DomainError, match=message):
+                zeta_cyclotomic(12, 1.5, method, prime_limit=limit)
         assert zeta_cyclotomic(12, 1.5, method, prime_limit=1000).value > 1.0
 
 

@@ -388,9 +388,10 @@ def _standalone_ds_array(s, a):
 
 
 def _where_zeta_array(s, a):
-    """hurwitz_zeta_array with the Bernoulli corrections always taken
-    through np.where, the kernel's path for an overflowing s(s+1)...: the
-    reference for its single-multiply path."""
+    """hurwitz_zeta_array with each Bernoulli correction taken through
+    np.where, 0 wherever x^{-s-1} underflows: the reference for the kernel,
+    which multiplies every correction out and zeroes them all at once where
+    s(s+1)...(s+20) overflows."""
     n, j = cyclozeta._EM_N, cyclozeta._EM_J
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.arange(n - 1, -1, -1, dtype=np.float64)[:, None] + a
@@ -434,15 +435,19 @@ def test_pair_kernel_halves_are_the_single_kernels_bit_for_bit():
         assert hurwitz_zeta_ds_array(s, a)[0].tobytes() == ds[0].tobytes()
 
 
-def test_single_multiply_is_the_where_path_bit_for_bit():
-    # below s(s+1)...(s+2J) overflowing, the kernel multiplies the Bernoulli
-    # corrections out without np.where; every byte of both halves is the
-    # where path's, at s in (1, 10^3] and a in (0, 1] with s ln(1/a) < 700
+def test_kernel_is_the_where_path_bit_for_bit():
+    # every byte of both halves is the where path's: at s in (1, 10^3] and
+    # a in (0, 1] with s ln(1/a) < 700, and at a = 1 on both sides of
+    # s(s+1)...(s+2J) overflowing near s = 4.77e14
     rng = random.Random(3809)
+    points = []
     for _ in range(60):
         s = 1.0 + 10.0 ** rng.uniform(-6.0, math.log10(999.0))
         low = max(1e-300, math.exp(-700.0 / s))
-        a = np.array([math.exp(rng.uniform(math.log(low), 0.0)) for _ in range(25)] + [1.0])
+        a = [math.exp(rng.uniform(math.log(low), 0.0)) for _ in range(25)] + [1.0]
+        points.append((s, np.array(a)))
+    points += [(s, np.array([1.0])) for s in (4.7e14, 4.8e14, 1e15, 1e308)]
+    for s, a in points:
         zeta, ds = cyclozeta._hurwitz(s, a, True)
         for got, want in ((zeta, _where_zeta_array(s, a)), (ds, _standalone_ds_array(s, a))):
             assert got[0].tobytes() == want[0].tobytes(), s
